@@ -50,6 +50,7 @@ __all__ = [
     "update_global_directions",
     "horus_aggregate",
     "baseline_aggregate",
+    "masked_sq_distances",
     "krum_select",
     "masked_median",
     "masked_trimmed_mean",
@@ -323,15 +324,33 @@ def horus_aggregate(
 # --- classical baselines -------------------------------------------------
 
 
+def masked_sq_distances(values: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(n, n) squared distances between rows on each pair's common support.
+
+    With 0/1 masks, d2_ij = (m*v^2)_i.m_j + m_i.(m*v^2)_j - 2 (m*v)_i.(m*v)_j,
+    in O(n^2 + nP) memory. Values are first centred on each coordinate's
+    masked mean: differences on common support are unchanged, and the
+    products do not cancel when rows sit far from the origin.
+    """
+    masks = np.asarray(masks, dtype=float)
+    mean = np.einsum("ij,ij->j", values, masks) / np.maximum(masks.sum(axis=0), 1.0)
+    centred = values - mean
+    centred *= masks
+    gram = centred @ centred.T
+    sq = np.square(centred, out=centred) @ masks.T
+    d2 = sq + sq.T - 2.0 * gram
+    return np.maximum(d2, 0.0, out=d2)  # rounding can leave tiny negatives
+
+
 def krum_select(
     vectors: np.ndarray, masks: np.ndarray, f: int, m: int = 1
 ) -> tuple[list[int], np.ndarray]:
-    """Krum selection over flattened client vectors.
+    """Krum selection over flattened client vectors with 0/1 masks.
 
-    Squared distances are computed on the intersection of both clients'
-    supports. Each client's score is the sum of squared distances to its
-    n - f - 2 nearest neighbours; the ``m`` lowest-scoring clients win, ties
-    broken toward lower index. Returns (winner indices, scores).
+    Squared distances on both clients' common support come from
+    :func:`masked_sq_distances`. Each client's score is the sum of squared
+    distances to its n - f - 2 nearest neighbours; the ``m`` lowest-scoring
+    clients win, ties broken toward lower index. Returns (winners, scores).
     """
     n = len(vectors)
     n_neighbors = n - f - 2
@@ -339,19 +358,22 @@ def krum_select(
         raise ConfigurationError(
             f"krum needs n - f - 2 >= 1 neighbours (n={n}, f={f})"
         )
-    d2 = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = masks[i] * masks[j]
-            diff = (vectors[i] - vectors[j]) * both
-            d2[i, j] = d2[j, i] = float(diff @ diff)
-    scores = np.empty(n)
-    for i in range(n):
-        others = np.delete(d2[i], i)
-        others.sort()
-        scores[i] = others[:n_neighbors].sum()
-    order = sorted(range(n), key=lambda i: (scores[i], i))
-    return order[: min(m, n)], scores
+    vectors, masks = np.asarray(vectors, dtype=float), np.asarray(masks, dtype=float)
+    m = min(m, n)
+    d2 = masked_sq_distances(vectors, masks)
+    # A Gram distance is within 4 (P + 2) eps (s_i + s_j) of the exact one,
+    # where s_i <= sum_j d2_ij is client i's centred squared norm. Every client
+    # whose score could be among the m best is re-scored exactly, so ties
+    # break as they do on exact distances.
+    eps = np.finfo(float).eps
+    err = 16.0 * n_neighbors * (vectors.shape[1] + 2) * eps * d2.sum(axis=1).max()
+    np.fill_diagonal(d2, np.inf)
+    scores = np.sort(d2, axis=1)[:, :n_neighbors].sum(axis=1)
+    for i in np.flatnonzero(scores <= np.partition(scores, m - 1)[m - 1] + err):
+        exact = np.square((vectors - vectors[i]) * masks * masks[i]).sum(axis=1)
+        exact[i] = np.inf
+        scores[i] = np.sort(exact)[:n_neighbors].sum()
+    return np.argsort(scores, kind="stable")[:m].tolist(), scores
 
 
 def masked_median(stack: np.ndarray, masks: np.ndarray, prev) -> np.ndarray:

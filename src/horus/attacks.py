@@ -15,6 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
+from .aggregation import masked_sq_distances
 from .errors import ConfigurationError, SimulationError
 from .spectral import inverse_normal_cdf
 
@@ -168,16 +169,25 @@ def min_max_attack(
     iters: int = 20,
 ) -> np.ndarray:
     """Push mean + gamma * p as far as possible while staying no farther from
-    any benign vector than the benign vectors are from each other."""
+    any benign vector than the benign vectors are from each other.
+
+    The farthest pair comes from :func:`masked_sq_distances` (all-ones masks)
+    and the bound is its exact distance. With c = benign - mean, each search
+    step reads ||mean + gamma p - b_i||^2 = gamma^2 p.p - 2 gamma c_i.p + c_i.c_i.
+    """
     benign, mu, sigma = _cohort_stats(benign)
-    diffs = benign[:, None, :] - benign[None, :, :]
-    bound = float(np.sqrt((diffs**2).sum(axis=-1).max()))
+    d2 = masked_sq_distances(benign, np.ones_like(benign))
+    i, j = np.unravel_index(np.argmax(d2), d2.shape)
+    bound = float(np.linalg.norm(benign[i] - benign[j]))
     p = _perturbation(mu, sigma, direction)
     if bound == 0.0 or p is None:
         return mu.copy()
+    c = benign - mu
+    c_sq, c_p, p_sq = np.einsum("ij,ij->i", c, c), c @ p, float(p @ p)
 
     def value_fn(gamma: float) -> float:
-        return float(np.linalg.norm(mu + gamma * p - benign, axis=1).max())
+        d_sq = (gamma * gamma * p_sq - 2.0 * gamma * c_p + c_sq).max()
+        return float(np.sqrt(max(d_sq, 0.0)))
 
     gamma = _maximize_gamma(value_fn, bound, gamma_init, iters)
     return mu + gamma * p
@@ -190,17 +200,22 @@ def min_sum_attack(
     iters: int = 20,
 ) -> np.ndarray:
     """As min_max_attack, but bounded by the worst benign sum of squared
-    distances to the rest of the cohort."""
+    distances to the rest of the cohort.
+
+    With c = benign - mean (sum_j c_j = 0) that bound is
+    max_i (n c_i.c_i + sum_j c_j.c_j), so no pairwise matrix is formed.
+    """
     benign, mu, sigma = _cohort_stats(benign)
-    diffs = benign[:, None, :] - benign[None, :, :]
-    bound = float((diffs**2).sum(axis=-1).sum(axis=1).max())
+    n, c = len(benign), benign - mu
+    c_sq = np.einsum("ij,ij->i", c, c)
+    bound = float((n * c_sq + c_sq.sum()).max())
     p = _perturbation(mu, sigma, direction)
     if bound == 0.0 or p is None:
         return mu.copy()
+    sum_sq, sum_p, p_sq = float(c_sq.sum()), float((c @ p).sum()), float(p @ p)
 
     def value_fn(gamma: float) -> float:
-        d = mu + gamma * p - benign
-        return float((d**2).sum())
+        return n * gamma * gamma * p_sq - 2.0 * gamma * sum_p + sum_sq
 
     gamma = _maximize_gamma(value_fn, bound, gamma_init, iters)
     return mu + gamma * p

@@ -9,8 +9,6 @@ averages padding into the result.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping, NamedTuple
@@ -30,8 +28,6 @@ __all__ = [
     "pad_to_global",
     "trim_to_local",
     "payload_bytes",
-    "serialize_update",
-    "deserialize_update",
     "flatten_padded",
     "unflatten_padded",
 ]
@@ -267,47 +263,3 @@ def unflatten_padded(
     if offset != vec.size:
         raise ValueError(f"vector length {vec.size} does not match dims (need {offset})")
     return out
-
-
-def serialize_update(u: ClientUpdate) -> bytes:
-    """Pack an update as a JSON header plus flat little-endian float64 arrays.
-
-    Round-trips bit-exactly through :func:`deserialize_update`.
-    """
-    header = {
-        "client_id": u.client_id,
-        "arch_id": u.arch_id,
-        "rank": u.rank,
-        "layers": {
-            lid.value: {"a": list(u.layers[lid].a.shape),
-                        "b": list(u.layers[lid].b.shape)}
-            for lid in LayerId
-        },
-    }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [struct.pack("<I", len(blob)), blob]
-    for lid in LayerId:
-        pair = u.layers[lid]
-        parts.append(np.ascontiguousarray(pair.a, dtype="<f8").tobytes())
-        parts.append(np.ascontiguousarray(pair.b, dtype="<f8").tobytes())
-    return b"".join(parts)
-
-
-def deserialize_update(buf: bytes) -> ClientUpdate:
-    """Inverse of :func:`serialize_update`."""
-    (hlen,) = struct.unpack_from("<I", buf, 0)
-    header = json.loads(buf[4 : 4 + hlen].decode("utf-8"))
-    offset = 4 + hlen
-    layers: dict[LayerId, LoraPair] = {}
-    for lid in LayerId:
-        shapes = header["layers"][lid.value]
-        arrays = []
-        for shape in (shapes["a"], shapes["b"]):
-            n = int(np.prod(shape))
-            arr = np.frombuffer(buf, dtype="<f8", count=n, offset=offset)
-            arrays.append(arr.astype(float).reshape(shape))
-            offset += 8 * n
-        layers[lid] = LoraPair(a=arrays[0], b=arrays[1], rank=header["rank"])
-    return ClientUpdate(
-        client_id=header["client_id"], arch_id=header["arch_id"], layers=layers
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
@@ -443,28 +443,14 @@ class RoundMetrics:
     frob: dict[str, dict[str, float]]
     aggregator: str
     detection_skipped: bool = False
+    aggregation_skipped: bool = False
 
     def to_record(self) -> dict:
-        theta = self.theta
-        if theta is not None and not np.isfinite(theta):
-            theta = None
-        return {
-            "round": self.round,
-            "global_accuracy": self.global_accuracy,
-            "mean_local_accuracy": self.mean_local_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "fpr": self.fpr,
-            "payload_bytes": self.payload_bytes,
-            "participants": self.participants,
-            "flagged": self.flagged,
-            "positives": self.positives,
-            "theta": theta,
-            "alpha": self.alpha_summary,
-            "frob": self.frob,
-            "aggregator": self.aggregator,
-            "detection_skipped": self.detection_skipped,
-        }
+        rec = asdict(self)
+        rec["alpha"] = rec.pop("alpha_summary")
+        if rec["theta"] is not None and not np.isfinite(rec["theta"]):
+            rec["theta"] = None
+        return rec
 
 
 @dataclass
@@ -699,6 +685,15 @@ class Simulation:
                     )
         return rows
 
+    def _aggregation_feasible(self, n_participants: int) -> bool:
+        """Whether the rule can run on this round's participants; logs if not."""
+        try:
+            self.cfg.aggregator.check_feasible(n_participants)
+            return True
+        except ConfigurationError as exc:
+            log.warning("round %d: %s; aggregation skipped", self.round_index, exc)
+            return False
+
     def run_round(self) -> RoundResult:
         """One communication round: broadcast, train, attack, aggregate, measure."""
         if self._backbone_hashes is None:
@@ -711,6 +706,7 @@ class Simulation:
         alpha_summary = None
         diagnostics: list[DiagnosticRow] = []
         payload = 0
+        skipped = False
 
         if participants:
             self._broadcast(participants)
@@ -718,14 +714,17 @@ class Simulation:
             self._apply_model_poisoning(submissions, participants)
             payload = sum(payload_bytes(u) for u in submissions.values())
 
-            if cfg.aggregator.name == "horus":
+            if not self._aggregation_feasible(len(participants)):
+                skipped = True
+            elif cfg.aggregator.name == "horus":
                 outcome: AggregationOutcome = horus_aggregate(
                     submissions, self.state, cfg.detection
                 )
                 detection = outcome.detection
                 features = outcome.features
                 alpha_summary = outcome.alpha_summary
-                if outcome.skipped:
+                skipped = outcome.skipped
+                if skipped:
                     log.warning("round %d: all clients flagged, state unchanged",
                                 self.round_index)
                 else:
@@ -738,9 +737,11 @@ class Simulation:
             )
         else:
             log.warning("round %d: no participants, round skipped", self.round_index)
+            skipped = True
 
         self._check_backbones()
-        metrics = self._measure(participants, detection, alpha_summary, payload)
+        metrics = self._measure(participants, detection, alpha_summary, payload,
+                                skipped)
         return RoundResult(
             metrics=metrics,
             detection=detection,
@@ -754,6 +755,7 @@ class Simulation:
         detection: RoundDetection | None,
         alpha_summary: dict[str, float] | None,
         payload: int,
+        aggregation_skipped: bool,
     ) -> RoundMetrics:
         cfg = self.cfg
         global_acc = float(
@@ -806,6 +808,7 @@ class Simulation:
             frob=frob,
             aggregator=cfg.aggregator.name,
             detection_skipped=detection.skipped if detection else False,
+            aggregation_skipped=aggregation_skipped,
         )
 
     def run(self, on_round=None) -> list[RoundResult]:

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from horus.aggregation import (
     AggregatorKind,
@@ -451,6 +454,46 @@ def brute_force_krum(vectors, masks, f):
         if best_score is None or score < best_score:
             best, best_score = i, score
     return best, all_scores
+
+
+@st.composite
+def krum_instances(draw):
+    """(vectors, 0/1 masks, f, m): tenths, or evenly spaced points, so that
+    exact ties occur, optionally shifted to 1e3 + 1e-3 x; random or
+    padding-style prefix supports."""
+    n = draw(st.integers(4, 9))
+    p = draw(st.integers(1, 10))
+    tenths = st.integers(-40, 40).map(lambda k: k / 10)
+    if draw(st.booleans()):
+        vectors = draw(arrays(float, (n, p), elements=tenths))
+    else:  # points on a line, evenly spaced, in a drawn order
+        step = draw(arrays(float, (p,), elements=tenths))
+        vectors = np.outer(draw(st.permutations(range(n))), step)
+    if draw(st.booleans()):
+        vectors = 1e3 + 1e-3 * vectors
+    if draw(st.booleans()):
+        masks = draw(arrays(float, (n, p), elements=st.sampled_from([0.0, 1.0])))
+    else:
+        widths = draw(st.lists(st.integers(1, p), min_size=n, max_size=n))
+        masks = (np.arange(p) < np.array(widths)[:, None]).astype(float)
+    f = draw(st.integers(0, n - 3))
+    return vectors, masks, f, draw(st.integers(1, n))
+
+
+class TestKrumProperties:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(krum_instances())
+    def test_matches_brute_force(self, instance):
+        vectors, masks, f, m = instance
+        winners, scores = krum_select(vectors, masks, f, m=1)
+        oracle_winner, oracle_scores = brute_force_krum(vectors, masks, f)
+        assert winners == [oracle_winner]
+        np.testing.assert_allclose(scores, oracle_scores, rtol=1e-9,
+                                   atol=1e-12 * max(oracle_scores))
+        # the m best in order, ties toward the lower index
+        winners, _ = krum_select(vectors, masks, f, m=m)
+        order = sorted(range(len(vectors)), key=lambda i: (oracle_scores[i], i))
+        assert winners == order[:m]
 
 
 class TestBaselines:

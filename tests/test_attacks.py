@@ -1,7 +1,12 @@
 """Unit tests for the poisoning attack implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from horus.attacks import (
     AttackConfig,
@@ -159,6 +164,54 @@ class TestMinSum:
         p = -sigma / np.linalg.norm(sigma)
         gamma = float(np.dot(mal - mu, p))
         assert gamma >= 0
+
+
+@st.composite
+def cohorts(draw):
+    """Benign cohorts of 2-8 vectors, plain or offset-heavy (1e3 + 1e-3 x)."""
+    n = draw(st.integers(2, 8))
+    p = draw(st.integers(1, 12))
+    benign = draw(arrays(float, (n, p), elements=st.floats(-4.0, 4.0, width=32)))
+    if draw(st.booleans()):
+        benign = 1e3 + 1e-3 * benign
+    assume(np.ptp(benign, axis=0).any())
+    return benign
+
+
+class TestConstraintProperties:
+    """Criterion 06's bound and tightness, against the pairwise loop oracles."""
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cohorts())
+    def test_min_max(self, benign):
+        mal = min_max_attack(benign, iters=20)
+        bound = max_pairwise(benign)
+        value = float(np.linalg.norm(mal - benign, axis=1).max())
+        assert value <= bound * (1 + 1e-12)
+        assert bound - value <= 1e-6 * bound
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(cohorts())
+    def test_min_sum(self, benign):
+        mal = min_sum_attack(benign, iters=20)
+        bound = worst_sum_sq(benign)
+        value = float(((mal - benign) ** 2).sum())
+        assert value <= bound * (1 + 1e-12)
+        assert bound - value <= 1e-6 * bound
+
+
+@pytest.mark.parametrize("attack", [min_max_attack, min_sum_attack])
+def test_crafting_memory_is_linear_in_the_cohort(attack):
+    # an (n, n, P) difference tensor alone would take n times this budget
+    benign = np.random.default_rng(9).normal(size=(150, 1616))
+    budget = 4 * benign.size * benign.itemsize
+    tracemalloc.start()
+    try:
+        attack(benign)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < budget
 
 
 class TestFang:

@@ -122,6 +122,23 @@ class TestCliRun:
         assert (out / "detection.jsonl").exists()
         assert (out / "config.yaml").exists()
 
+    def test_krum_with_undershooting_participation_runs_to_the_end(self, tmp_path):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, {
+            "output_dir": str(out), "rounds": 6,
+            "aggregator": {"kind": "krum", "f": 2},
+            "clients": [{"count": 4, "hidden_width": 6, "participation_rate": 0.5},
+                        {"count": 4, "hidden_width": 8, "participation_rate": 0.5}],
+        })
+        assert main(["run", str(path)]) == 0
+        records = [json.loads(line)
+                   for line in (out / "rounds.jsonl").read_text().splitlines()]
+        assert [r["round"] for r in records] == [1, 2, 3, 4, 5, 6]
+        # krum with f=2 needs at least 7 participants
+        flags = [r["aggregation_skipped"] for r in records]
+        assert flags == [len(r["participants"]) < 7 for r in records]
+        assert any(flags)
+
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "out"
         path = write_config(tmp_path, {"output_dir": str(out)})

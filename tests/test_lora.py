@@ -1,4 +1,4 @@
-"""Unit tests for the adapter data model, padding, trimming, serialization."""
+"""Unit tests for the adapter data model, padding, trimming, flattening."""
 
 import numpy as np
 import pytest
@@ -10,11 +10,9 @@ from horus.lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    deserialize_update,
     flatten_padded,
     pad_to_global,
     payload_bytes,
-    serialize_update,
     trim_to_local,
     unflatten_padded,
 )
@@ -169,27 +167,6 @@ class TestPayloadBytes:
         assert payload_bytes(u) / full == pytest.approx(
             (r * d + h * r + r * h + c * r) / (h * d + c * h)
         )
-
-
-class TestSerialization:
-    def test_bit_exact_round_trip(self):
-        rng = np.random.default_rng(10)
-        u = make_update(rng, client_id=3, arch_id=1, ff=(16, 8), cl=(8, 3))
-        back = deserialize_update(serialize_update(u))
-        assert back.client_id == 3 and back.arch_id == 1
-        for lid in LayerId:
-            assert back.layers[lid].a.tobytes() == u.layers[lid].a.tobytes()
-            assert back.layers[lid].b.tobytes() == u.layers[lid].b.tobytes()
-
-    def test_negative_zero_preserved(self):
-        base = make_update(np.random.default_rng(11))
-        a = base.layers[FF].a.copy()
-        a[0, 0] = -0.0
-        layers = dict(base.layers)
-        layers[FF] = LoraPair(a, base.layers[FF].b, base.rank)
-        u = ClientUpdate(0, 0, layers)
-        back = deserialize_update(serialize_update(u))
-        assert back.layers[FF].a.tobytes() == u.layers[FF].a.tobytes()
 
 
 class TestFlatten:

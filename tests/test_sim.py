@@ -373,6 +373,38 @@ class TestSimulation:
         assert len(rows) == 4 * 2 * 2  # clients x layers x matrices
         assert {d.matrix for d in rows} == {"A", "B"}
 
+    def test_krum_rounds_with_too_few_participants_are_skipped(self):
+        # f=2 is feasible for all 8 clients but not for fewer than 7
+        cfg = tiny_config(
+            clients=[{"count": 4, "hidden_width": 6, "participation_rate": 1.0},
+                     {"count": 4, "hidden_width": 8, "participation_rate": 0.5}],
+            aggregator={"kind": "krum", "f": 2}, rounds=8,
+        )
+        sim = Simulation(cfg)
+        sim.warm_up()
+        skipped = 0
+        for _ in range(cfg.rounds):
+            before = {lid: (layer.a.copy(), layer.b.copy())
+                      for lid, layer in sim.state.layers.items()}
+            m = sim.run_round().metrics
+            infeasible = len(m.participants) < 7
+            assert m.aggregation_skipped == infeasible
+            if infeasible:
+                skipped += 1
+                for lid, layer in sim.state.layers.items():
+                    np.testing.assert_array_equal(layer.a, before[lid][0])
+                    np.testing.assert_array_equal(layer.b, before[lid][1])
+        assert 0 < skipped < cfg.rounds
+
+    def test_all_flagged_round_records_aggregation_skipped(self):
+        cfg = tiny_config(detection={"lambda": 0.5, "k": 2, "mode": {"top_m": 4}},
+                          rounds=2)
+        results = Simulation(cfg).run()
+        for r in results:
+            assert r.detection.flagged == frozenset(r.metrics.participants)
+            assert r.metrics.aggregation_skipped
+            assert r.metrics.to_record()["aggregation_skipped"] is True
+
 
 class TestClientTemplates:
     def test_participation_pool_draw(self):
