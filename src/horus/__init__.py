@@ -12,10 +12,9 @@ from .aggregation import (
     HorusConfig,
     baseline_aggregate,
     horus_aggregate,
-    masked_average,
+    masked_mean,
     projection_weights,
     update_global_directions,
-    weighted_masked_average,
 )
 from .attacks import AttackConfig, AttackKind
 from .detection import (
@@ -34,8 +33,7 @@ from .lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    PaddedPair,
-    pad_to_global,
+    pad_round,
     payload_bytes,
     trim_to_local,
 )
@@ -49,5 +47,19 @@ from .spectral import (
     thin_svd,
     topk_energy_ratio,
 )
+
+__all__ = [
+    "AggregatorKind", "HorusConfig", "baseline_aggregate", "horus_aggregate",
+    "masked_mean", "projection_weights", "update_global_directions",
+    "AttackConfig", "AttackKind",
+    "MatrixSource", "Percentile", "RoundDetection", "TopM", "client_features",
+    "flag_clients", "hops_scores",
+    "ConfigurationError", "SimulationError",
+    "ClientUpdate", "GlobalState", "LayerDims", "LayerId", "LoraPair", "pad_round",
+    "payload_bytes", "trim_to_local",
+    "Simulation", "TaskConfig", "generate_task",
+    "Spectrum", "first_right_singular_vector", "inverse_normal_cdf", "percentile",
+    "spectral_entropy", "thin_svd", "topk_energy_ratio",
+]
 
 __version__ = "0.1.0"

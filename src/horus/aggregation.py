@@ -1,11 +1,12 @@
 """Server-side aggregation: masked averaging, projection-guided weighting,
 global-direction tracking, and classical robust baselines.
 
-All reductions iterate clients in ascending id order, so results are
-independent of dict insertion order and of any upstream parallelism. Entries
-of the global matrices that no (weighted) client covers in a round keep their
-previous values, which keeps the broadcast well-defined when participation
-varies across architectures.
+Every rule reduces one (clients x entries) round matrix built by
+:func:`horus.lora.pad_round`, with rows in ascending client id order, so
+results are independent of dict insertion order and of any upstream
+parallelism. Entries of the global matrices that no (weighted) client covers
+in a round keep their previous values, which keeps the broadcast well-defined
+when participation varies across architectures.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -32,21 +33,18 @@ from .lora import (
     GlobalLayer,
     GlobalState,
     LayerId,
-    PaddedPair,
-    flatten_padded,
-    pad_to_global,
+    pad_round,
+    round_layout,
+    unflatten_padded,
 )
 from .spectral import first_right_singular_vector
 
 __all__ = [
-    "LayerWeights",
-    "ProjectionWeights",
     "AggregatorKind",
     "HorusConfig",
     "AggregationOutcome",
-    "masked_average",
+    "masked_mean",
     "projection_weights",
-    "weighted_masked_average",
     "update_global_directions",
     "horus_aggregate",
     "baseline_aggregate",
@@ -59,48 +57,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 WEIGHT_DENOMINATOR_GUARD = 1e-12
-
-
-@dataclass(frozen=True)
-class LayerWeights:
-    """Consistency weights for one client on one layer."""
-
-    alpha_a: float
-    alpha_b: float
-
-
-@dataclass(frozen=True)
-class ProjectionWeights:
-    """Per-client, per-layer projection magnitudes onto the global directions."""
-
-    by_client: Mapping[int, Mapping[LayerId, LayerWeights]]
-    uniform: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "by_client", {c: dict(lw) for c, lw in self.by_client.items()}
-        )
-
-    def layer(self, lid: LayerId) -> dict[int, LayerWeights]:
-        return {c: lw[lid] for c, lw in self.by_client.items()}
-
-    def all_alphas(self) -> list[float]:
-        return [
-            a
-            for lw in self.by_client.values()
-            for w in lw.values()
-            for a in (w.alpha_a, w.alpha_b)
-        ]
-
-    @classmethod
-    def ones(cls, client_ids) -> "ProjectionWeights":
-        return cls(
-            by_client={
-                c: {lid: LayerWeights(1.0, 1.0) for lid in LayerId}
-                for c in client_ids
-            },
-            uniform=True,
-        )
 
 
 @dataclass(frozen=True)
@@ -160,95 +116,46 @@ class AggregationOutcome:
     features: Mapping[int, "SpectralFeatures"] | None = None
 
 
-def _masked_ratio(num_stack: np.ndarray, den_stack: np.ndarray, prev, guard: float):
-    num = num_stack.sum(axis=0)
-    den = den_stack.sum(axis=0)
-    covered = den > guard
-    safe_den = np.where(covered, den, 1.0)
-    base = np.zeros_like(num) if prev is None else np.asarray(prev, dtype=float)
-    return np.where(covered, num / safe_den, base)
+def masked_mean(
+    values: np.ndarray, masks: np.ndarray, weights: np.ndarray, previous: np.ndarray
+) -> np.ndarray:
+    """Weighted mean of each column over the rows that cover it.
 
-
-def masked_average(
-    padded: Mapping[int, PaddedPair],
-    previous: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Element-wise mean over each entry's covering clients, for one layer.
-
-    Entries covered by no client keep the corresponding entry of ``previous``
-    (zero if no previous aggregate is supplied).
+    ``values`` and the 0/1 ``masks`` are (n, P); ``weights`` broadcasts
+    against them, (n, 1) for one weight per row or (n, P) per entry. Columns
+    whose weighted coverage ``sum(weights * masks)`` does not exceed the
+    denominator guard keep the entry of ``previous``.
     """
-    if not padded:
-        raise ValueError("masked_average requires at least one client")
-    cids = sorted(padded)
-    prev_a, prev_b = previous if previous is not None else (None, None)
-    a_vals = np.stack([padded[c].a_padded for c in cids])
-    a_masks = np.stack([padded[c].mask_a for c in cids])
-    b_vals = np.stack([padded[c].b_padded for c in cids])
-    b_masks = np.stack([padded[c].mask_b for c in cids])
-    a_bar = _masked_ratio(a_vals * a_masks, a_masks, prev_a, guard=0.0)
-    b_bar = _masked_ratio(b_vals * b_masks, b_masks, prev_b, guard=0.0)
-    return a_bar, b_bar
+    num = (weights * (values * masks)).sum(axis=0)
+    den = (weights * masks).sum(axis=0)
+    covered = den > WEIGHT_DENOMINATOR_GUARD
+    return np.where(covered, num / np.where(covered, den, 1.0), previous)
 
 
-def projection_weights(
-    padded: Mapping[int, Mapping[LayerId, PaddedPair]], g: GlobalState
-) -> ProjectionWeights:
+def projection_weights(updates: Sequence[ClientUpdate], g: GlobalState) -> np.ndarray:
     """Absolute inner products of client first right singular vectors with the
-    tracked global directions.
+    tracked global directions, as an (n, 2 * layers) array with one column
+    per block of the :func:`horus.lora.round_layout`.
 
-    Falls back to uniform weights (all ones) while the global directions are
+    Each vector comes from the client's unpadded matrix and is zero-extended
+    to the global width; zero-padding a matrix's columns pads its right
+    singular vectors the same way, so no padded matrix is decomposed. Falls
+    back to uniform weights (all ones) while the global directions are
     uninitialized, i.e. before the first aggregate exists.
     """
+    layout = round_layout(g.dims(), g.rank)
     if not g.directions_initialized:
         log.info("global directions uninitialized; using uniform weights")
-        return ProjectionWeights.ones(sorted(padded))
-    by_client: dict[int, dict[LayerId, LayerWeights]] = {}
-    for c in sorted(padded):
-        lw: dict[LayerId, LayerWeights] = {}
-        for lid, pp in padded[c].items():
-            glayer = g.layers[lid]
-            v_a, _ = first_right_singular_vector(pp.a_padded)
-            v_b, _ = first_right_singular_vector(pp.b_padded)
-            alpha_a = float(np.clip(abs(np.dot(v_a, glayer.v_a)), 0.0, 1.0))
-            alpha_b = float(np.clip(abs(np.dot(v_b, glayer.v_b)), 0.0, 1.0))
-            lw[lid] = LayerWeights(alpha_a=alpha_a, alpha_b=alpha_b)
-        by_client[c] = lw
-    return ProjectionWeights(by_client=by_client)
-
-
-def weighted_masked_average(
-    padded: Mapping[int, PaddedPair],
-    weights: Mapping[int, LayerWeights],
-    previous: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masked averaging with per-client consistency weights, for one layer.
-
-    Entries whose weighted coverage falls below the denominator guard keep
-    the previous global value.
-    """
-    if not padded:
-        raise ValueError("weighted_masked_average requires at least one client")
-    missing = [c for c in padded if c not in weights]
-    if missing:
-        raise ValueError(f"missing weights for clients {missing}")
-    cids = sorted(padded)
-    prev_a, prev_b = previous if previous is not None else (None, None)
-    w_a = np.array([weights[c].alpha_a for c in cids])[:, None, None]
-    w_b = np.array([weights[c].alpha_b for c in cids])[:, None, None]
-    a_vals = np.stack([padded[c].a_padded for c in cids])
-    a_masks = np.stack([padded[c].mask_a for c in cids])
-    b_vals = np.stack([padded[c].b_padded for c in cids])
-    b_masks = np.stack([padded[c].mask_b for c in cids])
-    a_bar = _masked_ratio(
-        w_a * (a_vals * a_masks), w_a * a_masks, prev_a,
-        guard=WEIGHT_DENOMINATOR_GUARD,
-    )
-    b_bar = _masked_ratio(
-        w_b * (b_vals * b_masks), w_b * b_masks, prev_b,
-        guard=WEIGHT_DENOMINATOR_GUARD,
-    )
-    return a_bar, b_bar
+        return np.ones((len(updates), len(layout)))
+    alphas = np.empty((len(updates), len(layout)))
+    for i, u in enumerate(updates):
+        for j, (lid, factor, _) in enumerate(layout):
+            v, _ = first_right_singular_vector(getattr(u.layers[lid], factor))
+            g_v = getattr(g.layers[lid], "v_" + factor)
+            v_global = np.zeros(len(g_v))
+            v_global[: len(v)] = v
+            alphas[i, j] = np.clip(abs(np.dot(v_global, g_v)), 0.0, 1.0)
+    return alphas
 
 
 def update_global_directions(
@@ -275,8 +182,10 @@ def update_global_directions(
     return GlobalState(layers=layers, rank=g.rank, round_index=g.round_index + 1)
 
 
-def _summarize(alphas: list[float]) -> dict[str, float]:
-    arr = np.asarray(alphas)
+def _summarize(alphas: np.ndarray) -> dict[str, float]:
+    # per client, each layer's (A, B) pair in turn: summed in block order
+    # instead, the mean changes in its last bits, and so do rounds.jsonl bytes
+    arr = alphas.reshape(len(alphas), 2, -1).transpose(0, 2, 1).ravel()
     return {"min": float(arr.min()), "mean": float(arr.mean()), "max": float(arr.max())}
 
 
@@ -290,12 +199,11 @@ def horus_aggregate(
     """
     if not updates:
         raise ValueError("horus_aggregate requires at least one update")
-    dims = g.dims()
     features = {
         c: client_features(u, cfg.k, cfg.source) for c, u in sorted(updates.items())
     }
     detection = detect_round(features, cfg.lam, cfg.mode)
-    benign = sorted(set(updates) - detection.flagged)
+    benign = [updates[c] for c in sorted(set(updates) - detection.flagged)]
     if not benign:
         log.warning(
             "all %d clients flagged; aggregation skipped, global state unchanged",
@@ -305,17 +213,13 @@ def horus_aggregate(
             state=g, detection=detection, alpha_summary=None, skipped=True,
             features=features,
         )
-    padded = {c: pad_to_global(updates[c], dims) for c in benign}
-    weights = projection_weights(padded, g)
-    aggregates: dict[LayerId, tuple[np.ndarray, np.ndarray]] = {}
-    for lid in LayerId:
-        layer_padded = {c: padded[c][lid] for c in benign}
-        prev = (g.layers[lid].a, g.layers[lid].b)
-        aggregates[lid] = weighted_masked_average(
-            layer_padded, weights.layer(lid), previous=prev
-        )
-    state = update_global_directions(g, aggregates)
-    summary = None if weights.uniform else _summarize(weights.all_alphas())
+    dims = g.dims()
+    values, masks = pad_round(benign, dims, g.rank)
+    alphas = projection_weights(benign, g)
+    sizes = [rows * cols for _, _, (rows, cols) in round_layout(dims, g.rank)]
+    flat = masked_mean(values, masks, np.repeat(alphas, sizes, axis=1), g.flat())
+    state = update_global_directions(g, unflatten_padded(flat, dims, g.rank))
+    summary = _summarize(alphas) if g.directions_initialized else None
     return AggregationOutcome(
         state=state, detection=detection, alpha_summary=summary, features=features
     )
@@ -421,10 +325,10 @@ def baseline_aggregate(
 ) -> GlobalState:
     """Classical aggregation rules on dimension-aligned updates.
 
-    Updates are padded to the global shapes first; selection rules (krum,
-    multi_krum) operate on the flattened concatenation of both layers' A and
-    B with distances restricted to common support, while coordinate rules
-    (median, trimmed_mean) act entry-wise over covering clients.
+    All rules reduce the padded round matrix: fedavg is a masked mean with
+    unit weights, krum and multi_krum put unit weights on their winners
+    (distances restricted to common support), and median and trimmed_mean act
+    entry-wise over covering clients.
     """
     if not updates:
         raise ValueError("baseline_aggregate requires at least one update")
@@ -432,44 +336,22 @@ def baseline_aggregate(
         raise ValueError("use horus_aggregate for the horus pipeline")
     kind.check_feasible(len(updates))
     dims = g.dims()
-    cids = sorted(updates)
-    padded = {c: pad_to_global(updates[c], dims) for c in cids}
-
-    selected = cids
-    if kind.name in ("krum", "multi_krum"):
-        flat = [flatten_padded(padded[c]) for c in cids]
-        vectors = np.stack([v for v, _ in flat])
-        masks = np.stack([mk for _, mk in flat])
-        n_best = 1 if kind.name == "krum" else kind.m
-        winners, _ = krum_select(vectors, masks, kind.f, m=n_best)
-        selected = [cids[i] for i in winners]
-
-    aggregates: dict[LayerId, tuple[np.ndarray, np.ndarray]] = {}
-    for lid in LayerId:
-        prev_a, prev_b = g.layers[lid].a, g.layers[lid].b
-        if kind.name in ("fedavg", "krum", "multi_krum"):
-            layer_padded = {c: padded[c][lid] for c in selected}
-            aggregates[lid] = masked_average(layer_padded, previous=(prev_a, prev_b))
-        else:
-            a_stack = np.stack([padded[c][lid].a_padded for c in cids])
-            a_masks = np.stack([padded[c][lid].mask_a for c in cids])
-            b_stack = np.stack([padded[c][lid].b_padded for c in cids])
-            b_masks = np.stack([padded[c][lid].mask_b for c in cids])
-            if kind.name == "median":
-                a_bar = masked_median(a_stack, a_masks, prev_a)
-                b_bar = masked_median(b_stack, b_masks, prev_b)
-            else:
-                a_bar = masked_trimmed_mean(a_stack, a_masks, kind.beta, prev_a)
-                b_bar = masked_trimmed_mean(b_stack, b_masks, kind.beta, prev_b)
-            aggregates[lid] = (a_bar, b_bar)
-
+    values, masks = pad_round([updates[c] for c in sorted(updates)], dims, g.rank)
+    previous = g.flat()
+    if kind.name == "median":
+        flat = masked_median(values, masks, previous)
+    elif kind.name == "trimmed_mean":
+        flat = masked_trimmed_mean(values, masks, kind.beta, previous)
+    else:
+        weights = np.ones((len(values), 1))
+        if kind.name in ("krum", "multi_krum"):
+            n_best = 1 if kind.name == "krum" else kind.m
+            winners, _ = krum_select(values, masks, kind.f, m=n_best)
+            weights[:] = 0.0
+            weights[winners] = 1.0
+        flat = masked_mean(values, masks, weights, previous)
     layers = {
-        lid: GlobalLayer(
-            a=aggregates[lid][0].copy(),
-            b=aggregates[lid][1].copy(),
-            v_a=g.layers[lid].v_a,
-            v_b=g.layers[lid].v_b,
-        )
-        for lid in LayerId
+        lid: GlobalLayer(a=a, b=b, v_a=g.layers[lid].v_a, v_b=g.layers[lid].v_b)
+        for lid, (a, b) in unflatten_padded(flat, dims, g.rank).items()
     }
     return GlobalState(layers=layers, rank=g.rank, round_index=g.round_index + 1)

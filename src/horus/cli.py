@@ -31,6 +31,11 @@ from .errors import ConfigurationError, SimulationError
 from .lora import LayerId
 from .sim import RoundResult, Simulation
 
+__all__ = [
+    "SUMMARY_FIELDS", "DIAGNOSTIC_FIELDS", "summarize", "execute_run", "cmd_run",
+    "cmd_diagnose", "cmd_sweep", "main",
+]
+
 log = logging.getLogger(__name__)
 
 SUMMARY_FIELDS = [

@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["ConfigurationError", "SimulationError"]
+
 
 class ConfigurationError(ValueError):
     """A run configuration or declared shape constraint is violated."""

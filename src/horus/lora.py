@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,13 +22,12 @@ __all__ = [
     "LayerDims",
     "LoraPair",
     "ClientUpdate",
-    "PaddedPair",
     "GlobalLayer",
     "GlobalState",
-    "pad_to_global",
+    "round_layout",
+    "pad_round",
     "trim_to_local",
     "payload_bytes",
-    "flatten_padded",
     "unflatten_padded",
 ]
 
@@ -118,16 +117,6 @@ class ClientUpdate:
         return {lid: pair.dims for lid, pair in self.layers.items()}
 
 
-@dataclass(frozen=True)
-class PaddedPair:
-    """A pair zero-padded to global shapes plus 0/1 masks over real entries."""
-
-    a_padded: np.ndarray = field(repr=False)
-    b_padded: np.ndarray = field(repr=False)
-    mask_a: np.ndarray = field(repr=False)
-    mask_b: np.ndarray = field(repr=False)
-
-
 @dataclass
 class GlobalLayer:
     """Server-side aggregate for one layer at global maximum dimensions.
@@ -159,6 +148,13 @@ class GlobalState:
         return {lid: LayerDims(g.a.shape[1], g.b.shape[0])
                 for lid, g in self.layers.items()}
 
+    def flat(self) -> np.ndarray:
+        """Every layer's A and B as one row in the :func:`pad_round` layout."""
+        return np.concatenate([
+            getattr(self.layers[lid], factor).ravel()
+            for lid, factor, _ in round_layout(self.dims(), self.rank)
+        ])
+
     @classmethod
     def zeros(cls, dims: Mapping[LayerId, LayerDims], rank: int) -> "GlobalState":
         layers = {
@@ -178,32 +174,6 @@ class GlobalState:
             for lid, g in self.layers.items()
         }
         return GlobalState(layers=layers, rank=self.rank, round_index=self.round_index)
-
-
-def pad_to_global(
-    u: ClientUpdate, dims: Mapping[LayerId, LayerDims]
-) -> dict[LayerId, PaddedPair]:
-    """Zero-pad a client's pairs to the global maximum shapes, top-left anchored."""
-    out: dict[LayerId, PaddedPair] = {}
-    for lid, pair in u.layers.items():
-        d_in_max, d_out_max = dims[lid]
-        if pair.d_in > d_in_max or pair.d_out > d_out_max:
-            raise ConfigurationError(
-                f"client {u.client_id} layer {lid.value} shape "
-                f"({pair.d_in}, {pair.d_out}) exceeds global maxima "
-                f"({d_in_max}, {d_out_max})"
-            )
-        r = pair.rank
-        a_pad = np.zeros((r, d_in_max))
-        a_pad[:, : pair.d_in] = pair.a
-        b_pad = np.zeros((d_out_max, r))
-        b_pad[: pair.d_out, :] = pair.b
-        mask_a = np.zeros((r, d_in_max))
-        mask_a[:, : pair.d_in] = 1.0
-        mask_b = np.zeros((d_out_max, r))
-        mask_b[: pair.d_out, :] = 1.0
-        out[lid] = PaddedPair(a_pad, b_pad, mask_a, mask_b)
-    return out
 
 
 def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
@@ -227,39 +197,56 @@ def payload_bytes(u: ClientUpdate) -> int:
     return 8 * sum(pair.a.size + pair.b.size for pair in u.layers.values())
 
 
-def flatten_padded(padded: Mapping[LayerId, PaddedPair]) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenate a client's padded pair into one flat vector plus its mask.
+def round_layout(
+    dims: Mapping[LayerId, LayerDims], rank: int
+) -> list[tuple[LayerId, str, tuple[int, int]]]:
+    """(layer, factor, global shape) of each block of a flat round row: every
+    layer's A in declaration order, then every layer's B in the same order."""
+    return [(lid, "a", (rank, dims[lid].d_in)) for lid in LayerId] + [
+        (lid, "b", (dims[lid].d_out, rank)) for lid in LayerId
+    ]
 
-    Layout: A matrices in layer declaration order, then B matrices in the
-    same order. :func:`unflatten_padded` inverts the value part.
+
+def pad_round(
+    updates: Sequence[ClientUpdate], dims: Mapping[LayerId, LayerDims], rank: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One round's submissions as an (n, P) value matrix and an (n, P) 0/1 mask.
+
+    Row i holds update i's matrices zero-padded top-left to the global shapes
+    and laid out as :func:`round_layout` lists them; the mask marks the real
+    entries. :func:`unflatten_padded` inverts a row of values.
     """
-    vec = np.concatenate(
-        [padded[lid].a_padded.ravel() for lid in LayerId]
-        + [padded[lid].b_padded.ravel() for lid in LayerId]
-    )
-    mask = np.concatenate(
-        [padded[lid].mask_a.ravel() for lid in LayerId]
-        + [padded[lid].mask_b.ravel() for lid in LayerId]
-    )
-    return vec, mask
+    layout = round_layout(dims, rank)
+    sizes = [rows * cols for _, _, (rows, cols) in layout]
+    values = np.zeros((len(updates), sum(sizes)))
+    masks = np.zeros_like(values)
+    offset = 0
+    for (lid, factor, shape), size in zip(layout, sizes):
+        block = (len(updates),) + shape
+        vals = values[:, offset : offset + size].reshape(block)
+        mask = masks[:, offset : offset + size].reshape(block)
+        for i, u in enumerate(updates):
+            m = getattr(u.layers[lid], factor)
+            if m.shape[0] > shape[0] or m.shape[1] > shape[1]:
+                raise ConfigurationError(
+                    f"client {u.client_id} layer {lid.value} {factor.upper()} "
+                    f"shape {m.shape} exceeds global maxima {shape}"
+                )
+            vals[i, : m.shape[0], : m.shape[1]] = m
+            mask[i, : m.shape[0], : m.shape[1]] = 1.0
+        offset += size
+    return values, masks
 
 
 def unflatten_padded(
     vec: np.ndarray, dims: Mapping[LayerId, LayerDims], rank: int
 ) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
-    """Rebuild global-shape (A, B) matrices from a flat vector."""
-    out: dict[LayerId, tuple[np.ndarray, np.ndarray]] = {}
+    """Rebuild global-shape (A, B) matrices from a flat row of :func:`pad_round`."""
+    blocks: dict[tuple[LayerId, str], np.ndarray] = {}
     offset = 0
-    a_parts: dict[LayerId, np.ndarray] = {}
-    for lid in LayerId:
-        n = rank * dims[lid].d_in
-        a_parts[lid] = vec[offset : offset + n].reshape(rank, dims[lid].d_in)
-        offset += n
-    for lid in LayerId:
-        n = dims[lid].d_out * rank
-        b = vec[offset : offset + n].reshape(dims[lid].d_out, rank)
-        offset += n
-        out[lid] = (a_parts[lid].copy(), b.copy())
+    for lid, factor, (rows, cols) in round_layout(dims, rank):
+        blocks[lid, factor] = vec[offset : offset + rows * cols].reshape(rows, cols)
+        offset += rows * cols
     if offset != vec.size:
         raise ValueError(f"vector length {vec.size} does not match dims (need {offset})")
-    return out
+    return {lid: (blocks[lid, "a"].copy(), blocks[lid, "b"].copy()) for lid in LayerId}

@@ -37,8 +37,7 @@ from .lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    flatten_padded,
-    pad_to_global,
+    pad_round,
     payload_bytes,
     trim_to_local,
     unflatten_padded,
@@ -416,14 +415,29 @@ def evaluate(model: LocalModel, dataset: Dataset) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class)."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    w1_eff, w2_eff = model.effective_weights()
     with np.errstate(over="ignore", invalid="ignore"):
+        w1_eff, w2_eff = model.effective_weights()
         hact = np.maximum(dataset.x @ w1_eff.T, 0.0)
         preds = np.argmax(hact @ w2_eff.T, axis=1)
     return float((preds == dataset.y).mean())
 
 
 # --- round loop -----------------------------------------------------------
+
+
+def _frobenius_norm(m: np.ndarray) -> float:
+    """Frobenius norm that stays finite for any finite matrix.
+
+    The plain norm overflows once the sum of squares passes float range (a
+    diverged run can hold entries near 1e175); only then is it recomputed
+    as max|m| * ||m / max|m|||, so ordinary values keep their exact bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(m))
+        if not np.isfinite(norm):
+            scale = float(np.abs(m).max())
+            norm = scale * float(np.linalg.norm(m / scale))
+    return norm
 
 
 @dataclass
@@ -450,6 +464,10 @@ class RoundMetrics:
         rec["alpha"] = rec.pop("alpha_summary")
         if rec["theta"] is not None and not np.isfinite(rec["theta"]):
             rec["theta"] = None
+        for norms in rec["frob"].values():
+            for factor, norm in norms.items():
+                if not np.isfinite(norm):
+                    norms[factor] = None
         return rec
 
 
@@ -628,20 +646,18 @@ class Simulation:
         knowledge_ids = (
             present if attack.knowledge == "own" else sorted(participants)
         )
-        vectors = [
-            flatten_padded(pad_to_global(submissions[c], self.global_dims))[0]
-            for c in knowledge_ids
-        ]
-        if len(vectors) < 2:
+        if len(knowledge_ids) < 2:
             log.warning(
                 "round %d: only %d knowledge vector(s); attack skipped",
-                self.round_index, len(vectors),
+                self.round_index, len(knowledge_ids),
             )
             return
+        vectors, _ = pad_round(
+            [submissions[c] for c in knowledge_ids], self.global_dims, self.cfg.rank
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             crafted = atk.craft_malicious_vectors(
-                attack, np.stack(vectors), len(self.profiles), present,
-                self._attack_rngs,
+                attack, vectors, len(self.profiles), present, self._attack_rngs,
             )
         log.info("round %d: %s attack active for clients %s",
                  self.round_index, attack.kind.value, present)
@@ -787,8 +803,8 @@ class Simulation:
 
         frob = {
             lid.value: {
-                "a": float(np.linalg.norm(self.state.layers[lid].a)),
-                "b": float(np.linalg.norm(self.state.layers[lid].b)),
+                "a": _frobenius_norm(self.state.layers[lid].a),
+                "b": _frobenius_norm(self.state.layers[lid].b),
             }
             for lid in LayerId
         }

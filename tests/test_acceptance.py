@@ -19,12 +19,10 @@ import yaml
 from horus.aggregation import (
     AggregatorKind,
     HorusConfig,
-    LayerWeights,
     baseline_aggregate,
     horus_aggregate,
     krum_select,
-    masked_average,
-    weighted_masked_average,
+    masked_mean,
 )
 from horus.attacks import min_max_attack, min_sum_attack
 from horus.cli import main
@@ -36,8 +34,9 @@ from horus.lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    PaddedPair,
-    pad_to_global,
+    pad_round,
+    round_layout,
+    unflatten_padded,
 )
 from horus.sim import Simulation, lora_gradients, lora_loss, new_model
 from horus.spectral import Spectrum, spectral_entropy, topk_energy_ratio
@@ -196,29 +195,38 @@ def test_criterion_04_aggregation_reductions():
                               cl=(12 if c % 2 else 8, 5))
             for c in range(6)
         }
-        padded = {c: pad_to_global(u, dims)[FF] for c, u in updates.items()}
-        ones = {c: LayerWeights(1.0, 1.0) for c in padded}
-        plain = masked_average(padded)
-        weighted = weighted_masked_average(padded, ones)
-        assert plain[0].tobytes() == weighted[0].tobytes()
-        assert plain[1].tobytes() == weighted[1].tobytes()
+        values, masks = pad_round(list(updates.values()), dims, 4)
+        zeros = np.zeros(values.shape[1])
+        # unit weights, per row (fedavg) and per client and block (horus)
+        plain = masked_mean(values, masks, np.ones((len(values), 1)), zeros)
+        sizes = [r * c for _, _, (r, c) in round_layout(dims, 4)]
+        ones = np.repeat(np.ones((len(values), len(sizes))), sizes, axis=1)
+        weighted = masked_mean(values, masks, ones, zeros)
+        assert plain.tobytes() == weighted.tobytes()
 
-        homogeneous = {c: pad_to_global(_random_update(rng, c, rank=4,
-                                                       ff=(20, 12), cl=(12, 5)),
-                                        dims)[FF]
-                       for c in range(5)}
-        a_bar, b_bar = masked_average(homogeneous)
-        mean_a = np.mean([homogeneous[c].a_padded for c in homogeneous], axis=0)
-        mean_b = np.mean([homogeneous[c].b_padded for c in homogeneous], axis=0)
-        assert np.abs(a_bar - mean_a).max() <= 1e-12
-        assert np.abs(b_bar - mean_b).max() <= 1e-12
+        homogeneous = [_random_update(rng, c, rank=4, ff=(20, 12), cl=(12, 5))
+                       for c in range(5)]
+        values, masks = pad_round(homogeneous, dims, 4)
+        means = unflatten_padded(
+            masked_mean(values, masks, np.ones((5, 1)), zeros), dims, 4
+        )
+        for lid in LayerId:
+            a_bar, b_bar = means[lid]
+            mean_a = np.mean([u.layers[lid].a for u in homogeneous], axis=0)
+            mean_b = np.mean([u.layers[lid].b for u in homogeneous], axis=0)
+            assert np.abs(a_bar - mean_a).max() <= 1e-12
+            assert np.abs(b_bar - mean_b).max() <= 1e-12
 
-        a = np.ones((4, 6))
-        mask = np.zeros((4, 6))
-        mask[:, :2] = 1.0
-        prev = (np.full((4, 6), 3.5), np.full((6, 4), -2.5))
-        only = {0: PaddedPair(a * mask, (a * mask).T.copy(), mask, mask.T.copy())}
-        a_bar, b_bar = masked_average(only, previous=prev)
+        # one client covering 2 of 6 A columns and B rows keeps the rest
+        small = {FF: LayerDims(6, 6), CL: LayerDims(6, 3)}
+        only = _random_update(rng, 0, rank=4, ff=(2, 2), cl=(2, 3))
+        prev = GlobalState.zeros(small, 4)
+        prev.layers[FF].a[:] = 3.5
+        prev.layers[FF].b[:] = -2.5
+        values, masks = pad_round([only], small, 4)
+        a_bar, b_bar = unflatten_padded(
+            masked_mean(values, masks, np.ones((1, 1)), prev.flat()), small, 4
+        )[FF]
         assert np.array_equal(a_bar[:, 2:], np.full((4, 4), 3.5))
         assert np.array_equal(b_bar[2:, :], np.full((4, 4), -2.5))
 

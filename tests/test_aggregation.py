@@ -1,4 +1,8 @@
-"""Unit tests for masked/weighted aggregation, direction tracking, baselines."""
+"""Unit tests for the masked mean, consistency weights, direction tracking,
+baselines."""
+
+import math
+import statistics
 
 import numpy as np
 import pytest
@@ -9,17 +13,14 @@ from hypothesis.extra.numpy import arrays
 from horus.aggregation import (
     AggregatorKind,
     HorusConfig,
-    LayerWeights,
-    ProjectionWeights,
     baseline_aggregate,
     horus_aggregate,
     krum_select,
-    masked_average,
+    masked_mean,
     masked_median,
     masked_trimmed_mean,
     projection_weights,
     update_global_directions,
-    weighted_masked_average,
 )
 from horus.detection import TopM
 from horus.errors import ConfigurationError
@@ -29,8 +30,9 @@ from horus.lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    PaddedPair,
-    pad_to_global,
+    pad_round,
+    round_layout,
+    unflatten_padded,
 )
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
@@ -50,115 +52,111 @@ def make_update(rng, cid, rank=4, ff=(10, 8), cl=(8, 3), fill=None):
     return ClientUpdate(cid, 0, layers)
 
 
-def padded_layer(rng, cid_values, shapes, rank=4):
-    """Per-client PaddedPair for a single layer from (value, (d_in, d_out))."""
-    out = {}
-    d_in_max = max(s[0] for _, s in cid_values.items())
-    d_out_max = max(s[1] for _, s in cid_values.items())
-    for cid, ((d_in, d_out)) in cid_values.items():
-        a = np.zeros((rank, d_in_max))
-        a[:, :d_in] = shapes[cid]
-        mask_a = np.zeros((rank, d_in_max))
-        mask_a[:, :d_in] = 1.0
-        b = np.zeros((d_out_max, rank))
-        b[:d_out, :] = shapes[cid]
-        mask_b = np.zeros((d_out_max, rank))
-        mask_b[:d_out, :] = 1.0
-        out[cid] = PaddedPair(a, b, mask_a, mask_b)
-    return out
+BLOCK_SIZES = [r * c for _, _, (r, c) in round_layout(DIMS, 4)]
+
+
+def unit_mean(updates):
+    """masked_mean with unit weights over the round matrix of ``updates``."""
+    values, masks = pad_round(updates, DIMS, 4)
+    zeros = np.zeros(values.shape[1])
+    flat = masked_mean(values, masks, np.ones((len(values), 1)), zeros)
+    return unflatten_padded(flat, DIMS, 4)
+
+
+def block_weighted_mean(updates, alphas, previous=None):
+    """masked_mean with one weight per client and block, as horus passes them."""
+    values, masks = pad_round(updates, DIMS, 4)
+    prev = np.zeros(values.shape[1]) if previous is None else previous
+    weights = np.repeat(np.asarray(alphas, dtype=float), BLOCK_SIZES, axis=1)
+    return unflatten_padded(masked_mean(values, masks, weights, prev), DIMS, 4)
 
 
 class TestMaskedAverage:
+    """``masked_mean`` with unit weights: the fedavg reduction."""
+
     def test_same_shape_equals_plain_mean(self):
         rng = np.random.default_rng(0)
-        updates = {c: make_update(rng, c) for c in range(4)}
-        padded = {c: pad_to_global(u, DIMS)[FF] for c, u in updates.items()}
-        a_bar, b_bar = masked_average(padded)
+        updates = [make_update(rng, c) for c in range(4)]
+        a_bar, b_bar = unit_mean(updates)[FF]
         np.testing.assert_allclose(
-            a_bar, np.mean([u.layers[FF].a for u in updates.values()], axis=0)
+            a_bar, np.mean([u.layers[FF].a for u in updates], axis=0)
         )
         np.testing.assert_allclose(
-            b_bar, np.mean([u.layers[FF].b for u in updates.values()], axis=0)
+            b_bar, np.mean([u.layers[FF].b for u in updates], axis=0)
         )
 
     def test_exclusive_column_keeps_single_value(self):
         rng = np.random.default_rng(1)
         small = make_update(rng, 0, ff=(8, 8), cl=(8, 3))
         big = make_update(rng, 1, ff=(10, 8), cl=(8, 3))
-        padded = {
-            0: pad_to_global(small, DIMS)[FF],
-            1: pad_to_global(big, DIMS)[FF],
-        }
-        a_bar, _ = masked_average(padded)
+        a_bar, _ = unit_mean([small, big])[FF]
         np.testing.assert_array_equal(a_bar[:, 8:], big.layers[FF].a[:, 8:])
 
     def test_hand_example_ones_and_threes(self):
         # 2 clients, A shapes 8x2 and 8x3, all-ones vs all-threes
-        ones = np.ones((8, 2))
-        threes = 3.0 * np.ones((8, 3))
-        pad1 = np.zeros((8, 3)); pad1[:, :2] = ones
+        pad1 = np.zeros((8, 3)); pad1[:, :2] = 1.0
         m1 = np.zeros((8, 3)); m1[:, :2] = 1.0
-        padded = {
-            0: PaddedPair(pad1, pad1.T.copy(), m1, m1.T.copy()),
-            1: PaddedPair(threes, threes.T.copy(), np.ones((8, 3)), np.ones((3, 8))),
-        }
-        a_bar, _ = masked_average(padded)
+        values = np.stack([pad1.ravel(), 3.0 * np.ones(24)])
+        masks = np.stack([m1.ravel(), np.ones(24)])
+        a_bar = masked_mean(values, masks, np.ones((2, 1)), np.zeros(24)).reshape(8, 3)
         # oracle: per-entry hand computation
         np.testing.assert_array_equal(a_bar[:, :2], 2.0 * np.ones((8, 2)))
         np.testing.assert_array_equal(a_bar[:, 2], 3.0 * np.ones(8))
 
     def test_zero_coverage_keeps_previous(self):
-        a = np.ones((4, 6))
         mask = np.zeros((4, 6))
         mask[:, :3] = 1.0
-        prev_a = 7.0 * np.ones((4, 6))
-        prev_b = 9.0 * np.ones((6, 4))
-        padded = {0: PaddedPair(a * mask, (a * mask).T.copy(), mask, mask.T.copy())}
-        a_bar, b_bar = masked_average(padded, previous=(prev_a, prev_b))
+        # one client: an A block (4 x 6) and a B block (6 x 4) covering 3 of 6
+        values = np.concatenate([mask.ravel(), mask.T.ravel()])[None]
+        masks = values.copy()
+        prev = np.concatenate([7.0 * np.ones(24), 9.0 * np.ones(24)])
+        out = masked_mean(values, masks, np.ones((1, 1)), prev)
+        a_bar, b_bar = out[:24].reshape(4, 6), out[24:].reshape(6, 4)
         np.testing.assert_array_equal(a_bar[:, :3], 1.0)
         np.testing.assert_array_equal(a_bar[:, 3:], 7.0)
         np.testing.assert_array_equal(b_bar[3:, :], 9.0)
 
 
 class TestWeightedMaskedAverage:
+    """``masked_mean`` with per-client, per-block weights: the horus reduction."""
+
     def test_all_ones_weights_reduce_bitwise(self):
         rng = np.random.default_rng(2)
-        updates = {c: make_update(rng, c, ff=(10, 8) if c % 2 else (8, 8))
-                   for c in range(5)}
-        padded = {c: pad_to_global(u, DIMS)[FF] for c, u in updates.items()}
-        weights = {c: LayerWeights(1.0, 1.0) for c in padded}
-        plain = masked_average(padded)
-        weighted = weighted_masked_average(padded, weights)
-        assert plain[0].tobytes() == weighted[0].tobytes()
-        assert plain[1].tobytes() == weighted[1].tobytes()
+        updates = [make_update(rng, c, ff=(10, 8) if c % 2 else (8, 8))
+                   for c in range(5)]
+        plain = unit_mean(updates)
+        weighted = block_weighted_mean(updates, np.ones((5, len(BLOCK_SIZES))))
+        for lid in LayerId:
+            assert plain[lid][0].tobytes() == weighted[lid][0].tobytes()
+            assert plain[lid][1].tobytes() == weighted[lid][1].tobytes()
 
     def test_zero_weight_excludes_client(self):
         rng = np.random.default_rng(3)
         u0 = make_update(rng, 0)
         u1 = make_update(rng, 1)
-        padded = {0: pad_to_global(u0, DIMS)[FF], 1: pad_to_global(u1, DIMS)[FF]}
-        weights = {0: LayerWeights(0.0, 0.0), 1: LayerWeights(1.0, 1.0)}
-        a_bar, b_bar = weighted_masked_average(padded, weights)
-        np.testing.assert_allclose(a_bar, u1.layers[FF].a)
-        np.testing.assert_allclose(b_bar, u1.layers[FF].b)
+        out = block_weighted_mean([u0, u1], [[0.0] * 4, [1.0] * 4])
+        for lid in LayerId:
+            np.testing.assert_allclose(out[lid][0], u1.layers[lid].a)
+            np.testing.assert_allclose(out[lid][1], u1.layers[lid].b)
 
     def test_hand_example_quarter_three_quarters(self):
         zeros = make_update(np.random.default_rng(4), 0, fill=0.0)
         fours = make_update(np.random.default_rng(5), 1, fill=4.0)
-        padded = {0: pad_to_global(zeros, DIMS)[FF], 1: pad_to_global(fours, DIMS)[FF]}
-        weights = {0: LayerWeights(0.25, 0.25), 1: LayerWeights(0.75, 0.75)}
-        a_bar, b_bar = weighted_masked_average(padded, weights)
-        np.testing.assert_allclose(a_bar, 3.0)  # (0.25*0 + 0.75*4) / 1
-        np.testing.assert_allclose(b_bar, 3.0)
+        out = block_weighted_mean([zeros, fours], [[0.25] * 4, [0.75] * 4])
+        for lid in LayerId:
+            np.testing.assert_allclose(out[lid][0], 3.0)  # (0.25*0 + 0.75*4) / 1
+            np.testing.assert_allclose(out[lid][1], 3.0)
 
     def test_all_tiny_weights_keep_previous(self):
         u = make_update(np.random.default_rng(6), 0)
-        padded = {0: pad_to_global(u, DIMS)[FF]}
-        weights = {0: LayerWeights(0.0, 0.0)}
-        prev = (5.0 * np.ones((4, 10)), 6.0 * np.ones((8, 4)))
-        a_bar, b_bar = weighted_masked_average(padded, weights, previous=prev)
-        np.testing.assert_array_equal(a_bar, 5.0)
-        np.testing.assert_array_equal(b_bar, 6.0)
+        state = GlobalState.zeros(DIMS, 4)
+        for lid in LayerId:
+            state.layers[lid].a[:] = 5.0
+            state.layers[lid].b[:] = 6.0
+        out = block_weighted_mean([u], [[0.0] * 4], previous=state.flat())
+        for lid in LayerId:
+            np.testing.assert_array_equal(out[lid][0], 5.0)
+            np.testing.assert_array_equal(out[lid][1], 6.0)
 
 
 def state_with_directions(rng, rank=4):
@@ -171,6 +169,13 @@ def state_with_directions(rng, rank=4):
         state.layers[lid].v_b = np.zeros(rank)
         state.layers[lid].v_b[0] = 1.0
     return state
+
+
+def alphas_by_block(weights):
+    """{(layer, factor): alpha} for the one client of a weights array."""
+    keys = [(lid, f) for lid, f, _ in round_layout(DIMS, 4)]
+    assert weights.shape == (1, len(keys))
+    return dict(zip(keys, weights[0]))
 
 
 class TestProjectionWeights:
@@ -189,10 +194,10 @@ class TestProjectionWeights:
         v_a = {lid: state.layers[lid].v_a for lid in LayerId}
         v_b = {lid: state.layers[lid].v_b for lid in LayerId}
         u = self._aligned_update(v_a, v_b)
-        weights = projection_weights({0: pad_to_global(u, DIMS)}, state)
+        weights = alphas_by_block(projection_weights([u], state))
         for lid in LayerId:
-            assert weights.by_client[0][lid].alpha_a == pytest.approx(1.0, abs=1e-10)
-            assert weights.by_client[0][lid].alpha_b == pytest.approx(1.0, abs=1e-10)
+            assert weights[lid, "a"] == pytest.approx(1.0, abs=1e-10)
+            assert weights[lid, "b"] == pytest.approx(1.0, abs=1e-10)
 
     def test_orthogonal_rank_one_gives_alpha_zero(self):
         rng = np.random.default_rng(8)
@@ -205,10 +210,10 @@ class TestProjectionWeights:
             f1 = np.zeros(4); f1[1] = 1.0
             v_b[lid] = f1
         u = self._aligned_update(v_a, v_b)
-        weights = projection_weights({0: pad_to_global(u, DIMS)}, state)
+        weights = alphas_by_block(projection_weights([u], state))
         for lid in LayerId:
-            assert weights.by_client[0][lid].alpha_a == pytest.approx(0.0, abs=1e-10)
-            assert weights.by_client[0][lid].alpha_b == pytest.approx(0.0, abs=1e-10)
+            assert weights[lid, "a"] == pytest.approx(0.0, abs=1e-10)
+            assert weights[lid, "b"] == pytest.approx(0.0, abs=1e-10)
 
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(9)
@@ -218,12 +223,10 @@ class TestProjectionWeights:
             lid: LoraPair(-p.a, -p.b, p.rank) for lid, p in u.layers.items()
         }
         flipped = ClientUpdate(0, 0, flipped_layers)
-        w1 = projection_weights({0: pad_to_global(u, DIMS)}, state)
-        w2 = projection_weights({0: pad_to_global(flipped, DIMS)}, state)
+        w1 = alphas_by_block(projection_weights([u], state))
+        w2 = alphas_by_block(projection_weights([flipped], state))
         for lid in LayerId:
-            assert w1.by_client[0][lid].alpha_a == pytest.approx(
-                w2.by_client[0][lid].alpha_a, abs=1e-10
-            )
+            assert w1[lid, "a"] == pytest.approx(w2[lid, "a"], abs=1e-10)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(10)
@@ -233,20 +236,36 @@ class TestProjectionWeights:
             lid: LoraPair(3.5 * p.a, 3.5 * p.b, p.rank) for lid, p in u.layers.items()
         }
         scaled = ClientUpdate(0, 0, scaled_layers)
-        w1 = projection_weights({0: pad_to_global(u, DIMS)}, state)
-        w2 = projection_weights({0: pad_to_global(scaled, DIMS)}, state)
+        w1 = alphas_by_block(projection_weights([u], state))
+        w2 = alphas_by_block(projection_weights([scaled], state))
         for lid in LayerId:
-            assert w1.by_client[0][lid].alpha_a == pytest.approx(
-                w2.by_client[0][lid].alpha_a, abs=1e-10
-            )
+            assert w1[lid, "a"] == pytest.approx(w2[lid, "a"], abs=1e-10)
 
     def test_uninitialized_directions_fall_back_to_uniform(self):
         rng = np.random.default_rng(11)
         state = GlobalState.zeros(DIMS, 4)
         u = make_update(rng, 0)
-        weights = projection_weights({0: pad_to_global(u, DIMS)}, state)
-        assert weights.uniform
-        assert weights.by_client[0][FF] == LayerWeights(1.0, 1.0)
+        weights = alphas_by_block(projection_weights([u], state))
+        assert all(w == 1.0 for w in weights.values())
+        # uniform weights are not summarized
+        out = horus_aggregate({0: u}, state, HorusConfig(mode=TopM(0)))
+        assert out.alpha_summary is None
+
+    def test_narrow_client_matches_padded_decomposition(self):
+        rng = np.random.default_rng(26)
+        state = state_with_directions(rng)
+        for lid in LayerId:
+            state.layers[lid].v_a = rng.normal(size=DIMS[lid].d_in)
+            state.layers[lid].v_a /= np.linalg.norm(state.layers[lid].v_a)
+        u = make_update(rng, 0, ff=(7, 5), cl=(5, 3))
+        weights = alphas_by_block(projection_weights([u], state))
+        for lid in LayerId:
+            # the right singular vector of the zero-padded A, by numpy directly
+            a_pad = np.zeros((4, DIMS[lid].d_in))
+            a_pad[:, : u.layers[lid].d_in] = u.layers[lid].a
+            v = np.linalg.svd(a_pad)[2][0]
+            expected = abs(v @ state.layers[lid].v_a)
+            assert weights[lid, "a"] == pytest.approx(expected, abs=1e-12)
 
 
 class TestUpdateGlobalDirections:
@@ -316,18 +335,46 @@ def coherent_update(rng, cid, rank=4, eps=0.02):
     return ClientUpdate(cid, 0, layers)
 
 
+def staged_oracle(updates, cids, state):
+    """Expected horus aggregate per layer: each client's matrices zero-padded
+    by hand, weighted by |v . v_global| with v the first right singular vector
+    of the padded matrix (1 before the global directions exist), averaged
+    over covering clients; uncovered entries keep the state's."""
+    out = {}
+    for lid in LayerId:
+        glayer = state.layers[lid]
+        means = []
+        for factor, g_mat, g_v in (("a", glayer.a, glayer.v_a),
+                                   ("b", glayer.b, glayer.v_b)):
+            num, den = np.zeros_like(g_mat), np.zeros_like(g_mat)
+            for c in cids:
+                m = getattr(updates[c].layers[lid], factor)
+                padded, cover = np.zeros_like(g_mat), np.zeros_like(g_mat)
+                padded[: m.shape[0], : m.shape[1]] = m
+                cover[: m.shape[0], : m.shape[1]] = 1.0
+                w = 1.0
+                if state.directions_initialized:
+                    w = min(1.0, abs(np.linalg.svd(padded)[2][0] @ g_v))
+                num += w * padded
+                den += w * cover
+            covered = den > 1e-12
+            means.append(np.where(covered, num / np.where(covered, den, 1.0), g_mat))
+        out[lid] = tuple(means)
+    return out
+
+
 class TestHorusAggregate:
     def test_single_client_round_one(self):
         rng = np.random.default_rng(16)
         u = make_update(rng, 0, ff=(8, 8), cl=(8, 3))
         state = GlobalState.zeros(DIMS, 4)
         out = horus_aggregate({0: u}, state, HorusConfig(mode=TopM(0)))
-        padded = pad_to_global(u, DIMS)
         np.testing.assert_array_equal(out.state.layers[FF].a[:, :8],
                                       u.layers[FF].a)
         # uncovered columns keep the (zero) previous global
         np.testing.assert_array_equal(out.state.layers[FF].a[:, 8:], 0.0)
-        np.testing.assert_array_equal(out.state.layers[CL].b, padded[CL].b_padded)
+        # classifier B is at its global shape already: nothing padded
+        np.testing.assert_array_equal(out.state.layers[CL].b, u.layers[CL].b)
         assert out.detection.skipped  # single participant
 
     def test_identical_clients_unflagged_and_averaged(self):
@@ -362,16 +409,17 @@ class TestHorusAggregate:
         out = horus_aggregate(updates, state, cfg)
         assert out.detection.flagged == frozenset({8, 9})
 
-        # oracle: run the pipeline stages independently on the 8 benign clients
-        benign = {c: pad_to_global(updates[c], DIMS) for c in range(8)}
-        weights = projection_weights(benign, state)
-        for lid in LayerId:
-            prev = (state.layers[lid].a, state.layers[lid].b)
-            a_bar, b_bar = weighted_masked_average(
-                {c: benign[c][lid] for c in benign}, weights.layer(lid), prev
-            )
-            assert np.linalg.norm(out.state.layers[lid].a - a_bar) <= 1e-9
-            assert np.linalg.norm(out.state.layers[lid].b - b_bar) <= 1e-9
+        # oracle: the pipeline stages in test-local numpy, on the 8 benign
+        # clients; round 1 has uniform weights, round 2 consistency weights
+        for _ in range(2):
+            expected = staged_oracle(updates, range(8), state)
+            for lid in LayerId:
+                a_bar, b_bar = expected[lid]
+                assert np.linalg.norm(out.state.layers[lid].a - a_bar) <= 1e-9
+                assert np.linalg.norm(out.state.layers[lid].b - b_bar) <= 1e-9
+            state = out.state
+            out = horus_aggregate(updates, state, cfg)
+            assert out.detection.flagged == frozenset({8, 9})
 
     def test_flagged_client_perturbation_changes_nothing(self):
         rng = np.random.default_rng(19)
@@ -496,6 +544,61 @@ class TestKrumProperties:
         assert winners == order[:m]
 
 
+@st.composite
+def masked_rounds(draw):
+    """(values, 0/1 masks, previous) of an (n, P) round matrix with random
+    coverage, uncovered columns included."""
+    n = draw(st.integers(1, 8))
+    p = draw(st.integers(1, 12))
+    finite = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+    values = draw(arrays(float, (n, p), elements=finite))
+    masks = draw(arrays(float, (n, p), elements=st.sampled_from([0.0, 1.0])))
+    return values, masks, draw(arrays(float, (p,), elements=finite))
+
+
+def covering(values, masks, j):
+    """The values of the rows covering column j, by plain Python."""
+    return [float(v) for v, m in zip(values[:, j], masks[:, j]) if m > 0]
+
+
+class TestFlatReductionProperties:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(masked_rounds())
+    def test_median_matches_entrywise_loop(self, rnd):
+        values, masks, previous = rnd
+        expected = []
+        for j in range(values.shape[1]):
+            vals = covering(values, masks, j)
+            expected.append(statistics.median(vals) if vals else previous[j])
+        np.testing.assert_allclose(masked_median(values, masks, previous), expected,
+                                   rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(masked_rounds(), st.sampled_from([0.0, 0.1, 0.2, 0.25, 1 / 3, 0.45]))
+    def test_trimmed_mean_matches_entrywise_loop(self, rnd, beta):
+        values, masks, previous = rnd
+        expected = []
+        for j in range(values.shape[1]):
+            vals = sorted(covering(values, masks, j))
+            t = math.floor(beta * len(vals))
+            kept = vals[t : len(vals) - t]
+            expected.append(sum(kept) / len(kept) if vals else previous[j])
+        out = masked_trimmed_mean(values, masks, beta, previous)
+        np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(masked_rounds(), st.data(), st.floats(1e-3, 1e3))
+    def test_scaling_horus_weights_changes_nothing(self, rnd, data, scale):
+        values, masks, previous = rnd
+        # nonzero weights times the scale stay far above the coverage guard
+        alpha = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+        weights = data.draw(arrays(float, values.shape, elements=alpha))
+        base = masked_mean(values, masks, weights, previous)
+        scaled = masked_mean(values, masks, scale * weights, previous)
+        magnitude = max(1.0, float(np.abs(values).max()), float(np.abs(previous).max()))
+        np.testing.assert_allclose(scaled, base, rtol=1e-12, atol=1e-12 * magnitude)
+
+
 class TestBaselines:
     def _as_updates(self, values):
         # embed 1-D values as constant adapter pairs so shapes stay trivial
@@ -560,25 +663,33 @@ class TestBaselines:
         state = GlobalState.zeros(DIMS, 4)
         kind = AggregatorKind("multi_krum", f=1, m=2)
         result = baseline_aggregate(kind, updates, state)
-        from horus.lora import flatten_padded
-        padded = {c: pad_to_global(u, DIMS) for c, u in updates.items()}
-        flat = [flatten_padded(padded[c]) for c in sorted(padded)]
-        winners, _ = krum_select(np.stack([v for v, _ in flat]),
-                                 np.stack([m for _, m in flat]), f=1, m=2)
-        chosen = {sorted(padded)[i] for i in winners}
+        values, masks = pad_round([updates[c] for c in sorted(updates)], DIMS, 4)
+        winners, _ = krum_select(values, masks, f=1, m=2)
+        chosen = {sorted(updates)[i] for i in winners}
         expected_a = np.mean([updates[c].layers[FF].a for c in chosen], axis=0)
         np.testing.assert_allclose(result.layers[FF].a, expected_a)
 
-    def test_fedavg_permutation_invariance(self):
+    @pytest.mark.parametrize("kind", [
+        AggregatorKind("fedavg"),
+        AggregatorKind("krum", f=1),
+        AggregatorKind("multi_krum", f=1, m=3),
+        AggregatorKind("median"),
+        AggregatorKind("trimmed_mean", beta=0.2),
+    ], ids=lambda k: k.name)
+    def test_permutation_invariance_on_mixed_widths(self, kind):
         rng = np.random.default_rng(25)
-        updates = {c: make_update(rng, c) for c in range(4)}
-        state = GlobalState.zeros(DIMS, 4)
-        r1 = baseline_aggregate(AggregatorKind("fedavg"), updates, state)
-        r2 = baseline_aggregate(
-            AggregatorKind("fedavg"), dict(reversed(list(updates.items()))), state
-        )
+        # two architectures: hidden width 8 and 6, so the masks differ
+        updates = {
+            c: make_update(rng, c, ff=(10, 8), cl=(8, 3)) if c % 2
+            else make_update(rng, c, ff=(10, 6), cl=(6, 3))
+            for c in range(7)
+        }
+        state = state_with_directions(rng)
+        r1 = baseline_aggregate(kind, updates, state)
+        r2 = baseline_aggregate(kind, dict(reversed(list(updates.items()))), state)
         for lid in LayerId:
             np.testing.assert_array_equal(r1.layers[lid].a, r2.layers[lid].a)
+            np.testing.assert_array_equal(r1.layers[lid].b, r2.layers[lid].b)
 
     def test_kind_validation(self):
         with pytest.raises(ConfigurationError):

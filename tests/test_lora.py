@@ -1,4 +1,4 @@
-"""Unit tests for the adapter data model, padding, trimming, flattening."""
+"""Unit tests for the adapter data model, the padded round matrix, trimming."""
 
 import numpy as np
 import pytest
@@ -10,8 +10,7 @@ from horus.lora import (
     LayerDims,
     LayerId,
     LoraPair,
-    flatten_padded,
-    pad_to_global,
+    pad_round,
     payload_bytes,
     trim_to_local,
     unflatten_padded,
@@ -60,36 +59,47 @@ class TestTypes:
             ClientUpdate(client_id=0, arch_id=0, layers={FF: p2, CL: p3})
 
 
+def padded_pairs(u, dims):
+    """One update padded alone, as {layer: (A, B, mask A, mask B)} at global shapes."""
+    values, masks = pad_round([u], dims, u.rank)
+    vals = unflatten_padded(values[0], dims, u.rank)
+    cover = unflatten_padded(masks[0], dims, u.rank)
+    return {lid: vals[lid] + cover[lid] for lid in LayerId}
+
+
 class TestPadToGlobal:
+    """One update padded into a row of the round matrix by ``pad_round``."""
+
     def test_same_dims_is_noop(self):
         rng = np.random.default_rng(0)
         u = make_update(rng, ff=(16, 12), cl=(12, 3))
-        padded = pad_to_global(u, GLOBAL_DIMS)
+        padded = padded_pairs(u, GLOBAL_DIMS)
         for lid in LayerId:
-            np.testing.assert_array_equal(padded[lid].a_padded, u.layers[lid].a)
-            np.testing.assert_array_equal(padded[lid].b_padded, u.layers[lid].b)
-            assert padded[lid].mask_a.all() and padded[lid].mask_b.all()
+            a_pad, b_pad, mask_a, mask_b = padded[lid]
+            np.testing.assert_array_equal(a_pad, u.layers[lid].a)
+            np.testing.assert_array_equal(b_pad, u.layers[lid].b)
+            assert mask_a.all() and mask_b.all()
 
     def test_padding_zero_fills_and_masks(self):
         rng = np.random.default_rng(1)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
-        padded = pad_to_global(u, GLOBAL_DIMS)
-        cl = padded[CL]
-        np.testing.assert_array_equal(cl.a_padded[:, :8], u.layers[CL].a)
-        np.testing.assert_array_equal(cl.a_padded[:, 8:], 0.0)
-        np.testing.assert_array_equal(cl.mask_a[:, :8], 1.0)
-        np.testing.assert_array_equal(cl.mask_a[:, 8:], 0.0)
-        ff = padded[FF]
-        np.testing.assert_array_equal(ff.b_padded[8:, :], 0.0)
-        np.testing.assert_array_equal(ff.mask_b[8:, :], 0.0)
+        padded = padded_pairs(u, GLOBAL_DIMS)
+        cl_a, _, cl_mask_a, _ = padded[CL]
+        np.testing.assert_array_equal(cl_a[:, :8], u.layers[CL].a)
+        np.testing.assert_array_equal(cl_a[:, 8:], 0.0)
+        np.testing.assert_array_equal(cl_mask_a[:, :8], 1.0)
+        np.testing.assert_array_equal(cl_mask_a[:, 8:], 0.0)
+        _, ff_b, _, ff_mask_b = padded[FF]
+        np.testing.assert_array_equal(ff_b[8:, :], 0.0)
+        np.testing.assert_array_equal(ff_mask_b[8:, :], 0.0)
 
     def test_padding_preserves_spectral_features(self):
         rng = np.random.default_rng(2)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
-        padded = pad_to_global(u, GLOBAL_DIMS)
+        padded = padded_pairs(u, GLOBAL_DIMS)
         for lid in LayerId:
             _, s_orig, _ = thin_svd(u.layers[lid].a)
-            _, s_pad, _ = thin_svd(padded[lid].a_padded)
+            _, s_pad, _ = thin_svd(padded[lid][0])
             assert abs(spectral_entropy(s_orig) - spectral_entropy(s_pad)) <= 1e-10
             assert abs(
                 topk_energy_ratio(s_orig, 2) - topk_energy_ratio(s_pad, 2)
@@ -98,17 +108,16 @@ class TestPadToGlobal:
     def test_oversized_client_rejected(self):
         rng = np.random.default_rng(3)
         u = make_update(rng, ff=(20, 8), cl=(8, 3))
-        with pytest.raises(ConfigurationError):
-            pad_to_global(u, GLOBAL_DIMS)
+        with pytest.raises(ConfigurationError, match="exceeds global maxima"):
+            pad_round([u], GLOBAL_DIMS, u.rank)
 
 
 class TestTrimToLocal:
     def _state_from(self, u, dims):
-        padded = pad_to_global(u, dims)
+        padded = padded_pairs(u, dims)
         state = GlobalState.zeros(dims, u.rank)
         for lid in LayerId:
-            state.layers[lid].a = padded[lid].a_padded
-            state.layers[lid].b = padded[lid].b_padded
+            state.layers[lid].a, state.layers[lid].b = padded[lid][:2]
         return state
 
     def test_identity_at_global_dims(self):
@@ -170,16 +179,31 @@ class TestPayloadBytes:
 
 
 class TestFlatten:
+    """The round matrix's layout, its inverse, and the state's own row."""
+
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
-        padded = pad_to_global(u, GLOBAL_DIMS)
-        vec, mask = flatten_padded(padded)
-        assert vec.shape == mask.shape
-        rebuilt = unflatten_padded(vec, GLOBAL_DIMS, u.rank)
+        values, masks = pad_round([u], GLOBAL_DIMS, u.rank)
+        assert values.shape == masks.shape
+        # padded by hand: top-left placement at the global shapes
+        by_hand = {}
+        for lid, pair in u.layers.items():
+            a = np.zeros((u.rank, GLOBAL_DIMS[lid].d_in))
+            a[:, : pair.d_in] = pair.a
+            b = np.zeros((GLOBAL_DIMS[lid].d_out, u.rank))
+            b[: pair.d_out, :] = pair.b
+            by_hand[lid] = (a, b)
+        rebuilt = unflatten_padded(values[0], GLOBAL_DIMS, u.rank)
         for lid in LayerId:
-            np.testing.assert_array_equal(rebuilt[lid][0], padded[lid].a_padded)
-            np.testing.assert_array_equal(rebuilt[lid][1], padded[lid].b_padded)
+            np.testing.assert_array_equal(rebuilt[lid][0], by_hand[lid][0])
+            np.testing.assert_array_equal(rebuilt[lid][1], by_hand[lid][1])
+        # the layout: every layer's A, then every layer's B
+        expected = np.concatenate(
+            [by_hand[lid][0].ravel() for lid in LayerId]
+            + [by_hand[lid][1].ravel() for lid in LayerId]
+        )
+        np.testing.assert_array_equal(values[0], expected)
 
     def test_mask_sum_counts_coverage(self):
         rng = np.random.default_rng(13)
@@ -187,12 +211,31 @@ class TestFlatten:
             make_update(rng, client_id=0, ff=(16, 8), cl=(8, 3)),
             make_update(rng, client_id=1, ff=(16, 12), cl=(12, 3)),
         ]
-        masks = [
-            flatten_padded(pad_to_global(u, GLOBAL_DIMS))[1] for u in updates
-        ]
-        total = np.sum(masks, axis=0)
+        _, masks = pad_round(updates, GLOBAL_DIMS, 4)
+        total = masks.sum(axis=0)
         assert set(np.unique(total)) <= {0.0, 1.0, 2.0}
         # entries inside every client's support are covered by both
         small_mask, big_mask = masks
         assert np.all(total[small_mask > 0] >= 1)
         assert np.all(big_mask[small_mask > 0] == 1)
+
+    def test_rows_follow_update_order(self):
+        rng = np.random.default_rng(14)
+        updates = [make_update(rng, client_id=c, ff=(16, 8 + 4 * (c % 2)),
+                               cl=(8 + 4 * (c % 2), 3)) for c in range(3)]
+        values, masks = pad_round(updates, GLOBAL_DIMS, 4)
+        for i, u in enumerate(updates):
+            alone_v, alone_m = pad_round([u], GLOBAL_DIMS, 4)
+            np.testing.assert_array_equal(values[i], alone_v[0])
+            np.testing.assert_array_equal(masks[i], alone_m[0])
+
+    def test_state_flat_inverts_unflatten(self):
+        rng = np.random.default_rng(15)
+        state = GlobalState.zeros(GLOBAL_DIMS, 4)
+        for lid in LayerId:
+            state.layers[lid].a = rng.normal(size=state.layers[lid].a.shape)
+            state.layers[lid].b = rng.normal(size=state.layers[lid].b.shape)
+        rebuilt = unflatten_padded(state.flat(), GLOBAL_DIMS, 4)
+        for lid in LayerId:
+            np.testing.assert_array_equal(rebuilt[lid][0], state.layers[lid].a)
+            np.testing.assert_array_equal(rebuilt[lid][1], state.layers[lid].b)

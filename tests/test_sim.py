@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +272,19 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(model, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)))
 
+    def test_overflowing_adapters_leak_no_warning(self):
+        rng = np.random.default_rng(2)
+        model = LocalModel(0, 0, rng.normal(size=(4, 6)), rng.normal(size=(3, 4)))
+        model.lora = {
+            FF: LoraPair(np.full((2, 6), 1e200), np.full((4, 2), 1e200), 2),
+            CL: LoraPair(np.full((2, 4), 1e200), np.full((3, 2), -1e200), 2),
+        }
+        data = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            acc = evaluate(model, data)
+        assert isinstance(acc, float)
+
     def test_centroid_aligned_backbone_near_perfect(self):
         task = TaskConfig(feature_dim=12, num_classes=4, samples_per_class=400,
                           class_separation=10.0, noise_scale=0.1, signal_dim=4,
@@ -404,6 +419,34 @@ class TestSimulation:
             assert r.detection.flagged == frozenset(r.metrics.participants)
             assert r.metrics.aggregation_skipped
             assert r.metrics.to_record()["aggregation_skipped"] is True
+
+    def test_frob_of_a_huge_finite_state_is_finite_and_json_safe(self):
+        sim = Simulation(tiny_config(aggregator="fedavg", rounds=1))
+        sim.warm_up()
+        for layer in sim.state.layers.values():
+            layer.a[:] = 1e200
+            layer.b[:] = -1e200
+        rec = sim.run_round().metrics.to_record()
+        for lid, layer in sim.state.layers.items():
+            for factor in ("a", "b"):
+                m = getattr(layer, factor)
+                assert np.all(np.isfinite(m)) and np.abs(m).max() >= 1e199
+                scale = float(np.abs(m).max())
+                expected = scale * math.sqrt(float(((m / scale) ** 2).sum()))
+                assert rec["frob"][lid.value][factor] == pytest.approx(
+                    expected, rel=1e-12
+                )
+        json.dumps(rec, allow_nan=False)
+
+    def test_non_finite_frob_recorded_as_null(self):
+        sim = Simulation(tiny_config(rounds=1))
+        metrics = sim.run()[0].metrics
+        frob = {"feature_first": {"a": math.inf, "b": 1.0},
+                "classifier": {"a": math.nan, "b": 2.0}}
+        rec = dataclasses.replace(metrics, frob=frob).to_record()
+        assert rec["frob"] == {"feature_first": {"a": None, "b": 1.0},
+                               "classifier": {"a": None, "b": 2.0}}
+        json.dumps(rec, allow_nan=False)
 
 
 class TestClientTemplates:
