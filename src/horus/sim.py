@@ -268,17 +268,32 @@ def new_model(client_id: int, arch_id: int, feature_dim: int, num_classes: int,
     return LocalModel(client_id=client_id, arch_id=arch_id, w1=w1, w2=w2)
 
 
-def _softmax_cross_entropy(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    expz = np.exp(shifted)
-    probs = expz / expz.sum(axis=1, keepdims=True)
+def _softmax_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of the mean cross-entropy w.r.t. the logits, computed in place."""
     n = len(y)
-    logsumexp = np.log(expz.sum(axis=1))
-    loss = float((logsumexp - shifted[np.arange(n), y]).mean())
-    dlogits = probs
-    dlogits[np.arange(n), y] -= 1.0
-    dlogits /= n
-    return loss, dlogits
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    logits[np.arange(n), y] -= 1.0
+    logits /= n
+    return logits
+
+
+def _backprop(w1: np.ndarray, w2: np.ndarray, x: np.ndarray,
+              y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of the mean cross-entropy w.r.t. both dense weight matrices."""
+    z1 = x @ w1.T
+    hact = np.maximum(z1, 0.0)
+    dlogits = _softmax_gradient(hact @ w2.T, y)
+    dw2 = dlogits.T @ hact
+    dz1 = (dlogits @ w2) * (z1 > 0.0)
+    return dz1.T @ x, dw2
+
+
+def _adapter_gradients(w1, w2, a1, b1, a2, b2, x, y):
+    """(dA1, dB1, dA2, dB2) of the mean cross-entropy, backbone held fixed."""
+    dw1, dw2 = _backprop(w1 + b1 @ a1, w2 + b2 @ a2, x, y)
+    return b1.T @ dw1, dw1 @ a1.T, b2.T @ dw2, dw2 @ a2.T
 
 
 def lora_loss(model: LocalModel, lora: Mapping[LayerId, LoraPair],
@@ -286,11 +301,10 @@ def lora_loss(model: LocalModel, lora: Mapping[LayerId, LoraPair],
     """Cross-entropy of the model with the given adapter values."""
     w1_eff = model.w1 + lora[LayerId.FEATURE_FIRST].delta()
     w2_eff = model.w2 + lora[LayerId.CLASSIFIER].delta()
-    z1 = x @ w1_eff.T
-    hact = np.maximum(z1, 0.0)
-    logits = hact @ w2_eff.T
-    loss, _ = _softmax_cross_entropy(logits, y)
-    return loss
+    logits = np.maximum(x @ w1_eff.T, 0.0) @ w2_eff.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
+    return float((logsumexp - shifted[np.arange(len(y)), y]).mean())
 
 
 def lora_gradients(
@@ -301,23 +315,12 @@ def lora_gradients(
     Overflow is tolerated: a poisoned broadcast can push weights past float
     range, and the training loop detects the resulting non-finite step.
     """
-    a1, b1 = lora[LayerId.FEATURE_FIRST].a, lora[LayerId.FEATURE_FIRST].b
-    a2, b2 = lora[LayerId.CLASSIFIER].a, lora[LayerId.CLASSIFIER].b
+    ff, cl = lora[LayerId.FEATURE_FIRST], lora[LayerId.CLASSIFIER]
     with np.errstate(over="ignore", invalid="ignore"):
-        w1_eff = model.w1 + b1 @ a1
-        w2_eff = model.w2 + b2 @ a2
-        z1 = x @ w1_eff.T
-        hact = np.maximum(z1, 0.0)
-        logits = hact @ w2_eff.T
-        loss, dlogits = _softmax_cross_entropy(logits, y)
-        dw2_eff = dlogits.T @ hact
-        db2 = dw2_eff @ a2.T
-        da2 = b2.T @ dw2_eff
-        dh = dlogits @ w2_eff
-        dz1 = dh * (z1 > 0.0)
-        dw1_eff = dz1.T @ x
-        db1 = dw1_eff @ a1.T
-        da1 = b1.T @ dw1_eff
+        loss = lora_loss(model, lora, x, y)
+        da1, db1, da2, db2 = _adapter_gradients(
+            model.w1, model.w2, ff.a, ff.b, cl.a, cl.b, x, y
+        )
     return loss, {
         LayerId.FEATURE_FIRST: (da1, db1),
         LayerId.CLASSIFIER: (da2, db2),
@@ -347,14 +350,7 @@ def warmup(
         log.warning("client %d: empty shard, warm-up skipped", model.client_id)
     for _ in range(epochs):
         for idx in _minibatches(shard.n, batch, rng):
-            x, y = shard.x[idx], shard.y[idx]
-            z1 = x @ model.w1.T
-            hact = np.maximum(z1, 0.0)
-            logits = hact @ model.w2.T
-            _, dlogits = _softmax_cross_entropy(logits, y)
-            dw2 = dlogits.T @ hact
-            dz1 = (dlogits @ model.w2) * (z1 > 0.0)
-            dw1 = dz1.T @ x
+            dw1, dw2 = _backprop(model.w1, model.w2, shard.x[idx], shard.y[idx])
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
     model.lora = {lid: pair for lid, pair in lora_init.items()}
@@ -373,42 +369,36 @@ def local_train(
     """Mini-batch gradient descent on the adapters only; backbone untouched.
 
     Returns the trained pairs as the client's submission (the model keeps
-    them too). An empty shard leaves the adapters unchanged.
+    them too). An empty shard leaves the adapters unchanged. Training stops
+    at the first step that leaves a non-finite entry, keeping the adapters
+    from before it; later epochs draw no batch permutation.
     """
     if not model.frozen or model.lora is None:
         raise SimulationError(f"client {model.client_id}: warm-up must run first")
     if shard.n == 0:
         log.warning("client %d: empty shard, returning adapters unchanged", model.client_id)
         return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
-    lora = {
-        lid: LoraPair(pair.a.copy(), pair.b.copy(), pair.rank)
-        for lid, pair in model.lora.items()
-    }
-    diverged = False
-    for _ in range(epochs):
-        if diverged:
-            break
-        for idx in _minibatches(shard.n, batch, rng):
-            _, grads = lora_gradients(model, lora, shard.x[idx], shard.y[idx])
-            stepped = {
-                lid: (lora[lid].a - lr * grads[lid][0],
-                      lora[lid].b - lr * grads[lid][1])
-                for lid in lora
-            }
+    ff, cl = model.lora[LayerId.FEATURE_FIRST], model.lora[LayerId.CLASSIFIER]
+    adapters = (ff.a, ff.b, cl.a, cl.b)
+    batches = (idx for _ in range(epochs) for idx in _minibatches(shard.n, batch, rng))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for idx in batches:
+            grads = _adapter_gradients(model.w1, model.w2, *adapters,
+                                       shard.x[idx], shard.y[idx])
+            stepped = tuple(m - lr * g for m, g in zip(adapters, grads))
             # a poisoned broadcast can push gradients past float range; keep
             # the last finite adapters instead of submitting garbage
-            if not all(np.all(np.isfinite(a)) and np.all(np.isfinite(b))
-                       for a, b in stepped.values()):
+            if not all(np.isfinite(m).all() for m in stepped):
                 log.warning("client %d: non-finite training step, stopping early",
                             model.client_id)
-                diverged = True
                 break
-            lora = {
-                lid: LoraPair(stepped[lid][0], stepped[lid][1], lora[lid].rank)
-                for lid in lora
-            }
-    model.lora = lora
-    return ClientUpdate(model.client_id, model.arch_id, dict(lora))
+            adapters = stepped
+    a1, b1, a2, b2 = adapters
+    model.lora = {
+        LayerId.FEATURE_FIRST: LoraPair(a1, b1, ff.rank),
+        LayerId.CLASSIFIER: LoraPair(a2, b2, cl.rank),
+    }
+    return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
 
 
 def evaluate(model: LocalModel, dataset: Dataset) -> float:

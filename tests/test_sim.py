@@ -207,6 +207,113 @@ class TestTraining:
                         1, 0.1, 4, rng)
 
 
+def oracle_local_train(model, shard, epochs, lr, batch, rng):
+    """The adapter loop in plain numpy, one ``LoraPair`` per step.
+
+    Same math, same order of operations and same RNG draws as the training
+    loop, including the full softmax with its loss. Returns the last finite
+    pairs and the number of steps taken before the first non-finite one.
+    """
+    lora = {lid: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+            for lid, p in model.lora.items()}
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(shard.n)
+            for start in range(0, shard.n, batch):
+                idx = perm[start : start + batch]
+                x, y = shard.x[idx], shard.y[idx]
+                n = len(y)
+                a1, b1, a2, b2 = lora[FF].a, lora[FF].b, lora[CL].a, lora[CL].b
+                w1_eff = model.w1 + b1 @ a1
+                w2_eff = model.w2 + b2 @ a2
+                z1 = x @ w1_eff.T
+                hact = np.maximum(z1, 0.0)
+                logits = hact @ w2_eff.T
+                shifted = logits - logits.max(axis=1, keepdims=True)
+                expz = np.exp(shifted)
+                probs = expz / expz.sum(axis=1, keepdims=True)
+                # the loss the loop computed and discarded on every step
+                _loss = float((np.log(expz.sum(axis=1))
+                               - shifted[np.arange(n), y]).mean())
+                dlogits = probs
+                dlogits[np.arange(n), y] -= 1.0
+                dlogits /= n
+                dw2_eff = dlogits.T @ hact
+                db2 = dw2_eff @ a2.T
+                da2 = b2.T @ dw2_eff
+                dh = dlogits @ w2_eff
+                dz1 = dh * (z1 > 0.0)
+                dw1_eff = dz1.T @ x
+                db1 = dw1_eff @ a1.T
+                da1 = b1.T @ dw1_eff
+                stepped = {FF: (a1 - lr * da1, b1 - lr * db1),
+                           CL: (a2 - lr * da2, b2 - lr * db2)}
+                if not all(np.all(np.isfinite(m)) for pair in stepped.values()
+                           for m in pair):
+                    return lora, steps
+                lora = {lid: LoraPair(*stepped[lid], lora[lid].rank) for lid in lora}
+                steps += 1
+    return lora, steps
+
+
+class TestTrainingLoopOracle:
+    """``local_train`` against the plain-numpy loop, bit for bit."""
+
+    def _model_and_shard(self, seed, h, scale=0.3, d=8, c=3, rank=2, n=37):
+        rng = np.random.default_rng(seed)
+        model = new_model(0, 0, d, c, h, rng)
+        model.frozen = True
+        model.lora = {
+            FF: LoraPair(scale * rng.normal(size=(rank, d)),
+                         scale * rng.normal(size=(h, rank)), rank),
+            CL: LoraPair(scale * rng.normal(size=(rank, h)),
+                         scale * rng.normal(size=(c, rank)), rank),
+        }
+        return model, Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
+
+    @pytest.mark.parametrize("h", [5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_submission_and_rng_match_the_oracle(self, seed, h):
+        model, shard = self._model_and_shard(seed, h)
+        # 37 samples in batches of 8: four full batches and a ragged one of 5
+        rng_oracle = np.random.default_rng(seed)
+        expected, steps = oracle_local_train(model, shard, 3, 0.1, 8, rng_oracle)
+        assert steps == 15
+        rng = np.random.default_rng(seed)
+        update = local_train(model, shard, epochs=3, lr=0.1, batch=8, rng=rng)
+        for lid in LayerId:
+            for name in ("a", "b"):
+                want = getattr(expected[lid], name).tobytes()
+                assert getattr(update.layers[lid], name).tobytes() == want
+                assert getattr(model.lora[lid], name).tobytes() == want
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("h", [5, 9])
+    def test_diverging_client_keeps_last_finite_adapters(self, h, caplog):
+        # adapters near 1e20 make B @ A near 1e40; the logits overflow within
+        # a few steps of the first epoch
+        model, shard = self._model_and_shard(3, h, scale=1e20)
+        expected, steps = oracle_local_train(model, shard, 3, 0.1, 8,
+                                             np.random.default_rng(0))
+        # five batches an epoch: the overflow follows a finite step of epoch 1
+        assert 1 <= steps < 5
+        rng = np.random.default_rng(0)
+        with caplog.at_level("WARNING", logger="horus.sim"), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            update = local_train(model, shard, epochs=3, lr=0.1, batch=8, rng=rng)
+        for lid in LayerId:
+            assert update.layers[lid].a.tobytes() == expected[lid].a.tobytes()
+            assert update.layers[lid].b.tobytes() == expected[lid].b.tobytes()
+        diverged = [r for r in caplog.records
+                    if "non-finite training step" in r.getMessage()]
+        assert len(diverged) == 1
+        # only the first epoch's permutation was drawn
+        one_epoch = np.random.default_rng(0)
+        one_epoch.permutation(shard.n)
+        assert rng.bit_generator.state == one_epoch.bit_generator.state
+
+
 class TestWarmup:
     def _setup(self, seed=3):
         rng = np.random.default_rng(seed)
