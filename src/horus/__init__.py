@@ -23,6 +23,7 @@ from .detection import (
     RoundDetection,
     TopM,
     client_features,
+    decompose_update,
     flag_clients,
     hops_scores,
 )
@@ -40,11 +41,10 @@ from .lora import (
 from .sim import Simulation, TaskConfig, generate_task
 from .spectral import (
     Spectrum,
-    first_right_singular_vector,
+    decompose,
     inverse_normal_cdf,
     percentile,
     spectral_entropy,
-    thin_svd,
     topk_energy_ratio,
 )
 
@@ -53,13 +53,13 @@ __all__ = [
     "masked_mean", "projection_weights", "update_global_directions",
     "AttackConfig", "AttackKind",
     "MatrixSource", "Percentile", "RoundDetection", "TopM", "client_features",
-    "flag_clients", "hops_scores",
+    "decompose_update", "flag_clients", "hops_scores",
     "ConfigurationError", "SimulationError",
     "ClientUpdate", "GlobalState", "LayerDims", "LayerId", "LoraPair", "pad_round",
     "payload_bytes", "trim_to_local",
     "Simulation", "TaskConfig", "generate_task",
-    "Spectrum", "first_right_singular_vector", "inverse_normal_cdf", "percentile",
-    "spectral_entropy", "thin_svd", "topk_energy_ratio",
+    "Spectrum", "decompose", "inverse_normal_cdf", "percentile",
+    "spectral_entropy", "topk_energy_ratio",
 ]
 
 __version__ = "0.1.0"

@@ -24,7 +24,9 @@ from .detection import (
     Percentile,
     RoundDetection,
     SpectralFeatures,
+    UpdateDecomposition,
     client_features,
+    decompose_update,
     detect_round,
 )
 from .errors import ConfigurationError
@@ -37,7 +39,7 @@ from .lora import (
     round_layout,
     unflatten_padded,
 )
-from .spectral import first_right_singular_vector
+from .spectral import decompose
 
 __all__ = [
     "AggregatorKind",
@@ -114,6 +116,7 @@ class AggregationOutcome:
     alpha_summary: dict[str, float] | None = None
     skipped: bool = False
     features: Mapping[int, "SpectralFeatures"] | None = None
+    decompositions: Mapping[int, UpdateDecomposition] | None = None
 
 
 def masked_mean(
@@ -132,25 +135,28 @@ def masked_mean(
     return np.where(covered, num / np.where(covered, den, 1.0), previous)
 
 
-def projection_weights(updates: Sequence[ClientUpdate], g: GlobalState) -> np.ndarray:
+def projection_weights(
+    decompositions: Sequence[UpdateDecomposition], g: GlobalState
+) -> np.ndarray:
     """Absolute inner products of client first right singular vectors with the
     tracked global directions, as an (n, 2 * layers) array with one column
     per block of the :func:`horus.lora.round_layout`.
 
-    Each vector comes from the client's unpadded matrix and is zero-extended
-    to the global width; zero-padding a matrix's columns pads its right
-    singular vectors the same way, so no padded matrix is decomposed. Falls
-    back to uniform weights (all ones) while the global directions are
+    Each vector comes from the decomposition of the client's unpadded matrix
+    (:func:`horus.detection.decompose_update`) and is zero-extended to the
+    global width; zero-padding a matrix's columns pads its right singular
+    vectors the same way, so no padded matrix is decomposed. Falls back to
+    uniform weights (all ones) while the global directions are
     uninitialized, i.e. before the first aggregate exists.
     """
     layout = round_layout(g.dims(), g.rank)
     if not g.directions_initialized:
         log.info("global directions uninitialized; using uniform weights")
-        return np.ones((len(updates), len(layout)))
-    alphas = np.empty((len(updates), len(layout)))
-    for i, u in enumerate(updates):
+        return np.ones((len(decompositions), len(layout)))
+    alphas = np.empty((len(decompositions), len(layout)))
+    for i, d in enumerate(decompositions):
         for j, (lid, factor, _) in enumerate(layout):
-            v, _ = first_right_singular_vector(getattr(u.layers[lid], factor))
+            _, v = d[lid, factor]
             g_v = getattr(g.layers[lid], "v_" + factor)
             v_global = np.zeros(len(g_v))
             v_global[: len(v)] = v
@@ -170,12 +176,12 @@ def update_global_directions(
     layers: dict[LayerId, GlobalLayer] = {}
     for lid, (a_bar, b_bar) in aggregates.items():
         prev = g.layers[lid]
-        v_a, degen_a = first_right_singular_vector(a_bar)
-        v_b, degen_b = first_right_singular_vector(b_bar)
-        if degen_a and prev.v_a is not None:
+        _, v_a = decompose(a_bar)
+        _, v_b = decompose(b_bar)
+        if not a_bar.any() and prev.v_a is not None:
             log.info("layer %s: zero aggregate A, keeping previous direction", lid.value)
             v_a = prev.v_a
-        if degen_b and prev.v_b is not None:
+        if not b_bar.any() and prev.v_b is not None:
             log.info("layer %s: zero aggregate B, keeping previous direction", lid.value)
             v_b = prev.v_b
         layers[lid] = GlobalLayer(a=a_bar.copy(), b=b_bar.copy(), v_a=v_a, v_b=v_b)
@@ -192,18 +198,21 @@ def _summarize(alphas: np.ndarray) -> dict[str, float]:
 def horus_aggregate(
     updates: Mapping[int, ClientUpdate], g: GlobalState, cfg: HorusConfig
 ) -> AggregationOutcome:
-    """Full server step: score, flag, align, weight, aggregate, track.
+    """Full server step: decompose, score, flag, align, weight, aggregate, track.
 
+    Each submitted factor is decomposed once; detection, the consistency
+    weights and the outcome's ``decompositions`` all read that one result.
     Flagged clients contribute nothing to the aggregate. If every client is
     flagged the round is skipped and the global state is returned unchanged.
     """
     if not updates:
         raise ValueError("horus_aggregate requires at least one update")
+    decompositions = {c: decompose_update(u) for c, u in sorted(updates.items())}
     features = {
-        c: client_features(u, cfg.k, cfg.source) for c, u in sorted(updates.items())
+        c: client_features(d, cfg.k, cfg.source) for c, d in decompositions.items()
     }
     detection = detect_round(features, cfg.lam, cfg.mode)
-    benign = [updates[c] for c in sorted(set(updates) - detection.flagged)]
+    benign = sorted(set(updates) - detection.flagged)
     if not benign:
         log.warning(
             "all %d clients flagged; aggregation skipped, global state unchanged",
@@ -211,17 +220,18 @@ def horus_aggregate(
         )
         return AggregationOutcome(
             state=g, detection=detection, alpha_summary=None, skipped=True,
-            features=features,
+            features=features, decompositions=decompositions,
         )
     dims = g.dims()
-    values, masks = pad_round(benign, dims, g.rank)
-    alphas = projection_weights(benign, g)
+    values, masks = pad_round([updates[c] for c in benign], dims, g.rank)
+    alphas = projection_weights([decompositions[c] for c in benign], g)
     sizes = [rows * cols for _, _, (rows, cols) in round_layout(dims, g.rank)]
     flat = masked_mean(values, masks, np.repeat(alphas, sizes, axis=1), g.flat())
     state = update_global_directions(g, unflatten_padded(flat, dims, g.rank))
     summary = _summarize(alphas) if g.directions_initialized else None
     return AggregationOutcome(
-        state=state, detection=detection, alpha_summary=summary, features=features
+        state=state, detection=detection, alpha_summary=summary, features=features,
+        decompositions=decompositions,
     )
 
 
@@ -280,19 +290,17 @@ def krum_select(
     return np.argsort(scores, kind="stable")[:m].tolist(), scores
 
 
-def masked_median(stack: np.ndarray, masks: np.ndarray, prev) -> np.ndarray:
+def masked_median(stack: np.ndarray, masks: np.ndarray, prev: np.ndarray) -> np.ndarray:
     """Entry-wise median over covering clients; uncovered entries keep prev."""
     vals = np.where(masks > 0, stack, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
         med = np.nanmedian(vals, axis=0)
-    covered = masks.sum(axis=0) > 0
-    base = np.zeros_like(med) if prev is None else np.asarray(prev, dtype=float)
-    return np.where(covered, med, base)
+    return np.where(masks.sum(axis=0) > 0, med, prev)
 
 
 def masked_trimmed_mean(
-    stack: np.ndarray, masks: np.ndarray, beta: float, prev
+    stack: np.ndarray, masks: np.ndarray, beta: float, prev: np.ndarray
 ) -> np.ndarray:
     """Entry-wise beta-trimmed mean over covering clients.
 
@@ -314,10 +322,7 @@ def masked_trimmed_mean(
     total = np.take_along_axis(csum, hi[None], axis=0)[0] - np.take_along_axis(
         csum, lo[None], axis=0
     )[0]
-    out = total / kept
-    covered = counts > 0
-    base = np.zeros_like(out) if prev is None else np.asarray(prev, dtype=float)
-    return np.where(covered, out, base)
+    return np.where(counts > 0, total / kept, prev)
 
 
 def baseline_aggregate(

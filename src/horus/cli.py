@@ -156,12 +156,16 @@ def execute_run(cfg: RunConfig, out_dir: Path, diagnostics: bool = False) -> dic
 
 
 def _apply_axis(cfg: RunConfig, axis: str, raw: str) -> RunConfig:
+    if axis in ("lambda", "rank"):
+        try:
+            value = float(raw) if axis == "lambda" else int(raw)
+        except ValueError:
+            raise ConfigurationError(f"sweep value {raw!r} is not a valid {axis}") from None
     if axis == "lambda":
-        lam = float(raw)
-        detection = dataclasses.replace(cfg.detection, lam=lam)
+        detection = dataclasses.replace(cfg.detection, lam=value)
         return dataclasses.replace(cfg, detection=detection)
     if axis == "rank":
-        return dataclasses.replace(cfg, rank=int(raw))
+        return dataclasses.replace(cfg, rank=value)
     if axis == "aggregator":
         if raw not in AGGREGATOR_DEFAULTS:
             raise ConfigurationError(

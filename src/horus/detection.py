@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .lora import ClientUpdate, LayerId
-from .spectral import percentile, spectral_entropy, thin_svd, topk_energy_ratio
+from .spectral import Spectrum, decompose, percentile, spectral_entropy, topk_energy_ratio
 
 __all__ = [
     "MatrixSource",
@@ -30,6 +30,8 @@ __all__ = [
     "TopM",
     "DetectionMode",
     "RoundDetection",
+    "UpdateDecomposition",
+    "decompose_update",
     "client_features",
     "hops_scores",
     "flag_clients",
@@ -106,21 +108,34 @@ class RoundDetection:
         object.__setattr__(self, "flagged", frozenset(self.flagged))
 
 
+# One submission's factors, each as :func:`horus.spectral.decompose` returns
+# it, keyed (layer, factor) like the blocks of :func:`horus.lora.round_layout`.
+UpdateDecomposition = dict[tuple[LayerId, str], tuple[Spectrum, np.ndarray]]
+
+
+def decompose_update(u: ClientUpdate) -> UpdateDecomposition:
+    """Every adapter factor of a submission, decomposed once, at its own shape."""
+    return {
+        (lid, factor): decompose(getattr(pair, factor))
+        for lid, pair in u.layers.items()
+        for factor in ("a", "b")
+    }
+
+
 def client_features(
-    u: ClientUpdate, k: int, source: MatrixSource = MatrixSource.A
+    d: UpdateDecomposition, k: int, source: MatrixSource = MatrixSource.A
 ) -> SpectralFeatures:
     """Spectral entropy and top-k energy ratio per instrumented layer.
 
-    Features are computed from the SVD of the layer's A matrix alone
-    (``source=B`` swaps in the B matrix for ablation runs). ``k`` is clamped
-    to the nominal rank.
+    Features are computed from the decomposition of the layer's A matrix
+    alone (``source=B`` swaps in the B matrix for ablation runs). ``k`` is
+    clamped to the nominal rank.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     feats: dict[LayerId, LayerFeatures] = {}
-    for lid, pair in u.layers.items():
-        m = pair.a if source is MatrixSource.A else pair.b
-        _, spectrum, _ = thin_svd(m)
+    for lid in LayerId:
+        spectrum, _ = d[lid, source.value]
         k_used = min(k, spectrum.nominal_rank)
         feats[lid] = LayerFeatures(
             entropy_h=spectral_entropy(spectrum),

@@ -29,7 +29,9 @@ from .aggregation import (
     horus_aggregate,
 )
 from .attacks import AttackConfig, AttackKind
-from .detection import RoundDetection, SpectralFeatures
+from .detection import (
+    RoundDetection, SpectralFeatures, UpdateDecomposition, decompose_update,
+)
 from .errors import ConfigurationError, SimulationError
 from .lora import (
     ClientUpdate,
@@ -42,7 +44,7 @@ from .lora import (
     trim_to_local,
     unflatten_padded,
 )
-from .spectral import thin_svd, topk_energy_ratio
+from .spectral import topk_energy_ratio
 
 if TYPE_CHECKING:
     from .config import RunConfig
@@ -57,6 +59,7 @@ __all__ = [
     "Simulation",
     "generate_task",
     "dirichlet_partition",
+    "adapter_gradients",
     "local_train",
     "warmup",
     "evaluate",
@@ -290,7 +293,7 @@ def _backprop(w1: np.ndarray, w2: np.ndarray, x: np.ndarray,
     return dz1.T @ x, dw2
 
 
-def _adapter_gradients(w1, w2, a1, b1, a2, b2, x, y):
+def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y):
     """(dA1, dB1, dA2, dB2) of the mean cross-entropy, backbone held fixed."""
     dw1, dw2 = _backprop(w1 + b1 @ a1, w2 + b2 @ a2, x, y)
     return b1.T @ dw1, dw1 @ a1.T, b2.T @ dw2, dw2 @ a2.T
@@ -305,26 +308,6 @@ def lora_loss(model: LocalModel, lora: Mapping[LayerId, LoraPair],
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
     return float((logsumexp - shifted[np.arange(len(y)), y]).mean())
-
-
-def lora_gradients(
-    model: LocalModel, lora: Mapping[LayerId, LoraPair], x: np.ndarray, y: np.ndarray
-) -> tuple[float, dict[LayerId, tuple[np.ndarray, np.ndarray]]]:
-    """Loss and gradients w.r.t. every adapter matrix, backbone held fixed.
-
-    Overflow is tolerated: a poisoned broadcast can push weights past float
-    range, and the training loop detects the resulting non-finite step.
-    """
-    ff, cl = lora[LayerId.FEATURE_FIRST], lora[LayerId.CLASSIFIER]
-    with np.errstate(over="ignore", invalid="ignore"):
-        loss = lora_loss(model, lora, x, y)
-        da1, db1, da2, db2 = _adapter_gradients(
-            model.w1, model.w2, ff.a, ff.b, cl.a, cl.b, x, y
-        )
-    return loss, {
-        LayerId.FEATURE_FIRST: (da1, db1),
-        LayerId.CLASSIFIER: (da2, db2),
-    }
 
 
 def _minibatches(n: int, batch: int, rng: np.random.Generator):
@@ -383,8 +366,8 @@ def local_train(
     batches = (idx for _ in range(epochs) for idx in _minibatches(shard.n, batch, rng))
     with np.errstate(over="ignore", invalid="ignore"):
         for idx in batches:
-            grads = _adapter_gradients(model.w1, model.w2, *adapters,
-                                       shard.x[idx], shard.y[idx])
+            grads = adapter_gradients(model.w1, model.w2, *adapters,
+                                      shard.x[idx], shard.y[idx])
             stepped = tuple(m - lr * g for m, g in zip(adapters, grads))
             # a poisoned broadcast can push gradients past float range; keep
             # the last finite adapters instead of submitting garbage
@@ -669,15 +652,22 @@ class Simulation:
             submissions[a] = ClientUpdate(a, self.models[a].arch_id, layers)
 
     def _diagnostics(
-        self, submissions: dict[int, ClientUpdate], flagged: frozenset[int]
+        self,
+        submissions: dict[int, ClientUpdate],
+        flagged: frozenset[int],
+        decompositions: Mapping[int, UpdateDecomposition] | None,
     ) -> list[DiagnosticRow]:
+        """Top-k energy ratio of every submitted factor, read from the server
+        step's decompositions; rules that decompose nothing get them here."""
+        if decompositions is None:
+            decompositions = {c: decompose_update(u) for c, u in submissions.items()}
         rows = []
         k = self.cfg.detection.k
         for cid in sorted(submissions):
             u = submissions[cid]
             for lid in LayerId:
-                for name, mat in (("A", u.layers[lid].a), ("B", u.layers[lid].b)):
-                    _, spectrum, _ = thin_svd(mat)
+                for name in ("A", "B"):
+                    spectrum, _ = decompositions[cid][lid, name.lower()]
                     rows.append(
                         DiagnosticRow(
                             round=self.round_index,
@@ -708,7 +698,7 @@ class Simulation:
         self.round_index += 1
         participants = self._sample_participants()
         detection: RoundDetection | None = None
-        features = None
+        features = decompositions = None
         alpha_summary = None
         diagnostics: list[DiagnosticRow] = []
         payload = 0
@@ -728,6 +718,7 @@ class Simulation:
                 )
                 detection = outcome.detection
                 features = outcome.features
+                decompositions = outcome.decompositions
                 alpha_summary = outcome.alpha_summary
                 skipped = outcome.skipped
                 if skipped:
@@ -739,7 +730,8 @@ class Simulation:
                 self.state = baseline_aggregate(cfg.aggregator, submissions, self.state)
             self._broadcast(participants)
             diagnostics = self._diagnostics(
-                submissions, detection.flagged if detection else frozenset()
+                submissions, detection.flagged if detection else frozenset(),
+                decompositions,
             )
         else:
             log.warning("round %d: no participants, round skipped", self.round_index)

@@ -1,7 +1,8 @@
 """Dense real-matrix spectral primitives and small statistical utilities.
 
 Everything here is a pure function on immutable inputs; the heavy lifting
-(thin SVD) is delegated to LAPACK via numpy. Spectral entropy and the top-k
+(thin SVD) is delegated to LAPACK via numpy, in :func:`decompose`, the one
+place an adapter factor is decomposed. Spectral entropy and the top-k
 energy ratio are computed on the normalized singular-value distribution and
 are therefore invariant to positive rescaling and to zero-padding of the
 source matrix.
@@ -16,10 +17,9 @@ import numpy as np
 
 __all__ = [
     "Spectrum",
-    "thin_svd",
+    "decompose",
     "spectral_entropy",
     "topk_energy_ratio",
-    "first_right_singular_vector",
     "percentile",
     "inverse_normal_cdf",
 ]
@@ -55,25 +55,26 @@ class Spectrum:
         return float(self.values.sum())
 
 
-def _as_finite_matrix(m) -> np.ndarray:
+def decompose(m) -> tuple[Spectrum, np.ndarray]:
+    """Singular values and first right singular vector of a p x q real matrix.
+
+    The vector is the unit right singular vector of the largest singular
+    value, with its sign canonicalized so the entry of largest magnitude is
+    positive. A zero matrix has no principal direction; its vector is the
+    first standard basis vector.
+    """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    return m
-
-
-def thin_svd(m) -> tuple[np.ndarray, Spectrum, np.ndarray]:
-    """Thin SVD of a p x q real matrix.
-
-    Returns ``(U, spectrum, V)`` with ``U`` of shape (p, t), ``V`` of shape
-    (q, t), t = min(p, q), both with orthonormal columns, such that
-    ``U @ diag(s) @ V.T`` reconstructs ``m``.
-    """
-    m = _as_finite_matrix(m)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return u, Spectrum(s, len(s)), vt.T
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt[0]
+    if not m.any():
+        v = np.eye(1, m.shape[1])[0]
+    elif v[np.argmax(np.abs(v))] < 0:
+        v = -v
+    return Spectrum(s, len(s)), v
 
 
 def spectral_entropy(s: Spectrum) -> float:
@@ -103,25 +104,6 @@ def topk_energy_ratio(s: Spectrum, k: int) -> float:
     if total <= 0.0:
         return 1.0
     return float(s.values[:k].sum() / total)
-
-
-def first_right_singular_vector(m) -> tuple[np.ndarray, bool]:
-    """Right singular vector of the largest singular value, as a unit vector.
-
-    The sign is canonicalized so the entry of largest magnitude is positive.
-    A zero matrix has no principal direction; it returns the first standard
-    basis vector together with ``degenerate=True``.
-    """
-    m = _as_finite_matrix(m)
-    if not m.any():
-        v = np.zeros(m.shape[1])
-        v[0] = 1.0
-        return v, True
-    _, _, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt[0].copy()
-    if v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return v, False
 
 
 def percentile(values, p: float) -> float:

@@ -27,7 +27,7 @@ from horus.aggregation import (
 from horus.attacks import min_max_attack, min_sum_attack
 from horus.cli import main
 from horus.config import parse_config
-from horus.detection import TopM, client_features, detect_round
+from horus.detection import TopM, client_features, decompose_update, detect_round
 from horus.lora import (
     ClientUpdate,
     GlobalState,
@@ -38,7 +38,7 @@ from horus.lora import (
     round_layout,
     unflatten_padded,
 )
-from horus.sim import Simulation, lora_gradients, lora_loss, new_model
+from horus.sim import Simulation, adapter_gradients, lora_loss, new_model
 from horus.spectral import Spectrum, spectral_entropy, topk_energy_ratio
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
@@ -141,7 +141,8 @@ def test_criterion_02_obliviousness_invariants():
         rng = np.random.default_rng(1)
         for _ in range(10):  # 10 populations x 10 clients = 100 matrices
             updates = {c: _random_update(rng, c) for c in range(10)}
-            feats = {c: client_features(u, 5) for c, u in updates.items()}
+            feats = {c: client_features(decompose_update(u), 5)
+                     for c, u in updates.items()}
             base = detect_round(feats, 0.3, TopM(2))
 
             transformed = {}
@@ -153,7 +154,8 @@ def test_criterion_02_obliviousness_invariants():
                     a_pad[:, : p.d_in] = scale * p.a
                     layers[lid] = LoraPair(a_pad, p.b, p.rank)
                 transformed[c] = ClientUpdate(c, 0, layers)
-            tfeats = {c: client_features(u, 5) for c, u in transformed.items()}
+            tfeats = {c: client_features(decompose_update(u), 5)
+                      for c, u in transformed.items()}
             for c in updates:
                 for lid in LayerId:
                     assert abs(tfeats[c].layers[lid].entropy_h
@@ -302,7 +304,10 @@ def test_criterion_07_gradient_check():
             }
             x = rng.normal(size=(10, d))
             y = rng.integers(0, c, size=10)
-            _, grads = lora_gradients(model, lora, x, y)
+            da1, db1, da2, db2 = adapter_gradients(
+                model.w1, model.w2, lora[FF].a, lora[FF].b, lora[CL].a, lora[CL].b, x, y
+            )
+            grads = {FF: (da1, db1), CL: (da2, db2)}
             for lid in LayerId:
                 for part, name in ((0, "a"), (1, "b")):
                     analytic = grads[lid][part]

@@ -6,7 +6,7 @@ import statistics
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -22,7 +22,7 @@ from horus.aggregation import (
     projection_weights,
     update_global_directions,
 )
-from horus.detection import TopM
+from horus.detection import Percentile, TopM, decompose_update
 from horus.errors import ConfigurationError
 from horus.lora import (
     ClientUpdate,
@@ -171,8 +171,9 @@ def state_with_directions(rng, rank=4):
     return state
 
 
-def alphas_by_block(weights):
-    """{(layer, factor): alpha} for the one client of a weights array."""
+def block_weights(u, state):
+    """{(layer, factor): alpha} of one client's consistency weights."""
+    weights = projection_weights([decompose_update(u)], state)
     keys = [(lid, f) for lid, f, _ in round_layout(DIMS, 4)]
     assert weights.shape == (1, len(keys))
     return dict(zip(keys, weights[0]))
@@ -194,7 +195,7 @@ class TestProjectionWeights:
         v_a = {lid: state.layers[lid].v_a for lid in LayerId}
         v_b = {lid: state.layers[lid].v_b for lid in LayerId}
         u = self._aligned_update(v_a, v_b)
-        weights = alphas_by_block(projection_weights([u], state))
+        weights = block_weights(u, state)
         for lid in LayerId:
             assert weights[lid, "a"] == pytest.approx(1.0, abs=1e-10)
             assert weights[lid, "b"] == pytest.approx(1.0, abs=1e-10)
@@ -210,7 +211,7 @@ class TestProjectionWeights:
             f1 = np.zeros(4); f1[1] = 1.0
             v_b[lid] = f1
         u = self._aligned_update(v_a, v_b)
-        weights = alphas_by_block(projection_weights([u], state))
+        weights = block_weights(u, state)
         for lid in LayerId:
             assert weights[lid, "a"] == pytest.approx(0.0, abs=1e-10)
             assert weights[lid, "b"] == pytest.approx(0.0, abs=1e-10)
@@ -223,8 +224,8 @@ class TestProjectionWeights:
             lid: LoraPair(-p.a, -p.b, p.rank) for lid, p in u.layers.items()
         }
         flipped = ClientUpdate(0, 0, flipped_layers)
-        w1 = alphas_by_block(projection_weights([u], state))
-        w2 = alphas_by_block(projection_weights([flipped], state))
+        w1 = block_weights(u, state)
+        w2 = block_weights(flipped, state)
         for lid in LayerId:
             assert w1[lid, "a"] == pytest.approx(w2[lid, "a"], abs=1e-10)
 
@@ -236,8 +237,8 @@ class TestProjectionWeights:
             lid: LoraPair(3.5 * p.a, 3.5 * p.b, p.rank) for lid, p in u.layers.items()
         }
         scaled = ClientUpdate(0, 0, scaled_layers)
-        w1 = alphas_by_block(projection_weights([u], state))
-        w2 = alphas_by_block(projection_weights([scaled], state))
+        w1 = block_weights(u, state)
+        w2 = block_weights(scaled, state)
         for lid in LayerId:
             assert w1[lid, "a"] == pytest.approx(w2[lid, "a"], abs=1e-10)
 
@@ -245,7 +246,7 @@ class TestProjectionWeights:
         rng = np.random.default_rng(11)
         state = GlobalState.zeros(DIMS, 4)
         u = make_update(rng, 0)
-        weights = alphas_by_block(projection_weights([u], state))
+        weights = block_weights(u, state)
         assert all(w == 1.0 for w in weights.values())
         # uniform weights are not summarized
         out = horus_aggregate({0: u}, state, HorusConfig(mode=TopM(0)))
@@ -258,7 +259,7 @@ class TestProjectionWeights:
             state.layers[lid].v_a = rng.normal(size=DIMS[lid].d_in)
             state.layers[lid].v_a /= np.linalg.norm(state.layers[lid].v_a)
         u = make_update(rng, 0, ff=(7, 5), cl=(5, 3))
-        weights = alphas_by_block(projection_weights([u], state))
+        weights = block_weights(u, state)
         for lid in LayerId:
             # the right singular vector of the zero-padded A, by numpy directly
             a_pad = np.zeros((4, DIMS[lid].d_in))
@@ -484,6 +485,45 @@ class TestHorusAggregate:
                                           out2.state.layers[lid].a)
 
 
+class TestHorusRelabellingProperty:
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 7),
+        st.sampled_from([TopM(1), TopM(2), Percentile(50.0), Percentile(95.0)]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_relabelled_ids_flag_the_same_clients(self, seed, n, mode, tracked, data):
+        rng = np.random.default_rng(seed)
+        widths = [((8, 8), (8, 3)), ((10, 8), (8, 3))]
+        updates = {}
+        for c in range(n):
+            ff, cl = widths[int(rng.integers(2))]
+            updates[c] = make_update(rng, c, ff=ff, cl=cl)
+        state = state_with_directions(rng) if tracked else GlobalState.zeros(DIMS, 4)
+        ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                                 unique=True))
+        relabelled = {ids[c]: ClientUpdate(ids[c], 0, u.layers)
+                      for c, u in updates.items()}
+        cfg = HorusConfig(lam=0.3, k=2, mode=mode)
+        base = horus_aggregate(updates, state, cfg)
+        # equal scores are ranked by client id, which relabelling changes
+        scores = sorted(s.score for s in base.detection.scores.values())
+        assume(all(b - a > 1e-9 * max(1.0, b) for a, b in zip(scores, scores[1:])))
+        out = horus_aggregate(relabelled, state, cfg)
+        assert out.detection.flagged == {ids[c] for c in base.detection.flagged}
+        assert out.skipped == base.skipped
+        if base.skipped:  # every client flagged: the state is handed back
+            assert out.state is state
+            return
+        for lid in LayerId:
+            for name in ("a", "b", "v_a", "v_b"):
+                want = getattr(base.state.layers[lid], name)
+                got = getattr(out.state.layers[lid], name)
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
 def brute_force_krum(vectors, masks, f):
     """Exhaustive oracle: all pairwise distances, explicit neighbour sums."""
     n = len(vectors)
@@ -633,19 +673,20 @@ class TestBaselines:
     def test_coordinate_median(self):
         stack = np.array([[[1.0]], [[2.0]], [[100.0]]])
         masks = np.ones_like(stack)
-        np.testing.assert_array_equal(masked_median(stack, masks, None), [[2.0]])
+        np.testing.assert_array_equal(masked_median(stack, masks, np.zeros((1, 1))),
+                                      [[2.0]])
 
     def test_trimmed_mean_drops_tails(self):
         stack = np.array([[[1.0]], [[2.0]], [[100.0]]])
         masks = np.ones_like(stack)
         np.testing.assert_array_equal(
-            masked_trimmed_mean(stack, masks, 1.0 / 3.0, None), [[2.0]]
+            masked_trimmed_mean(stack, masks, 1.0 / 3.0, np.zeros((1, 1))), [[2.0]]
         )
 
     def test_trimmed_mean_partial_coverage(self):
         stack = np.array([[[1.0, 5.0]], [[2.0, 0.0]], [[100.0, 0.0]]])
         masks = np.array([[[1.0, 1.0]], [[1.0, 0.0]], [[1.0, 0.0]]])
-        out = masked_trimmed_mean(stack, masks, 1.0 / 3.0, None)
+        out = masked_trimmed_mean(stack, masks, 1.0 / 3.0, np.zeros((1, 2)))
         assert out[0, 0] == 2.0  # trims 1 and 100
         assert out[0, 1] == 5.0  # single covering client, beta*1 trims nothing
 

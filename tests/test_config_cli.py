@@ -218,10 +218,13 @@ class TestCliSweep:
         with open(out / "sweep.csv") as fh:
             assert len(list(csv.DictReader(fh))) == 3
 
-    def test_unknown_sweep_value_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "axis, value", [("aggregator", "bogus"), ("rank", "abc"), ("lambda", "x")]
+    )
+    def test_unknown_sweep_value_exits_2(self, tmp_path, capsys, axis, value):
         path = write_config(tmp_path, {"rounds": 2})
-        assert main(["sweep", str(path), "--axis", "aggregator",
-                     "--values", "bogus"]) == 2
+        assert main(["sweep", str(path), "--axis", axis, "--values", value]) == 2
+        assert repr(value) in capsys.readouterr().err
 
 
 class TestCliDiagnose:

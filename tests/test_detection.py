@@ -13,6 +13,7 @@ from horus.detection import (
     SpectralFeatures,
     TopM,
     client_features,
+    decompose_update,
     detect_round,
     flag_clients,
     hops_scores,
@@ -31,6 +32,11 @@ def make_update(rng, client_id=0, rank=8, ff=(16, 12), cl=(12, 4), a_maps=None):
     return ClientUpdate(client_id=client_id, arch_id=0, layers=layers)
 
 
+def features_of(u, k=5, source=MatrixSource.A):
+    """client_features of an update decomposed as the server step does it."""
+    return client_features(decompose_update(u), k, source)
+
+
 def features_from(ratios, entropies, k=5):
     """Hand-built per-client features with equal values on both layers."""
     out = {}
@@ -47,7 +53,7 @@ class TestClientFeatures:
             FF: np.outer(np.arange(1, 9, dtype=float), rng.normal(size=16)),
             CL: np.outer(np.arange(1, 9, dtype=float), rng.normal(size=12)),
         }
-        feats = client_features(make_update(rng, a_maps=a_maps), k=5)
+        feats = features_of(make_update(rng, a_maps=a_maps))
         for lid in LayerId:
             assert feats.layers[lid].ratio_rk == pytest.approx(1.0, abs=1e-10)
             assert feats.layers[lid].entropy_h == pytest.approx(0.0, abs=1e-8)
@@ -60,7 +66,7 @@ class TestClientFeatures:
             for lid, pair in u.layers.items()
         }
         scaled = ClientUpdate(0, 0, scaled_layers)
-        f1, f2 = client_features(u, 5), client_features(scaled, 5)
+        f1, f2 = features_of(u), features_of(scaled)
         for lid in LayerId:
             assert f1.layers[lid].entropy_h == pytest.approx(
                 f2.layers[lid].entropy_h, abs=1e-10
@@ -73,7 +79,7 @@ class TestClientFeatures:
         # oracle: full numpy SVD then the ratio/entropy arithmetic inline
         rng = np.random.default_rng(2)
         u = make_update(rng, rank=8)
-        feats = client_features(u, k=5)
+        feats = features_of(u)
         for lid in LayerId:
             s = np.linalg.svd(u.layers[lid].a, compute_uv=False)
             p = s / s.sum()
@@ -85,18 +91,17 @@ class TestClientFeatures:
 
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
-        u = make_update(rng)
-        before = client_features(u, 5)
-        u.layers[FF].b[:] = np.nan  # in-place corruption of B only
-        u.layers[CL].b[:] = np.nan
-        after = client_features(u, 5)
+        decomposed = decompose_update(make_update(rng))
+        before = client_features(decomposed, 5)
+        a_only = {key: d for key, d in decomposed.items() if key[1] == "a"}
+        after = client_features(a_only, 5)  # a B lookup would raise KeyError
         assert before == after
 
     def test_source_b_reads_b(self):
         rng = np.random.default_rng(4)
         u = make_update(rng)
-        fa = client_features(u, 5, MatrixSource.A)
-        fb = client_features(u, 5, MatrixSource.B)
+        fa = features_of(u, source=MatrixSource.A)
+        fb = features_of(u, source=MatrixSource.B)
         assert fa != fb
 
 
@@ -219,7 +224,7 @@ class TestDetectionInvariances:
     def test_per_client_rescaling_keeps_flags(self):
         rng = np.random.default_rng(6)
         updates = self._updates(rng)
-        feats = {c: client_features(u, 5) for c, u in updates.items()}
+        feats = {c: features_of(u) for c, u in updates.items()}
         base = detect_round(feats, 0.5, TopM(2))
         scales = {c: float(rng.uniform(0.1, 10.0)) for c in updates}
         scaled_feats = {}
@@ -228,7 +233,7 @@ class TestDetectionInvariances:
                 lid: LoraPair(scales[c] * p.a, p.b, p.rank)
                 for lid, p in u.layers.items()
             }
-            scaled_feats[c] = client_features(ClientUpdate(c, 0, layers), 5)
+            scaled_feats[c] = features_of(ClientUpdate(c, 0, layers))
         scaled = detect_round(scaled_feats, 0.5, TopM(2))
         assert scaled.flagged == base.flagged
         for c in updates:
@@ -239,7 +244,7 @@ class TestDetectionInvariances:
     def test_zero_padding_keeps_scores(self):
         rng = np.random.default_rng(7)
         updates = self._updates(rng)
-        feats = {c: client_features(u, 5) for c, u in updates.items()}
+        feats = {c: features_of(u) for c, u in updates.items()}
         base = detect_round(feats, 0.5, TopM(2))
         padded_feats = {}
         for c, u in updates.items():
@@ -248,7 +253,7 @@ class TestDetectionInvariances:
                 a_pad = np.zeros((p.rank, p.d_in + 7))
                 a_pad[:, : p.d_in] = p.a
                 layers[lid] = LoraPair(a_pad, p.b, p.rank)
-            padded_feats[c] = client_features(ClientUpdate(c, 0, layers), 5)
+            padded_feats[c] = features_of(ClientUpdate(c, 0, layers))
         padded = detect_round(padded_feats, 0.5, TopM(2))
         assert padded.flagged == base.flagged
         for c in updates:
@@ -257,7 +262,7 @@ class TestDetectionInvariances:
     def test_client_order_permutation_is_symmetric(self):
         rng = np.random.default_rng(8)
         updates = self._updates(rng)
-        feats = {c: client_features(u, 5) for c, u in updates.items()}
+        feats = {c: features_of(u) for c, u in updates.items()}
         base = detect_round(feats, 0.5, Percentile(80))
         reordered = dict(reversed(list(feats.items())))
         permuted = detect_round(reordered, 0.5, Percentile(80))

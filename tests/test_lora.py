@@ -15,7 +15,7 @@ from horus.lora import (
     trim_to_local,
     unflatten_padded,
 )
-from horus.spectral import spectral_entropy, thin_svd, topk_energy_ratio
+from horus.spectral import decompose, spectral_entropy, topk_energy_ratio
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 
@@ -98,8 +98,8 @@ class TestPadToGlobal:
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
         padded = padded_pairs(u, GLOBAL_DIMS)
         for lid in LayerId:
-            _, s_orig, _ = thin_svd(u.layers[lid].a)
-            _, s_pad, _ = thin_svd(padded[lid][0])
+            s_orig, _ = decompose(u.layers[lid].a)
+            s_pad, _ = decompose(padded[lid][0])
             assert abs(spectral_entropy(s_orig) - spectral_entropy(s_pad)) <= 1e-10
             assert abs(
                 topk_energy_ratio(s_orig, 2) - topk_energy_ratio(s_pad, 2)

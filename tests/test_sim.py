@@ -16,11 +16,11 @@ from horus.sim import (
     LocalModel,
     Simulation,
     TaskConfig,
+    adapter_gradients,
     dirichlet_partition,
     evaluate,
     generate_task,
     local_train,
-    lora_gradients,
     lora_loss,
     new_model,
     warmup,
@@ -163,7 +163,10 @@ class TestTraining:
     def test_gradients_match_finite_differences(self):
         for seed in range(3):
             model, x, y = self._model_and_batch(seed)
-            _, grads = lora_gradients(model, model.lora, x, y)
+            ff, cl = model.lora[FF], model.lora[CL]
+            da1, db1, da2, db2 = adapter_gradients(model.w1, model.w2, ff.a, ff.b,
+                                                   cl.a, cl.b, x, y)
+            grads = {FF: (da1, db1), CL: (da2, db2)}
             fd = finite_difference_grads(model, model.lora, x, y)
             for lid in LayerId:
                 for i, name in enumerate(("a", "b")):
@@ -494,6 +497,29 @@ class TestSimulation:
         rows = results[0].diagnostics
         assert len(rows) == 4 * 2 * 2  # clients x layers x matrices
         assert {d.matrix for d in rows} == {"A", "B"}
+
+    @pytest.mark.parametrize("aggregator", ["horus", "median"])
+    def test_each_submitted_factor_is_decomposed_once(self, aggregator, monkeypatch):
+        # four factors a submission: horus decomposes each once for detection,
+        # weights and diagnostics, plus the four aggregates it tracks; other
+        # rules decompose only for the diagnostics
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        sim = Simulation(tiny_config(aggregator=aggregator, rounds=3))
+        sim.warm_up()
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for _ in range(sim.cfg.rounds):
+            calls.clear()
+            n = len(sim.run_round().metrics.participants)
+            if aggregator == "horus":
+                assert len(calls) <= 4 * n + 4
+            else:
+                assert len(calls) == 4 * n
 
     def test_krum_rounds_with_too_few_participants_are_skipped(self):
         # f=2 is feasible for all 8 clients but not for fewer than 7

@@ -4,14 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from horus.spectral import (
     Spectrum,
-    first_right_singular_vector,
+    decompose,
     inverse_normal_cdf,
     percentile,
     spectral_entropy,
-    thin_svd,
     topk_energy_ratio,
 )
 
@@ -35,35 +37,40 @@ class TestSpectrum:
 
 
 class TestThinSvd:
+    """The spectrum :func:`decompose` returns: the thin SVD's singular values."""
+
     def test_identity(self):
-        _, s, _ = thin_svd(np.eye(3))
+        s, _ = decompose(np.eye(3))
         np.testing.assert_allclose(s.values, [1.0, 1.0, 1.0])
 
     def test_diagonal(self):
-        _, s, _ = thin_svd(np.diag([3.0, 1.0]))
+        s, _ = decompose(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(s.values, [3.0, 1.0])
 
-    def test_reconstruction_and_orthonormality(self):
+    def test_singular_value_identities(self):
+        # oracle: the eigenvalues of m m^T are the squared singular values,
+        # and the first right singular vector is a unit top eigenvector of m^T m
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = rng.normal(size=(5, 7))
-            u, s, v = thin_svd(m)
-            rebuilt = u @ np.diag(s.values) @ v.T
-            tol = 1e-8 * max(1.0, np.linalg.norm(m))
-            assert np.linalg.norm(rebuilt - m) <= tol
-            assert np.linalg.norm(u.T @ u - np.eye(5)) <= 1e-8
-            assert np.linalg.norm(v.T @ v - np.eye(5)) <= 1e-8
+            s, v = decompose(m)
+            eig = np.sort(np.linalg.eigvalsh(m @ m.T))[::-1]
+            tol = 1e-8 * max(1.0, np.linalg.norm(m) ** 2)
+            assert np.linalg.norm(s.values**2 - eig) <= tol
+            assert abs(np.linalg.norm(v) - 1.0) <= 1e-8
+            assert np.linalg.norm(m.T @ (m @ v) - s.values[0] ** 2 * v) <= tol
+            assert s.nominal_rank == 5
             assert np.all(np.diff(s.values) <= 0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            thin_svd(np.array([[1.0, np.nan]]))
+            decompose(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
-            thin_svd(np.array([[np.inf, 1.0]]))
+            decompose(np.array([[np.inf, 1.0]]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            thin_svd(np.zeros((0, 3)))
+            decompose(np.zeros((0, 3)))
 
 
 class TestSpectralEntropy:
@@ -141,15 +148,16 @@ def power_iteration_direction(m, iters=500, tol=1e-12):
 
 
 class TestFirstRightSingularVector:
+    """The vector :func:`decompose` returns next to the spectrum."""
+
     def test_diagonal(self):
-        v, degenerate = first_right_singular_vector(np.diag([3.0, 1.0]))
-        assert not degenerate
+        _, v = decompose(np.diag([3.0, 1.0]))
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
 
     def test_rank_one_structure(self):
         u = np.array([1.0, -2.0, 0.5])
         w = np.array([2.0, 1.0, -1.0, 3.0])
-        v, _ = first_right_singular_vector(np.outer(u, w))
+        _, v = decompose(np.outer(u, w))
         expected = w / np.linalg.norm(w)
         assert min(np.linalg.norm(v - expected), np.linalg.norm(v + expected)) < 1e-10
 
@@ -157,17 +165,17 @@ class TestFirstRightSingularVector:
         rng = np.random.default_rng(3)
         for _ in range(10):
             m = rng.normal(size=(4, 6))
-            v, _ = first_right_singular_vector(m)
+            _, v = decompose(m)
             oracle = power_iteration_direction(m)
             assert abs(np.dot(v, oracle)) >= 1.0 - 1e-8
 
     def test_zero_matrix_degenerate(self):
-        v, degenerate = first_right_singular_vector(np.zeros((3, 4)))
-        assert degenerate
+        s, v = decompose(np.zeros((3, 4)))
+        assert s.total == 0.0
         np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0])
 
     def test_sign_canonicalization(self):
-        v, _ = first_right_singular_vector(np.diag([-5.0, 1.0]))
+        _, v = decompose(np.diag([-5.0, 1.0]))
         assert v[np.argmax(np.abs(v))] > 0
 
 
@@ -241,42 +249,65 @@ class TestInverseNormalCdf:
                 inverse_normal_cdf(q)
 
 
+@st.composite
+def matrices(draw, max_rows=6, max_cols=9):
+    """A small real matrix with entries in [-10, 10], zeros and repeats included."""
+    shape = (draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols)))
+    entries = st.floats(-10.0, 10.0, allow_nan=False, allow_subnormal=False)
+    return draw(arrays(float, shape, elements=entries))
+
+
+def zero_padded(m, extra_rows=0, extra_cols=0):
+    out = np.zeros((m.shape[0] + extra_rows, m.shape[1] + extra_cols))
+    out[: m.shape[0], : m.shape[1]] = m
+    return out
+
+
+def assert_same_features(s1, s2, ks):
+    assert abs(spectral_entropy(s1) - spectral_entropy(s2)) <= 1e-10
+    for k in ks:
+        assert abs(topk_energy_ratio(s1, k) - topk_energy_ratio(s2, k)) <= 1e-10
+
+
 class TestInvariances:
-    def test_scale_invariance(self):
-        rng = np.random.default_rng(5)
-        for scale in (1e-3, 2.0, 1e4):
-            m = rng.normal(size=(6, 9))
-            _, s1, _ = thin_svd(m)
-            _, s2, _ = thin_svd(scale * m)
-            h1, h2 = spectral_entropy(s1), spectral_entropy(s2)
-            assert abs(h1 - h2) <= 1e-10
-            for k in (1, 3, 6):
-                assert abs(
-                    topk_energy_ratio(s1, k) - topk_energy_ratio(s2, k)
-                ) <= 1e-10
+    """The obliviousness the detector relies on: spectral features ignore
+    positive scaling and zero-padding, and padding columns only zero-extends
+    the first right singular vector that the consistency weights read."""
 
-    def test_zero_padding_invariance(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            m = rng.normal(size=(4, 7))
-            padded = np.zeros((4, 12))
-            padded[:, :7] = m
-            _, s1, _ = thin_svd(m)
-            _, s2, _ = thin_svd(padded)
-            np.testing.assert_allclose(s2.values, s1.values, atol=1e-10)
-            assert abs(spectral_entropy(s1) - spectral_entropy(s2)) <= 1e-10
-            for k in (1, 2, 4):
-                assert abs(
-                    topk_energy_ratio(s1, k) - topk_energy_ratio(s2, k)
-                ) <= 1e-10
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(matrices(), st.sampled_from([1e-3, 0.37, 2.0, 1e4]))
+    def test_scale_invariance(self, m, scale):
+        s1, _ = decompose(m)
+        s2, _ = decompose(scale * m)
+        assert_same_features(s1, s2, range(1, s1.nominal_rank + 1))
 
-    def test_padding_rows_grows_nominal_rank_harmlessly(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(3, 5))
-        padded = np.zeros((6, 5))
-        padded[:3] = m
-        _, s1, _ = thin_svd(m)
-        _, s2, _ = thin_svd(padded)
-        np.testing.assert_allclose(s2.values[:3], s1.values, atol=1e-10)
-        np.testing.assert_allclose(s2.values[3:], 0.0, atol=1e-10)
-        assert abs(spectral_entropy(s1) - spectral_entropy(s2)) <= 1e-10
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(matrices(), st.integers(1, 6))
+    def test_zero_padding_invariance(self, m, extra_cols):
+        s1, _ = decompose(m)
+        s2, _ = decompose(zero_padded(m, extra_cols=extra_cols))
+        np.testing.assert_allclose(s2.values[: s1.nominal_rank], s1.values, atol=1e-10)
+        np.testing.assert_allclose(s2.values[s1.nominal_rank :], 0.0, atol=1e-10)
+        assert_same_features(s1, s2, range(1, s1.nominal_rank + 1))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(matrices(), st.integers(1, 6))
+    def test_padding_rows_grows_nominal_rank_harmlessly(self, m, extra_rows):
+        s1, _ = decompose(m)
+        s2, _ = decompose(zero_padded(m, extra_rows=extra_rows))
+        np.testing.assert_allclose(s2.values[: s1.nominal_rank], s1.values, atol=1e-10)
+        np.testing.assert_allclose(s2.values[s1.nominal_rank :], 0.0, atol=1e-10)
+        assert_same_features(s1, s2, range(1, s1.nominal_rank + 1))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(matrices(), st.integers(1, 6))
+    def test_column_padding_zero_extends_v1(self, m, extra_cols):
+        s, v = decompose(m)
+        # a repeated top singular value leaves v1 free within its eigenspace
+        gap = s.values[0] - (s.values[1] if s.nominal_rank > 1 else 0.0)
+        assume(s.total == 0.0 or gap > 0.05 * s.values[0])
+        _, v_pad = decompose(zero_padded(m, extra_cols=extra_cols))
+        extended = np.concatenate([v, np.zeros(extra_cols)])
+        # the weights read |<v1, v_global>|, so only the sign may differ
+        assert min(np.linalg.norm(v_pad - extended),
+                   np.linalg.norm(v_pad + extended)) <= 1e-10
