@@ -23,7 +23,7 @@ from .detection import (
     RoundDetection,
     TopM,
     client_features,
-    decompose_update,
+    decompose_round,
     flag_clients,
     hops_scores,
 )
@@ -42,6 +42,7 @@ from .sim import Simulation, TaskConfig, generate_task
 from .spectral import (
     Spectrum,
     decompose,
+    decompose_many,
     inverse_normal_cdf,
     percentile,
     spectral_entropy,
@@ -53,12 +54,12 @@ __all__ = [
     "masked_mean", "projection_weights", "update_global_directions",
     "AttackConfig", "AttackKind",
     "MatrixSource", "Percentile", "RoundDetection", "TopM", "client_features",
-    "decompose_update", "flag_clients", "hops_scores",
+    "decompose_round", "flag_clients", "hops_scores",
     "ConfigurationError", "SimulationError",
     "ClientUpdate", "GlobalState", "LayerDims", "LayerId", "LoraPair", "pad_round",
     "payload_bytes", "trim_to_local",
     "Simulation", "TaskConfig", "generate_task",
-    "Spectrum", "decompose", "inverse_normal_cdf", "percentile",
+    "Spectrum", "decompose", "decompose_many", "inverse_normal_cdf", "percentile",
     "spectral_entropy", "topk_energy_ratio",
 ]
 

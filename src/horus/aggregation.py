@@ -26,7 +26,7 @@ from .detection import (
     SpectralFeatures,
     UpdateDecomposition,
     client_features,
-    decompose_update,
+    decompose_round,
     detect_round,
 )
 from .errors import ConfigurationError
@@ -39,7 +39,7 @@ from .lora import (
     round_layout,
     unflatten_padded,
 )
-from .spectral import decompose
+from .spectral import decompose_many
 
 __all__ = [
     "AggregatorKind",
@@ -143,7 +143,7 @@ def projection_weights(
     per block of the :func:`horus.lora.round_layout`.
 
     Each vector comes from the decomposition of the client's unpadded matrix
-    (:func:`horus.detection.decompose_update`) and is zero-extended to the
+    (:func:`horus.detection.decompose_round`) and is zero-extended to the
     global width; zero-padding a matrix's columns pads its right singular
     vectors the same way, so no padded matrix is decomposed. Falls back to
     uniform weights (all ones) while the global directions are
@@ -173,11 +173,11 @@ def update_global_directions(
     A degenerate (all-zero) aggregate matrix keeps the previous direction for
     that factor rather than inventing one.
     """
+    vectors = iter(decompose_many(m for pair in aggregates.values() for m in pair))
     layers: dict[LayerId, GlobalLayer] = {}
     for lid, (a_bar, b_bar) in aggregates.items():
         prev = g.layers[lid]
-        _, v_a = decompose(a_bar)
-        _, v_b = decompose(b_bar)
+        (_, v_a), (_, v_b) = next(vectors), next(vectors)
         if not a_bar.any() and prev.v_a is not None:
             log.info("layer %s: zero aggregate A, keeping previous direction", lid.value)
             v_a = prev.v_a
@@ -207,7 +207,7 @@ def horus_aggregate(
     """
     if not updates:
         raise ValueError("horus_aggregate requires at least one update")
-    decompositions = {c: decompose_update(u) for c, u in sorted(updates.items())}
+    decompositions = decompose_round(updates)
     features = {
         c: client_features(d, cfg.k, cfg.source) for c, d in decompositions.items()
     }

@@ -126,7 +126,7 @@ def _detection_records(results: list[RoundResult]) -> list[dict]:
 
 def execute_run(cfg: RunConfig, out_dir: Path, diagnostics: bool = False) -> dict:
     """Run the full simulation and write this run's output files."""
-    sim = Simulation(cfg)
+    sim = Simulation(cfg, diagnostics=diagnostics)
     results = sim.run()
 
     _atomic_write(out_dir / "config.yaml",

@@ -19,7 +19,9 @@ from typing import Mapping
 import numpy as np
 
 from .lora import ClientUpdate, LayerId
-from .spectral import Spectrum, decompose, percentile, spectral_entropy, topk_energy_ratio
+from .spectral import (
+    Spectrum, decompose_many, percentile, spectral_entropy, topk_energy_ratio,
+)
 
 __all__ = [
     "MatrixSource",
@@ -31,7 +33,7 @@ __all__ = [
     "DetectionMode",
     "RoundDetection",
     "UpdateDecomposition",
-    "decompose_update",
+    "decompose_round",
     "client_features",
     "hops_scores",
     "flag_clients",
@@ -113,13 +115,25 @@ class RoundDetection:
 UpdateDecomposition = dict[tuple[LayerId, str], tuple[Spectrum, np.ndarray]]
 
 
-def decompose_update(u: ClientUpdate) -> UpdateDecomposition:
-    """Every adapter factor of a submission, decomposed once, at its own shape."""
-    return {
-        (lid, factor): decompose(getattr(pair, factor))
-        for lid, pair in u.layers.items()
+def decompose_round(
+    updates: Mapping[int, ClientUpdate],
+) -> dict[int, UpdateDecomposition]:
+    """Every adapter factor of every submission, decomposed once at its own
+    shape, by one stacked SVD per distinct shape; keyed by ascending id."""
+    cids = sorted(updates)
+    keys = [
+        (cid, lid, factor)
+        for cid in cids
+        for lid in updates[cid].layers
         for factor in ("a", "b")
-    }
+    ]
+    results = decompose_many(
+        getattr(updates[cid].layers[lid], factor) for cid, lid, factor in keys
+    )
+    out: dict[int, UpdateDecomposition] = {cid: {} for cid in cids}
+    for (cid, lid, factor), result in zip(keys, results):
+        out[cid][lid, factor] = result
+    return out
 
 
 def client_features(
@@ -218,12 +232,16 @@ def detect_round(
 ) -> RoundDetection:
     """Score and flag one round's population, skipping degenerate rounds.
 
-    With fewer than two participants there are no round statistics to deviate
-    from; detection is skipped and every client passes.
+    Detection needs at least three participants and is skipped below that,
+    letting every client pass. With one there are no round statistics to
+    deviate from. With two, both clients sit symmetrically around the round
+    mean: their energy deviations are equal and their entropy z-scores are
+    +1 and -1, so their scores differ only by rounding, and rounding would
+    decide which one is flagged.
     """
-    if len(features) < 2:
+    if len(features) < 3:
         log.warning(
-            "detection skipped: %d participant(s), need at least 2", len(features)
+            "detection skipped: %d participant(s), need at least 3", len(features)
         )
         zero = {
             c: HopsScore(c, 0.0, {lid: 0.0 for lid in LayerId}) for c in features

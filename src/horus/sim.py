@@ -30,7 +30,7 @@ from .aggregation import (
 )
 from .attacks import AttackConfig, AttackKind
 from .detection import (
-    RoundDetection, SpectralFeatures, UpdateDecomposition, decompose_update,
+    RoundDetection, SpectralFeatures, UpdateDecomposition, decompose_round,
 )
 from .errors import ConfigurationError, SimulationError
 from .lora import (
@@ -464,11 +464,17 @@ class RoundResult:
 
 
 class Simulation:
-    """Deterministic round-based federation over synthetic clients."""
+    """Deterministic round-based federation over synthetic clients.
 
-    def __init__(self, cfg: "RunConfig"):
+    Per-client diagnostic rows are built only with ``diagnostics=True``
+    (``horus diagnose``); otherwise every ``RoundResult.diagnostics`` is
+    empty.
+    """
+
+    def __init__(self, cfg: "RunConfig", diagnostics: bool = False):
         cfg.validate()
         self.cfg = cfg
+        self.diagnostics = diagnostics
         root = np.random.SeedSequence(cfg.master_seed)
         ss_profiles, ss_partition, ss_clients, ss_attack, ss_partic, ss_init = (
             root.spawn(6)
@@ -530,6 +536,11 @@ class Simulation:
         }
         self.round_index = 0
         self._backbone_hashes: list[str] | None = None
+        # (global, local) accuracy of each client's model since its adapters
+        # last changed; local is None for an empty test shard
+        self._accuracy: dict[int, tuple[float, float | None]] = {}
+        # clients holding the current state from last round's final broadcast
+        self._holding_state: set[int] = set()
 
     def _initial_state(self, rng: np.random.Generator) -> GlobalState:
         state = GlobalState.zeros(self.global_dims, self.cfg.rank)
@@ -575,10 +586,11 @@ class Simulation:
     def _broadcast(self, client_ids: list[int]) -> None:
         for cid in client_ids:
             model = self.models[cid]
+            dims = model.layer_dims()
             model.lora = {
-                lid: trim_to_local(self.state, lid, model.layer_dims()[lid])
-                for lid in LayerId
+                lid: trim_to_local(self.state, lid, dims[lid]) for lid in LayerId
             }
+            self._accuracy.pop(cid, None)
 
     def _train_participants(self, participants: list[int]) -> dict[int, ClientUpdate]:
         cfg = self.cfg
@@ -660,7 +672,7 @@ class Simulation:
         """Top-k energy ratio of every submitted factor, read from the server
         step's decompositions; rules that decompose nothing get them here."""
         if decompositions is None:
-            decompositions = {c: decompose_update(u) for c, u in submissions.items()}
+            decompositions = decompose_round(submissions)
         rows = []
         k = self.cfg.detection.k
         for cid in sorted(submissions):
@@ -697,6 +709,7 @@ class Simulation:
         cfg = self.cfg
         self.round_index += 1
         participants = self._sample_participants()
+        holding, self._holding_state = self._holding_state, set()
         detection: RoundDetection | None = None
         features = decompositions = None
         alpha_summary = None
@@ -705,7 +718,8 @@ class Simulation:
         skipped = False
 
         if participants:
-            self._broadcast(participants)
+            # the state is unchanged since last round's final broadcast
+            self._broadcast([c for c in participants if c not in holding])
             submissions = self._train_participants(participants)
             self._apply_model_poisoning(submissions, participants)
             payload = sum(payload_bytes(u) for u in submissions.values())
@@ -729,10 +743,12 @@ class Simulation:
             else:
                 self.state = baseline_aggregate(cfg.aggregator, submissions, self.state)
             self._broadcast(participants)
-            diagnostics = self._diagnostics(
-                submissions, detection.flagged if detection else frozenset(),
-                decompositions,
-            )
+            self._holding_state = set(participants)
+            if self.diagnostics:
+                diagnostics = self._diagnostics(
+                    submissions, detection.flagged if detection else frozenset(),
+                    decompositions,
+                )
         else:
             log.warning("round %d: no participants, round skipped", self.round_index)
             skipped = True
@@ -756,14 +772,16 @@ class Simulation:
         aggregation_skipped: bool,
     ) -> RoundMetrics:
         cfg = self.cfg
-        global_acc = float(
-            np.mean([evaluate(m, self.global_test) for m in self.models])
-        )
-        local_accs = [
-            evaluate(m, p.test)
-            for m, p in zip(self.models, self.profiles)
-            if p.test.n > 0
-        ]
+        # only models broadcast to since their last evaluation have changed
+        for m, p in zip(self.models, self.profiles):
+            if m.client_id not in self._accuracy:
+                self._accuracy[m.client_id] = (
+                    evaluate(m, self.global_test),
+                    evaluate(m, p.test) if p.test.n > 0 else None,
+                )
+        accuracy = [self._accuracy[m.client_id] for m in self.models]
+        global_acc = float(np.mean([g for g, _ in accuracy]))
+        local_accs = [local for _, local in accuracy if local is not None]
         local_acc = float(np.mean(local_accs)) if local_accs else 0.0
 
         attack_active = (

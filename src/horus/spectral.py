@@ -1,11 +1,11 @@
 """Dense real-matrix spectral primitives and small statistical utilities.
 
 Everything here is a pure function on immutable inputs; the heavy lifting
-(thin SVD) is delegated to LAPACK via numpy, in :func:`decompose`, the one
-place an adapter factor is decomposed. Spectral entropy and the top-k
-energy ratio are computed on the normalized singular-value distribution and
-are therefore invariant to positive rescaling and to zero-padding of the
-source matrix.
+(thin SVD) is delegated to LAPACK via numpy, in :func:`decompose_many`, the
+one place adapter factors are decomposed, with one stacked call per shape.
+Spectral entropy and the top-k energy ratio are computed on the normalized
+singular-value distribution and are therefore invariant to positive
+rescaling and to zero-padding of the source matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "Spectrum",
     "decompose",
+    "decompose_many",
     "spectral_entropy",
     "topk_energy_ratio",
     "percentile",
@@ -50,6 +51,13 @@ class Spectrum:
         if np.any(np.diff(vals) > 0):
             raise ValueError("singular values must be sorted non-increasing")
 
+    @classmethod
+    def _checked(cls, values: np.ndarray) -> "Spectrum":
+        """A spectrum from values its caller has already validated."""
+        spectrum = object.__new__(cls)
+        spectrum.__dict__.update(values=values, nominal_rank=len(values))
+        return spectrum
+
     @property
     def total(self) -> float:
         return float(self.values.sum())
@@ -63,18 +71,41 @@ def decompose(m) -> tuple[Spectrum, np.ndarray]:
     positive. A zero matrix has no principal direction; its vector is the
     first standard basis vector.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix contains non-finite entries")
-    _, s, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt[0]
-    if not m.any():
-        v = np.eye(1, m.shape[1])[0]
-    elif v[np.argmax(np.abs(v))] < 0:
-        v = -v
-    return Spectrum(s, len(s)), v
+    return decompose_many([m])[0]
+
+
+def decompose_many(ms) -> list[tuple[Spectrum, np.ndarray]]:
+    """:func:`decompose` of every matrix, in input order, one SVD per shape.
+
+    Matrices of one shape are stacked and decomposed by a single LAPACK call;
+    each result is bit-identical to decomposing its matrix alone. The input
+    and the singular values are checked once per stack, so the ``Spectrum``
+    rows handed out are not re-validated one by one.
+    """
+    ms = [np.asarray(m, dtype=float) for m in ms]
+    by_shape: dict[tuple[int, int], list[int]] = {}
+    for i, m in enumerate(ms):
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
+            raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
+        by_shape.setdefault(m.shape, []).append(i)
+    out: list = [None] * len(ms)
+    for idx in by_shape.values():
+        stack = np.stack([ms[i] for i in idx])
+        if not np.isfinite(stack).all():
+            raise ValueError("matrix contains non-finite entries")
+        _, s, vt = np.linalg.svd(stack, full_matrices=False)
+        if not np.isfinite(s).all() or (s < 0).any():
+            raise ValueError("singular values must be finite and non-negative")
+        if (np.diff(s, axis=1) > 0).any():
+            raise ValueError("singular values must be sorted non-increasing")
+        v = vt[:, 0, :]
+        flip = v[np.arange(len(v)), np.abs(v).argmax(axis=1)] < 0
+        v[flip] = -v[flip]
+        zero = ~stack.any(axis=(1, 2))
+        v[zero] = np.eye(1, v.shape[1])[0]
+        for i, s_row, v_row in zip(idx, s, v):
+            out[i] = (Spectrum._checked(s_row), v_row)
+    return out
 
 
 def spectral_entropy(s: Spectrum) -> float:

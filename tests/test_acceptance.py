@@ -27,7 +27,7 @@ from horus.aggregation import (
 from horus.attacks import min_max_attack, min_sum_attack
 from horus.cli import main
 from horus.config import parse_config
-from horus.detection import TopM, client_features, decompose_update, detect_round
+from horus.detection import TopM, client_features, decompose_round, detect_round
 from horus.lora import (
     ClientUpdate,
     GlobalState,
@@ -141,8 +141,8 @@ def test_criterion_02_obliviousness_invariants():
         rng = np.random.default_rng(1)
         for _ in range(10):  # 10 populations x 10 clients = 100 matrices
             updates = {c: _random_update(rng, c) for c in range(10)}
-            feats = {c: client_features(decompose_update(u), 5)
-                     for c, u in updates.items()}
+            feats = {c: client_features(d, 5)
+                     for c, d in decompose_round(updates).items()}
             base = detect_round(feats, 0.3, TopM(2))
 
             transformed = {}
@@ -154,8 +154,8 @@ def test_criterion_02_obliviousness_invariants():
                     a_pad[:, : p.d_in] = scale * p.a
                     layers[lid] = LoraPair(a_pad, p.b, p.rank)
                 transformed[c] = ClientUpdate(c, 0, layers)
-            tfeats = {c: client_features(decompose_update(u), 5)
-                      for c, u in transformed.items()}
+            tfeats = {c: client_features(d, 5)
+                      for c, d in decompose_round(transformed).items()}
             for c in updates:
                 for lid in LayerId:
                     assert abs(tfeats[c].layers[lid].entropy_h
@@ -448,19 +448,19 @@ def test_criterion_12_rank_sweep_shape():
 def test_attacker_energy_sits_below_benign_mean():
     """In most attack rounds each configured attacker's (ids 0 and 5, flagged
     or not) feature-first A energy ratio is below the benign clients' mean,
-    matching the qualitative shape the diagnostics should show."""
+    matching the qualitative shape the diagnostics should show. The ratio is
+    read from the detection features, which hold the same top-k ratio of A
+    as the diagnostic rows."""
     cfg = scenario_config(1)
     attackers = cfg.attack.attacker_ids
     attack_rounds = cfg.rounds - cfg.attack.start_round + 1
     results = run_scenario(1)
     below, total = 0, 0
     for r in results:
-        if r.metrics.round < cfg.attack.start_round or not r.diagnostics:
+        if r.metrics.round < cfg.attack.start_round or not r.features:
             continue
-        ratios = {}
-        for d in r.diagnostics:
-            if d.matrix == "A" and d.layer == "feature_first":
-                ratios[d.client_id] = d.topk_ratio
+        ratios = {c: f.layers[FF].ratio_rk
+                  for c, f in r.features.items()}
         benign_mean = np.mean([v for c, v in ratios.items() if c not in attackers])
         total += len(attackers)
         # Count as ints: np.bool_ + np.bool_ is a logical OR, not a sum.

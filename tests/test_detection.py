@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horus.detection import (
     HopsScore,
@@ -13,7 +15,7 @@ from horus.detection import (
     SpectralFeatures,
     TopM,
     client_features,
-    decompose_update,
+    decompose_round,
     detect_round,
     flag_clients,
     hops_scores,
@@ -34,7 +36,7 @@ def make_update(rng, client_id=0, rank=8, ff=(16, 12), cl=(12, 4), a_maps=None):
 
 def features_of(u, k=5, source=MatrixSource.A):
     """client_features of an update decomposed as the server step does it."""
-    return client_features(decompose_update(u), k, source)
+    return client_features(decompose_round({u.client_id: u})[u.client_id], k, source)
 
 
 def features_from(ratios, entropies, k=5):
@@ -91,7 +93,8 @@ class TestClientFeatures:
 
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
-        decomposed = decompose_update(make_update(rng))
+        u = make_update(rng)
+        decomposed = decompose_round({u.client_id: u})[u.client_id]
         before = client_features(decomposed, 5)
         a_only = {key: d for key, d in decomposed.items() if key[1] == "a"}
         after = client_features(a_only, 5)  # a B lookup would raise KeyError
@@ -206,12 +209,52 @@ class TestDetectRound:
         det = detect_round(features_from([0.9], [1.0]), 0.5, TopM(2))
         assert det.skipped and det.flagged == frozenset()
 
+    def test_two_clients_skipped(self):
+        # two clients sit symmetrically around the round mean, so their
+        # scores tie up to rounding; detection takes the skip path instead
+        feats = features_from([0.9, 0.6], [1.0, 1.7])
+        scores = hops_scores(feats, 0.5)
+        assert scores[0].score == pytest.approx(scores[1].score, rel=1e-12)
+        det = detect_round(feats, 0.5, TopM(1))
+        assert det.skipped and det.flagged == frozenset()
+        assert det.threshold_theta == math.inf
+        assert all(s.score == 0.0 for s in det.scores.values())
+
+    def test_three_clients_scored(self):
+        det = detect_round(features_from([0.9, 0.6, 0.8], [1.0, 1.7, 1.1]),
+                           0.5, TopM(1))
+        assert not det.skipped and len(det.flagged) == 1
+
     def test_composition_matches_stages(self):
         feats = features_from([0.9, 0.7, 0.8, 0.5], [1.0, 1.4, 1.1, 1.9])
         det = detect_round(feats, 0.3, TopM(1))
         staged = flag_clients(hops_scores(feats, 0.3), TopM(1))
         assert det.flagged == staged.flagged
         assert det.threshold_theta == staged.threshold_theta
+
+
+def hops_score_maps():
+    """Score maps over distinct client ids, ties included."""
+    ids = st.lists(st.integers(0, 500), min_size=1, max_size=12, unique=True)
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])  # repeats give ties
+    return ids.flatmap(lambda cids: st.lists(
+        values, min_size=len(cids), max_size=len(cids),
+    ).map(lambda vals: {
+        c: HopsScore(c, v, {lid: v for lid in LayerId}) for c, v in zip(cids, vals)
+    }))
+
+
+class TestTopMProperty:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(hops_score_maps(), st.integers(0, 15))
+    def test_flags_exactly_min_m_n(self, scores, m):
+        det = flag_clients(scores, TopM(m))
+        assert len(det.flagged) == min(m, len(scores))
+        assert det.flagged <= set(scores)
+        # nobody unflagged outranks a flagged client
+        unflagged = [scores[c].score for c in scores if c not in det.flagged]
+        assert all(scores[c].score >= max(unflagged, default=-math.inf)
+                   for c in det.flagged)
 
 
 class TestDetectionInvariances:

@@ -2,15 +2,17 @@
 
 import dataclasses
 import json
+import logging
 import math
 import warnings
 
 import numpy as np
 import pytest
 
+import horus.sim
 from horus.config import ClientTemplate, parse_config
 from horus.errors import SimulationError
-from horus.lora import LayerId, LoraPair
+from horus.lora import LayerId, LoraPair, trim_to_local
 from horus.sim import (
     Dataset,
     LocalModel,
@@ -492,34 +494,53 @@ class TestSimulation:
         assert results[0].metrics.payload_bytes == expected
 
     def test_diagnostics_rows_schema(self):
-        sim = Simulation(tiny_config())
+        sim = Simulation(tiny_config(), diagnostics=True)
         results = sim.run()
         rows = results[0].diagnostics
         assert len(rows) == 4 * 2 * 2  # clients x layers x matrices
         assert {d.matrix for d in rows} == {"A", "B"}
+        assert all(r.diagnostics == [] for r in Simulation(tiny_config()).run())
 
-    @pytest.mark.parametrize("aggregator", ["horus", "median"])
-    def test_each_submitted_factor_is_decomposed_once(self, aggregator, monkeypatch):
+    @pytest.mark.parametrize("aggregator, diagnostics", [
+        pytest.param("horus", True, id="horus"),
+        pytest.param("median", True, id="median"),
+        pytest.param("horus", False, id="horus-plain"),
+        pytest.param("median", False, id="median-plain"),
+    ])
+    def test_each_submitted_factor_is_decomposed_once(
+        self, aggregator, diagnostics, monkeypatch
+    ):
         # four factors a submission: horus decomposes each once for detection,
         # weights and diagnostics, plus the four aggregates it tracks; other
-        # rules decompose only for the diagnostics
+        # rules decompose only for the diagnostics. Matrices are counted over
+        # the leading dimension of each stacked LAPACK call.
         calls = []
         svd = np.linalg.svd
 
         def counting_svd(*args, **kwargs):
-            calls.append(args[0].shape)
+            a = args[0]
+            calls.append(a.shape[0] if a.ndim == 3 else 1)
             return svd(*args, **kwargs)
 
-        sim = Simulation(tiny_config(aggregator=aggregator, rounds=3))
+        sim = Simulation(tiny_config(aggregator=aggregator, rounds=3),
+                         diagnostics=diagnostics)
         sim.warm_up()
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         for _ in range(sim.cfg.rounds):
             calls.clear()
-            n = len(sim.run_round().metrics.participants)
+            participants = sim.run_round().metrics.participants
+            n = len(participants)
+            shapes = {
+                getattr(sim.models[c].lora[lid], factor).shape
+                for c in participants for lid in LayerId for factor in "ab"
+            }
             if aggregator == "horus":
-                assert len(calls) <= 4 * n + 4
+                assert sum(calls) <= 4 * n + 4
+            elif diagnostics:
+                assert sum(calls) == 4 * n
             else:
-                assert len(calls) == 4 * n
+                assert sum(calls) == 0
+            assert len(calls) <= len(shapes) + 4
 
     def test_krum_rounds_with_too_few_participants_are_skipped(self):
         # f=2 is feasible for all 8 clients but not for fewer than 7
@@ -580,6 +601,92 @@ class TestSimulation:
         assert rec["frob"] == {"feature_first": {"a": None, "b": 1.0},
                                "classifier": {"a": None, "b": 2.0}}
         json.dumps(rec, allow_nan=False)
+
+
+class TestRoundWork:
+    """A round re-evaluates and re-trims only the clients it broadcasts to."""
+
+    def pool_config(self, rounds=6):
+        # rates drawn from the default pool, so some clients sit rounds out
+        return tiny_config(clients=[{"count": 4, "hidden_width": 6},
+                                    {"count": 4, "hidden_width": 8}],
+                           rounds=rounds)
+
+    def test_cached_accuracies_equal_a_fresh_evaluation(self, monkeypatch):
+        sim = Simulation(self.pool_config())
+        sim.warm_up()
+        assert all(p.test.n > 0 for p in sim.profiles)
+        calls = []
+
+        def counting(model, dataset):
+            calls.append(model.client_id)
+            return evaluate(model, dataset)
+
+        monkeypatch.setattr(horus.sim, "evaluate", counting)
+        partial = 0
+        for _ in range(sim.cfg.rounds):
+            calls.clear()
+            m = sim.run_round().metrics
+            fresh_global = [evaluate(mod, sim.global_test) for mod in sim.models]
+            fresh_local = [evaluate(mod, p.test)
+                           for mod, p in zip(sim.models, sim.profiles)]
+            assert m.global_accuracy == float(np.mean(fresh_global))
+            assert m.mean_local_accuracy == float(np.mean(fresh_local))
+            if m.round == 1:
+                assert sorted(calls) == sorted(2 * list(range(len(sim.models))))
+            else:
+                assert sorted(calls) == sorted(2 * m.participants)
+            partial += len(m.participants) < len(sim.models)
+        assert partial > 0
+
+    def test_every_participant_trains_from_the_current_state(self, monkeypatch):
+        sim = Simulation(self.pool_config(rounds=8))
+        sim.warm_up()
+        seen = {}
+        train = horus.sim.local_train
+
+        def spying(model, *args, **kwargs):
+            seen[model.client_id] = {lid: (p.a.copy(), p.b.copy())
+                                     for lid, p in model.lora.items()}
+            return train(model, *args, **kwargs)
+
+        monkeypatch.setattr(horus.sim, "local_train", spying)
+        previous: set[int] = set()
+        returning = 0
+        for _ in range(sim.cfg.rounds):
+            state = sim.state.copy()
+            seen.clear()
+            m = sim.run_round().metrics
+            assert sorted(seen) == m.participants
+            for cid in m.participants:
+                dims = sim.models[cid].layer_dims()
+                for lid in LayerId:
+                    want = trim_to_local(state, lid, dims[lid])
+                    assert seen[cid][lid][0].tobytes() == want.a.tobytes()
+                    assert seen[cid][lid][1].tobytes() == want.b.tobytes()
+            if m.round > 1:  # absent last round, so not sent last round's state
+                returning += len(set(m.participants) - previous)
+            previous = set(m.participants)
+        assert returning > 0
+
+    def test_two_participant_horus_round_skips_detection(self, caplog):
+        cfg = tiny_config(
+            clients=[{"count": 1, "hidden_width": 6, "participation_rate": 1.0},
+                     {"count": 1, "hidden_width": 8, "participation_rate": 1.0}],
+            rounds=2,
+        )
+        sim = Simulation(cfg)
+        with caplog.at_level(logging.WARNING, logger="horus.detection"):
+            results = sim.run()
+        assert sum("detection skipped" in r.getMessage()
+                   for r in caplog.records) == cfg.rounds
+        for r in results:
+            assert r.metrics.participants == [0, 1]
+            assert r.detection.skipped and r.detection.flagged == frozenset()
+            rec = r.metrics.to_record()
+            assert rec["detection_skipped"] is True and rec["flagged"] == []
+            assert rec["theta"] is None and rec["aggregation_skipped"] is False
+        assert sim.state.round_index == cfg.rounds
 
 
 class TestClientTemplates:

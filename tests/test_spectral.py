@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from horus.spectral import (
     Spectrum,
     decompose,
+    decompose_many,
     inverse_normal_cdf,
     percentile,
     spectral_entropy,
@@ -311,3 +312,74 @@ class TestInvariances:
         # the weights read |<v1, v_global>|, so only the sign may differ
         assert min(np.linalg.norm(v_pad - extended),
                    np.linalg.norm(v_pad + extended)) <= 1e-10
+
+
+def single_svd_oracle(m):
+    """decompose's contract from one unstacked LAPACK call, and whether the
+    raw first right singular vector had to be flipped."""
+    _, s, vt = np.linalg.svd(m, full_matrices=False)
+    v = vt[0]
+    flipped = bool(v[np.argmax(np.abs(v))] < 0)
+    if not m.any():
+        v, flipped = np.eye(1, m.shape[1])[0], False
+    elif flipped:
+        v = -v
+    return s, v, flipped
+
+
+class TestDecomposeMany:
+    """One stacked SVD per shape gives what a matrix decomposed alone gives."""
+
+    def mixed_batch(self, rng):
+        shapes = [(8, 64), (48, 8), (8, 32), (10, 8), (3, 3), (1, 5), (6, 1)]
+        batch = []
+        for i in range(70):
+            m = rng.normal(size=shapes[i % len(shapes)])
+            if i % 9 == 0:
+                m = np.zeros_like(m)
+            batch.append(m)
+        return batch
+
+    def test_matches_single_matrix_decompositions_bit_for_bit(self):
+        batch = self.mixed_batch(np.random.default_rng(0))
+        flips = []
+        for m, (s, v) in zip(batch, decompose_many(batch)):
+            s_one, v_one = decompose(m)
+            s_raw, v_raw, flipped = single_svd_oracle(m)
+            flips.append(flipped)
+            assert s.nominal_rank == s_one.nominal_rank == min(m.shape)
+            assert s.values.tobytes() == s_one.values.tobytes() == s_raw.tobytes()
+            assert v.tobytes() == v_one.tobytes() == v_raw.tobytes()
+        # the batch covers the sign flip, the unflipped case and zero matrices
+        assert any(flips) and not all(flips)
+        assert sum(not m.any() for m in batch) >= 5
+
+    def test_zero_matrix_gets_first_basis_vector(self):
+        (s, v), = decompose_many([np.zeros((3, 4))])
+        assert s.values.tobytes() == np.zeros(3).tobytes()
+        assert v.tobytes() == np.eye(1, 4)[0].tobytes()
+
+    def test_empty_batch(self):
+        assert decompose_many([]) == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [0, 33, 69])
+    def test_non_finite_matrix_anywhere_raises(self, bad, where):
+        batch = self.mixed_batch(np.random.default_rng(1))
+        batch[where] = batch[where].copy()
+        batch[where][0, -1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose_many(batch)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (4,), (2, 2, 2)])
+    def test_non_matrix_raises(self, shape):
+        with pytest.raises(ValueError, match="non-empty 2-D"):
+            decompose_many([np.ones((2, 3)), np.ones(shape)])
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.lists(matrices(max_rows=4, max_cols=5), min_size=1, max_size=12))
+    def test_property_matches_single_matrix_oracle(self, batch):
+        for m, (s, v) in zip(batch, decompose_many(batch)):
+            s_raw, v_raw, _ = single_svd_oracle(m)
+            assert s.values.tobytes() == s_raw.tobytes()
+            assert v.tobytes() == v_raw.tobytes()
