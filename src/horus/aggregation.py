@@ -106,6 +106,12 @@ class HorusConfig:
     mode: DetectionMode = Percentile(95.0)
     source: MatrixSource = MatrixSource.A
 
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ConfigurationError(f"lambda must be in [0, 1], got {self.lam}")
+        if self.k < 1:
+            raise ConfigurationError(f"k must be >= 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class AggregationOutcome:

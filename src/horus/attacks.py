@@ -164,9 +164,9 @@ def _perturbation(mu: np.ndarray, sigma: np.ndarray,
 
 def min_max_attack(
     benign,
-    direction: PerturbationDirection = PerturbationDirection.NEG_STD,
-    gamma_init: float = 1.0,
-    iters: int = 20,
+    direction: PerturbationDirection = AttackConfig.direction,
+    gamma_init: float = AttackConfig.gamma_init,
+    iters: int = AttackConfig.search_iters,
 ) -> np.ndarray:
     """Push mean + gamma * p as far as possible while staying no farther from
     any benign vector than the benign vectors are from each other.
@@ -195,9 +195,9 @@ def min_max_attack(
 
 def min_sum_attack(
     benign,
-    direction: PerturbationDirection = PerturbationDirection.NEG_STD,
-    gamma_init: float = 1.0,
-    iters: int = 20,
+    direction: PerturbationDirection = AttackConfig.direction,
+    gamma_init: float = AttackConfig.gamma_init,
+    iters: int = AttackConfig.search_iters,
 ) -> np.ndarray:
     """As min_max_attack, but bounded by the worst benign sum of squared
     distances to the rest of the cohort.

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import logging
@@ -19,14 +18,8 @@ from pathlib import Path
 
 import yaml
 
-from .aggregation import AggregatorKind
 from .attacks import AttackKind
-from .config import (
-    AGGREGATOR_DEFAULTS,
-    RunConfig,
-    config_to_dict,
-    load_config,
-)
+from .config import RunConfig, config_to_dict, load_config, parse_config
 from .errors import ConfigurationError, SimulationError
 from .lora import LayerId
 from .sim import RoundResult, Simulation
@@ -155,26 +148,26 @@ def execute_run(cfg: RunConfig, out_dir: Path, diagnostics: bool = False) -> dic
     return summary
 
 
-def _apply_axis(cfg: RunConfig, axis: str, raw: str) -> RunConfig:
-    if axis in ("lambda", "rank"):
+def _cell_config(cfg: RunConfig, axis: str, raw: str, cell_dir: Path) -> RunConfig:
+    """One sweep cell: ``cfg`` re-parsed with the axis key set to ``raw``
+    (a bare aggregator name gets its default parameters) and the output
+    directory set to ``cell_dir``."""
+    data = config_to_dict(cfg)
+    data["output_dir"] = str(cell_dir)
+    if axis == "aggregator":
+        data["aggregator"] = raw
+    elif axis in ("lambda", "rank"):
         try:
             value = float(raw) if axis == "lambda" else int(raw)
         except ValueError:
             raise ConfigurationError(f"sweep value {raw!r} is not a valid {axis}") from None
-    if axis == "lambda":
-        detection = dataclasses.replace(cfg.detection, lam=value)
-        return dataclasses.replace(cfg, detection=detection)
-    if axis == "rank":
-        return dataclasses.replace(cfg, rank=value)
-    if axis == "aggregator":
-        if raw not in AGGREGATOR_DEFAULTS:
-            raise ConfigurationError(
-                f"sweep value {raw!r}: unknown aggregator; "
-                f"expected one of {sorted(AGGREGATOR_DEFAULTS)}"
-            )
-        kind = AggregatorKind(name=raw, **AGGREGATOR_DEFAULTS[raw])
-        return dataclasses.replace(cfg, aggregator=kind)
-    raise ConfigurationError(f"unknown sweep axis {axis!r}")
+        if axis == "lambda":
+            data["detection"]["lambda"] = value
+        else:
+            data["rank"] = value
+    else:
+        raise ConfigurationError(f"unknown sweep axis {axis!r}")
+    return parse_config(data)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -197,10 +190,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
     header = ["axis", "value"] + SUMMARY_FIELDS
     rows: list[list] = []
     for raw in values:
-        cell_cfg = _apply_axis(cfg, axis, raw)
         cell_dir = base / f"{axis}_{raw}"
-        cell_cfg = dataclasses.replace(cell_cfg, output_dir=str(cell_dir))
-        cell_cfg.validate()
+        cell_cfg = _cell_config(cfg, axis, raw, cell_dir)
         log.info("sweep cell %s=%s -> %s", axis, raw, cell_dir)
         try:
             summary = execute_run(cell_cfg, cell_dir)

@@ -1,21 +1,27 @@
 """Run configuration: a strict, human-editable YAML tree.
 
-Every key is validated with an explicit field path before round 1; unknown
-keys are rejected so typos fail fast instead of silently using defaults.
-``parse_config`` and ``config_to_dict`` round-trip exactly.
+The tree mirrors the config dataclasses. A mapping's keys are the fields of
+its dataclass, read with the field's type and defaulting to the field's
+default, so ``parse_config`` and ``config_to_dict`` work from one schema and
+round-trip exactly. Every dataclass validates itself on construction, and a
+parse error names its field path once. Unknown keys are rejected so typos
+fail fast instead of silently using defaults.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import types
 from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 import yaml
 
 from .aggregation import AggregatorKind, HorusConfig
-from .attacks import AttackConfig, AttackKind, PerturbationDirection
-from .detection import MatrixSource, Percentile, TopM
+from .attacks import AttackConfig
+from .detection import DetectionMode, Percentile, TopM
 from .errors import ConfigurationError
 from .sim import TaskConfig
 
@@ -28,7 +34,8 @@ __all__ = [
     "AGGREGATOR_DEFAULTS",
 ]
 
-# Parameter defaults applied when a sweep names an aggregator without params.
+# Parameter defaults applied when a config or sweep names an aggregator
+# without giving them.
 AGGREGATOR_DEFAULTS: dict[str, dict[str, Any]] = {
     "horus": {},
     "fedavg": {},
@@ -37,6 +44,12 @@ AGGREGATOR_DEFAULTS: dict[str, dict[str, Any]] = {
     "median": {},
     "trimmed_mean": {"beta": 0.2},
 }
+
+# The two keys that differ from their field names.
+_KEYS = {(HorusConfig, "lam"): "lambda", (AggregatorKind, "name"): "kind"}
+
+# ``detection.mode`` is written as {percentile: p} or {top_m: m}.
+_MODE_KEYS = {Percentile: "percentile", TopM: "top_m"}
 
 
 @dataclass(frozen=True)
@@ -64,20 +77,20 @@ class ClientTemplate:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    task: TaskConfig
+    task: TaskConfig = TaskConfig()
     clients: tuple[ClientTemplate, ...]
-    aggregator: AggregatorKind
-    detection: HorusConfig
-    attack: AttackConfig
+    aggregator: AggregatorKind = AggregatorKind("horus")
+    detection: HorusConfig = HorusConfig()
+    attack: AttackConfig = AttackConfig()
     rounds: int
     lr: float = 0.3
     epochs: int = 1
     batch: int = 256
     rank: int = 8
     warmup_epochs: int = 10
-    warmup_lr: float | None = None
+    warmup_lr: float | None = None  # None: warm up at ``lr``
     workers: int = 0
     master_seed: int = 0
     output_dir: str = "runs/out"
@@ -96,7 +109,7 @@ class RunConfig:
     def num_clients(self) -> int:
         return sum(t.count for t in self.clients)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         n = self.num_clients
         if n < 1:
             raise ConfigurationError("clients: at least one client required")
@@ -120,212 +133,91 @@ class RunConfig:
                 f"attack.attacker_ids: ids {sorted(bad)} outside [0, {n})"
             )
         self.aggregator.check_feasible(n)
-        if not 0.0 <= self.detection.lam <= 1.0:
-            raise ConfigurationError(
-                f"detection.lambda must be in [0, 1], got {self.detection.lam}"
-            )
-        if self.detection.k < 1:
-            raise ConfigurationError(f"detection.k must be >= 1, got {self.detection.k}")
 
 
-def _reject_unknown(d: Mapping, allowed: set[str], path: str) -> None:
-    unknown = set(d) - allowed
+def _build(cls, kwargs: dict, path: str):
+    try:
+        return cls(**kwargs)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+
+
+def _read_dataclass(cls, data, path: str):
+    if not isinstance(data, Mapping):
+        raise ConfigurationError(f"{path}: expected a mapping")
+    fields = {_KEYS.get((cls, f.name), f.name): f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ConfigurationError(
-            f"{path}: unknown key(s) {sorted(unknown)}; allowed: {sorted(allowed)}"
+            f"{path}: unknown key(s) {sorted(unknown, key=str)}; "
+            f"allowed: {sorted(fields)}"
         )
-
-
-_MISSING = object()
-
-
-def _get(d: Mapping, key: str, path: str, kind, default=_MISSING):
-    if key not in d:
-        if default is _MISSING:
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for key, f in fields.items():
+        if key in data:
+            kwargs[f.name] = _read(hints[f.name], data[key], f"{path}.{key}")
+        elif f.default is dataclasses.MISSING:
             raise ConfigurationError(f"{path}.{key}: required key missing")
-        return default
-    val = d[key]
-    if kind is float and isinstance(val, int) and not isinstance(val, bool):
-        val = float(val)
-    if not isinstance(val, kind) or (isinstance(val, bool) and kind is not bool):
+    return _build(cls, kwargs, path)
+
+
+def _read_mode(spec, path: str) -> DetectionMode:
+    if not isinstance(spec, Mapping) or len(spec) != 1:
         raise ConfigurationError(
-            f"{path}.{key}: expected {getattr(kind, '__name__', kind)}, "
-            f"got {type(val).__name__} ({val!r})"
+            f"{path}: expected exactly one of {{percentile: p}} or {{top_m: m}}"
         )
-    return val
+    ((key, value),) = spec.items()
+    cls = next((c for c, k in _MODE_KEYS.items() if k == key), None)
+    if cls is None:
+        raise ConfigurationError(f"{path}: unknown mode {key!r}")
+    (f,) = dataclasses.fields(cls)
+    path = f"{path}.{key}"
+    return _build(cls, {f.name: _read(get_type_hints(cls)[f.name], value, path)}, path)
 
 
-def _parse_task(d: Mapping, path: str) -> TaskConfig:
-    _reject_unknown(d, {"feature_dim", "num_classes", "samples_per_class",
-                        "class_separation", "noise_scale", "dirichlet_alpha",
-                        "signal_dim", "seed"}, path)
-    signal_dim = d.get("signal_dim", 5)
-    if signal_dim is not None:
-        signal_dim = _get(d, "signal_dim", path, int, 5)
-    try:
-        return TaskConfig(
-            feature_dim=_get(d, "feature_dim", path, int, 64),
-            num_classes=_get(d, "num_classes", path, int, 10),
-            samples_per_class=_get(d, "samples_per_class", path, int, 4000),
-            class_separation=_get(d, "class_separation", path, float, 3.5),
-            noise_scale=_get(d, "noise_scale", path, float, 0.8),
-            dirichlet_alpha=_get(d, "dirichlet_alpha", path, float, 0.3),
-            signal_dim=signal_dim,
-            seed=_get(d, "seed", path, int, 0),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
-def _parse_clients(items, path: str) -> tuple[ClientTemplate, ...]:
-    if not isinstance(items, list) or not items:
-        raise ConfigurationError(f"{path}: expected a non-empty list of templates")
-    out = []
-    for i, item in enumerate(items):
-        p = f"{path}[{i}]"
-        if not isinstance(item, Mapping):
-            raise ConfigurationError(f"{p}: expected a mapping")
-        _reject_unknown(item, {"count", "hidden_width", "participation_rate"}, p)
-        rate = item.get("participation_rate")
-        if rate is not None:
-            rate = _get(item, "participation_rate", p, float)
-        try:
-            out.append(
-                ClientTemplate(
-                    count=_get(item, "count", p, int),
-                    hidden_width=_get(item, "hidden_width", p, int),
-                    participation_rate=rate,
-                )
+def _read(tp, value, path: str):
+    """``value`` read as a ``tp``, or a ConfigurationError naming ``path``."""
+    if tp == DetectionMode:
+        return _read_mode(value, path)
+    if tp is AggregatorKind:
+        if isinstance(value, str):
+            value = {"kind": value}
+        if isinstance(value, Mapping) and isinstance(value.get("kind"), str):
+            value = {**AGGREGATOR_DEFAULTS.get(value["kind"], {}), **value}
+    if dataclasses.is_dataclass(tp):
+        return _read_dataclass(tp, value, path)
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is types.UnionType:  # ``X | None``
+        if value is None:
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _read(tp, value, path)
+    if origin in (tuple, frozenset):
+        if not isinstance(value, list):
+            raise ConfigurationError(
+                f"{path}: expected a list, got {type(value).__name__} ({value!r})"
             )
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"{p}: {exc}") from None
-    return tuple(out)
-
-
-def _parse_aggregator(d, path: str) -> AggregatorKind:
-    if isinstance(d, str):
-        d = {"kind": d, **AGGREGATOR_DEFAULTS.get(d, {})}
-    if not isinstance(d, Mapping):
-        raise ConfigurationError(f"{path}: expected a name or mapping with 'kind'")
-    _reject_unknown(d, {"kind", "f", "m", "beta"}, path)
-    name = _get(d, "kind", path, str)
-    try:
-        return AggregatorKind(
-            name=name,
-            f=_get(d, "f", path, int, AGGREGATOR_DEFAULTS.get(name, {}).get("f", 0)),
-            m=_get(d, "m", path, int, AGGREGATOR_DEFAULTS.get(name, {}).get("m", 1)),
-            beta=_get(d, "beta", path, float,
-                      AGGREGATOR_DEFAULTS.get(name, {}).get("beta", 0.0)),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
-def _parse_detection(d: Mapping, path: str) -> HorusConfig:
-    _reject_unknown(d, {"lambda", "k", "mode", "source"}, path)
-    mode_spec = d.get("mode", {"percentile": 95.0})
-    if not isinstance(mode_spec, Mapping) or len(mode_spec) != 1:
+        return origin(_read(args[0], v, f"{path}[{i}]") for i, v in enumerate(value))
+    if issubclass(tp, Enum):
+        try:
+            return tp(value)
+        except ValueError:
+            raise ConfigurationError(
+                f"{path}: expected one of {[m.value for m in tp]}, got {value!r}"
+            ) from None
+    if tp is float and type(value) is int:
+        return float(value)
+    if not isinstance(value, tp) or (isinstance(value, bool) and tp is not bool):
         raise ConfigurationError(
-            f"{path}.mode: expected exactly one of {{percentile: p}} or {{top_m: m}}"
+            f"{path}: expected {tp.__name__}, got {type(value).__name__} ({value!r})"
         )
-    ((mode_name, mode_val),) = mode_spec.items()
-    if mode_name == "percentile":
-        if not isinstance(mode_val, (int, float)) or not 0 <= mode_val <= 100:
-            raise ConfigurationError(f"{path}.mode.percentile: expected p in [0, 100]")
-        mode = Percentile(float(mode_val))
-    elif mode_name == "top_m":
-        if not isinstance(mode_val, int) or mode_val < 0:
-            raise ConfigurationError(f"{path}.mode.top_m: expected integer >= 0")
-        mode = TopM(mode_val)
-    else:
-        raise ConfigurationError(f"{path}.mode: unknown mode {mode_name!r}")
-    source = _get(d, "source", path, str, "a")
-    if source not in ("a", "b"):
-        raise ConfigurationError(f"{path}.source: expected 'a' or 'b', got {source!r}")
-    return HorusConfig(
-        lam=_get(d, "lambda", path, float, 0.5),
-        k=_get(d, "k", path, int, 5),
-        mode=mode,
-        source=MatrixSource(source),
-    )
-
-
-def _parse_attack(d: Mapping, path: str) -> AttackConfig:
-    _reject_unknown(d, {"kind", "start_round", "attacker_ids", "z_override",
-                        "gamma_init", "search_iters", "direction", "knowledge"}, path)
-    kind_name = _get(d, "kind", path, str, "none")
-    try:
-        kind = AttackKind(kind_name)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}.kind: unknown attack {kind_name!r}; "
-            f"expected one of {[k.value for k in AttackKind]}"
-        ) from None
-    ids = d.get("attacker_ids", [])
-    if not isinstance(ids, list) or not all(isinstance(a, int) for a in ids):
-        raise ConfigurationError(f"{path}.attacker_ids: expected a list of integers")
-    z = d.get("z_override")
-    if z is not None:
-        z = _get(d, "z_override", path, float)
-    direction = _get(d, "direction", path, str, "neg_std")
-    try:
-        direction = PerturbationDirection(direction)
-    except ValueError:
-        raise ConfigurationError(
-            f"{path}.direction: expected one of "
-            f"{[p.value for p in PerturbationDirection]}, got {direction!r}"
-        ) from None
-    try:
-        return AttackConfig(
-            kind=kind,
-            start_round=_get(d, "start_round", path, int, 1),
-            attacker_ids=frozenset(ids),
-            z_override=z,
-            gamma_init=_get(d, "gamma_init", path, float, 1.0),
-            search_iters=_get(d, "search_iters", path, int, 20),
-            direction=direction,
-            knowledge=_get(d, "knowledge", path, str, "own"),
-        )
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
-
-
-_TOP_KEYS = {"task", "clients", "aggregator", "detection", "attack", "rounds",
-             "lr", "epochs", "batch", "rank", "warmup_epochs", "warmup_lr",
-             "workers", "master_seed", "output_dir"}
+    return value
 
 
 def parse_config(data: Mapping, *, path: str = "config") -> RunConfig:
     """Build and validate a RunConfig from a parsed YAML/JSON mapping."""
-    if not isinstance(data, Mapping):
-        raise ConfigurationError(f"{path}: expected a mapping at the top level")
-    _reject_unknown(data, _TOP_KEYS, path)
-    for key in ("task", "detection", "attack"):
-        if key in data and not isinstance(data[key], Mapping):
-            raise ConfigurationError(f"{path}.{key}: expected a mapping")
-    warmup_lr = data.get("warmup_lr")
-    if warmup_lr is not None:
-        warmup_lr = _get(data, "warmup_lr", path, float)
-    cfg = RunConfig(
-        task=_parse_task(data.get("task", {}), f"{path}.task"),
-        clients=_parse_clients(data.get("clients"), f"{path}.clients"),
-        aggregator=_parse_aggregator(data.get("aggregator", "horus"),
-                                     f"{path}.aggregator"),
-        detection=_parse_detection(data.get("detection", {}), f"{path}.detection"),
-        attack=_parse_attack(data.get("attack", {}), f"{path}.attack"),
-        rounds=_get(data, "rounds", path, int),
-        lr=_get(data, "lr", path, float, 0.3),
-        epochs=_get(data, "epochs", path, int, 1),
-        batch=_get(data, "batch", path, int, 256),
-        rank=_get(data, "rank", path, int, 8),
-        warmup_epochs=_get(data, "warmup_epochs", path, int, 10),
-        warmup_lr=warmup_lr,
-        workers=_get(data, "workers", path, int, 0),
-        master_seed=_get(data, "master_seed", path, int, 0),
-        output_dir=_get(data, "output_dir", path, str, "runs/out"),
-    )
-    cfg.validate()
-    return cfg
+    return _read_dataclass(RunConfig, data, path)
 
 
 def load_config(
@@ -351,71 +243,28 @@ def load_config(
     return parse_config(data, path=str(path))
 
 
+def _write(value):
+    if type(value) in _MODE_KEYS:
+        (f,) = dataclasses.fields(value)
+        return {_MODE_KEYS[type(value)]: getattr(value, f.name)}
+    if dataclasses.is_dataclass(value):
+        return {
+            _KEYS.get((type(value), f.name), f.name): _write(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if getattr(value, f.name) is not None or f.default is not None
+        }
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Serialize a RunConfig back to the mapping form parse_config accepts."""
-    mode = cfg.detection.mode
-    mode_spec = (
-        {"percentile": mode.p} if isinstance(mode, Percentile) else {"top_m": mode.m}
-    )
-    out = {
-        "task": {
-            "feature_dim": cfg.task.feature_dim,
-            "num_classes": cfg.task.num_classes,
-            "samples_per_class": cfg.task.samples_per_class,
-            "class_separation": cfg.task.class_separation,
-            "noise_scale": cfg.task.noise_scale,
-            "dirichlet_alpha": cfg.task.dirichlet_alpha,
-            "signal_dim": cfg.task.signal_dim,
-            "seed": cfg.task.seed,
-        },
-        "clients": [
-            {
-                "count": t.count,
-                "hidden_width": t.hidden_width,
-                **(
-                    {"participation_rate": t.participation_rate}
-                    if t.participation_rate is not None
-                    else {}
-                ),
-            }
-            for t in cfg.clients
-        ],
-        "aggregator": {
-            "kind": cfg.aggregator.name,
-            "f": cfg.aggregator.f,
-            "m": cfg.aggregator.m,
-            "beta": cfg.aggregator.beta,
-        },
-        "detection": {
-            "lambda": cfg.detection.lam,
-            "k": cfg.detection.k,
-            "mode": mode_spec,
-            "source": cfg.detection.source.value,
-        },
-        "attack": {
-            "kind": cfg.attack.kind.value,
-            "start_round": cfg.attack.start_round,
-            "attacker_ids": sorted(cfg.attack.attacker_ids),
-            "gamma_init": cfg.attack.gamma_init,
-            "search_iters": cfg.attack.search_iters,
-            "direction": cfg.attack.direction.value,
-            "knowledge": cfg.attack.knowledge,
-            **(
-                {"z_override": cfg.attack.z_override}
-                if cfg.attack.z_override is not None
-                else {}
-            ),
-        },
-        "rounds": cfg.rounds,
-        "lr": cfg.lr,
-        "epochs": cfg.epochs,
-        "batch": cfg.batch,
-        "rank": cfg.rank,
-        "warmup_epochs": cfg.warmup_epochs,
-        "workers": cfg.workers,
-        "master_seed": cfg.master_seed,
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.warmup_lr is not None:
-        out["warmup_lr"] = cfg.warmup_lr
-    return out
+    """Serialize a RunConfig back to the mapping form parse_config accepts.
+
+    A field is left out only when it is None and None is its default.
+    """
+    return _write(cfg)

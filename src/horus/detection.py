@@ -18,6 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .lora import ClientUpdate, LayerId
 from .spectral import (
     Spectrum, decompose_many, percentile, spectral_entropy, topk_energy_ratio,
@@ -86,10 +87,18 @@ class HopsScore:
 class Percentile:
     p: float
 
+    def __post_init__(self):
+        if not 0.0 <= self.p <= 100.0:
+            raise ConfigurationError(f"expected p in [0, 100], got {self.p}")
+
 
 @dataclass(frozen=True)
 class TopM:
     m: int
+
+    def __post_init__(self):
+        if self.m < 0:
+            raise ConfigurationError(f"top-m count must be >= 0, got {self.m}")
 
 
 DetectionMode = Percentile | TopM
@@ -214,8 +223,6 @@ def flag_clients(
         theta = percentile([s.score for s in scores.values()], mode.p)
         flagged = frozenset(c for c, s in scores.items() if s.score > theta)
     elif isinstance(mode, TopM):
-        if mode.m < 0:
-            raise ValueError(f"top-m count must be >= 0, got {mode.m}")
         ordered = sorted(scores.values(), key=lambda s: (-s.score, s.client_id))
         m = min(mode.m, len(ordered))
         flagged = frozenset(s.client_id for s in ordered[:m])

@@ -113,9 +113,6 @@ class ClientUpdate:
     def rank(self) -> int:
         return next(iter(self.layers.values())).rank
 
-    def dims(self) -> dict[LayerId, LayerDims]:
-        return {lid: pair.dims for lid, pair in self.layers.items()}
-
 
 @dataclass
 class GlobalLayer:

@@ -237,10 +237,6 @@ class LocalModel:
     lora: dict[LayerId, LoraPair] | None = None
     frozen: bool = False
 
-    @property
-    def hidden_width(self) -> int:
-        return self.w1.shape[0]
-
     def layer_dims(self) -> dict[LayerId, LayerDims]:
         h, d = self.w1.shape
         c = self.w2.shape[0]
@@ -472,7 +468,6 @@ class Simulation:
     """
 
     def __init__(self, cfg: "RunConfig", diagnostics: bool = False):
-        cfg.validate()
         self.cfg = cfg
         self.diagnostics = diagnostics
         root = np.random.SeedSequence(cfg.master_seed)

@@ -2,14 +2,32 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from horus.aggregation import HorusConfig
+from horus.attacks import AttackKind, PerturbationDirection
 from horus.cli import main
-from horus.config import config_to_dict, load_config, parse_config
+from horus.config import (
+    AGGREGATOR_DEFAULTS,
+    ClientTemplate,
+    RunConfig,
+    config_to_dict,
+    load_config,
+    parse_config,
+)
+from horus.detection import Percentile, TopM
 from horus.errors import ConfigurationError
+
+ROOT = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.yaml")) + sorted(
+    ROOT.glob("bench/configs/*.yaml")
+)
 
 BASE = {
     "task": {"feature_dim": 8, "num_classes": 3, "samples_per_class": 30,
@@ -53,6 +71,12 @@ class TestParsing:
     def test_unknown_top_level_key_rejected(self):
         bad = dict(BASE, banana=1)
         with pytest.raises(ConfigurationError, match="banana"):
+            parse_config(bad)
+
+    def test_unknown_keys_of_mixed_types_rejected(self):
+        bad = dict(BASE, banana=1)
+        bad[7] = 1
+        with pytest.raises(ConfigurationError, match=r"\[7, 'banana'\]"):
             parse_config(bad)
 
     def test_unknown_nested_key_rejected_with_path(self):
@@ -104,6 +128,137 @@ class TestParsing:
         path.write_text("rounds: [unclosed", encoding="utf-8")
         with pytest.raises(ConfigurationError, match="YAML"):
             load_config(path)
+
+    def test_minimal_mapping_takes_every_default(self):
+        clients = [{"count": 3, "hidden_width": 4}]
+        assert parse_config({"clients": clients, "rounds": 1}) == RunConfig(
+            clients=(ClientTemplate(3, 4),), rounds=1
+        )
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"detection": {"mode": {"percentile": True}}},
+         "config.detection.mode.percentile"),
+        ({"detection": {"mode": {"top_m": True}}}, "config.detection.mode.top_m"),
+        ({"attack": {"kind": "lie", "attacker_ids": [True]}},
+         "config.attack.attacker_ids[0]"),
+    ])
+    def test_bools_rejected_as_numbers(self, overrides, path):
+        with pytest.raises(ConfigurationError, match=re.escape(f"{path}: expected")):
+            parse_config(dict(BASE, **overrides))
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"task": {"feature_dim": "x"}}, "config.task.feature_dim"),
+        ({"attack": {"kind": "lie", "start_round": "soon", "attacker_ids": [0]}},
+         "config.attack.start_round"),
+        ({"aggregator": {"kind": "krum", "f": "x"}}, "config.aggregator.f"),
+        ({"clients": [{"count": "a", "hidden_width": 6}]}, "config.clients[0].count"),
+    ])
+    def test_nested_error_names_its_path_once(self, overrides, path):
+        with pytest.raises(ConfigurationError) as exc:
+            parse_config(dict(BASE, **overrides))
+        assert str(exc.value).startswith(f"{path}: expected ")
+
+    @pytest.mark.parametrize("build", [
+        lambda: Percentile(150),
+        lambda: TopM(-1),
+        lambda: HorusConfig(lam=2.0),
+        lambda: HorusConfig(k=0),
+    ], ids=["percentile-150", "top_m-negative", "lambda-2", "k-0"])
+    def test_library_built_configs_validate_themselves(self, build):
+        with pytest.raises(ConfigurationError):
+            build()
+
+    @pytest.mark.parametrize(
+        "path", SHIPPED_CONFIGS, ids=lambda p: str(p.relative_to(ROOT))
+    )
+    def test_shipped_config_parses_and_round_trips(self, path):
+        cfg = load_config(path)
+        dumped = yaml.safe_dump(config_to_dict(cfg), sort_keys=True)
+        assert parse_config(yaml.safe_load(dumped)) == cfg
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False)
+
+
+# Every aggregator bare and as a mapping; case i also fixes the attack kind,
+# direction and knowledge and the detection mode, so each value of each
+# appears in some case.
+AGGREGATOR_FORMS = sorted(AGGREGATOR_DEFAULTS) + [
+    {"kind": name} for name in sorted(AGGREGATOR_DEFAULTS)
+]
+
+
+@st.composite
+def config_mappings(draw, case):
+    """Valid config mappings with optional keys present or absent."""
+    template = st.fixed_dictionaries(
+        {"count": st.integers(7, 9), "hidden_width": st.integers(1, 64)}
+    )
+    task = st.fixed_dictionaries({}, optional={
+        "feature_dim": st.integers(8, 64),
+        "class_separation": _floats(0.5, 5.0),
+        "seed": st.integers(0, 2**31),
+    })
+    form = AGGREGATOR_FORMS[case]
+    aggregator = st.just(form) if isinstance(form, str) else st.fixed_dictionaries(
+        {"kind": st.just(form["kind"])},
+        optional={"f": st.integers(0, 2), "m": st.integers(1, 4),
+                  "beta": _floats(0.0, 0.45)},
+    )
+    mode = (st.builds(lambda p: {"percentile": p}, _floats(0, 100) | st.integers(0, 100))
+            if case % 2 else st.builds(lambda m: {"top_m": m}, st.integers(0, 6)))
+    detection = st.fixed_dictionaries({"mode": mode}, optional={
+        "lambda": _floats(0.0, 1.0), "k": st.integers(1, 8),
+        "source": st.sampled_from(["a", "b"]),
+    })
+    attack = st.fixed_dictionaries({
+        "kind": st.just(list(AttackKind)[case % len(AttackKind)].value),
+        "attacker_ids": st.lists(st.integers(0, 6), min_size=1, max_size=3,
+                                 unique=True),
+        "direction": st.just(list(PerturbationDirection)[case % 2].value),
+        "knowledge": st.just(("own", "all")[case // 6]),
+    }, optional={"start_round": st.integers(1, 50)})
+    data = draw(st.fixed_dictionaries({
+        "clients": st.lists(template, min_size=1, max_size=2),
+        "rounds": st.integers(1, 100),
+        "task": task, "aggregator": aggregator, "detection": detection,
+        "attack": attack,
+    }, optional={
+        "lr": _floats(0.0, 1.0), "rank": st.integers(1, 16),
+        "workers": st.integers(0, 4),
+        "output_dir": st.text("abc/", min_size=1, max_size=8),
+    }))
+    # keys that may be null are left out, null or set by case, so that
+    # every case sees each key in a different one of the three states
+    for i, (mapping, key, value) in enumerate([
+        (data, "warmup_lr", _floats(0.05, 1.0)),
+        (data["clients"][0], "participation_rate", _floats(0.05, 1.0)),
+        (data["attack"], "z_override", _floats(0.1, 3.0)),
+        (data["task"], "signal_dim", st.integers(1, 8)),
+    ]):
+        state = (case + i) % 3
+        if state:
+            mapping[key] = None if state == 1 else draw(value)
+    return data
+
+
+@pytest.mark.parametrize("case", range(len(AGGREGATOR_FORMS)))
+def test_config_round_trips_through_yaml(case):
+    @settings(max_examples=3, derandomize=True, deadline=None)
+    @given(config_mappings(case))
+    def round_trip(data):
+        cfg = parse_config(data)
+        written = config_to_dict(cfg)
+        assert parse_config(yaml.safe_load(yaml.safe_dump(written))) == cfg
+        # only a None whose default is None is left out
+        assert ("warmup_lr" in written) == (data.get("warmup_lr") is not None)
+        assert "signal_dim" in written["task"]
+        assert [("participation_rate" in t) for t in written["clients"]] == [
+            t.get("participation_rate") is not None for t in data["clients"]
+        ]
+
+    round_trip()
 
 
 class TestCliRun:
