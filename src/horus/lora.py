@@ -50,7 +50,7 @@ def _as_float_matrix(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{name} contains non-finite entries")
     return x
 
@@ -82,10 +82,6 @@ class LoraPair:
     @property
     def d_out(self) -> int:
         return self.b.shape[0]
-
-    @property
-    def dims(self) -> LayerDims:
-        return LayerDims(self.d_in, self.d_out)
 
     def delta(self) -> np.ndarray:
         """The dense update ``B @ A`` this pair represents."""

@@ -17,6 +17,7 @@ import hashlib
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from itertools import accumulate
 from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
@@ -267,25 +268,58 @@ def new_model(client_id: int, arch_id: int, feature_dim: int, num_classes: int,
     return LocalModel(client_id=client_id, arch_id=arch_id, w1=w1, w2=w2)
 
 
+def _class_sum(g: np.ndarray) -> np.ndarray:
+    """Sum of a class-major (C, n) array over its classes, bit for bit what
+    numpy's pairwise sum gives for each contiguous row of the (n, C) array:
+    fewer than 8 items in sequence; up to 128 in 8 interleaved accumulators,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the rest one by
+    one; more by halving at a multiple of 8. The sum is then added to 0.0."""
+    c = len(g)
+    if c < 8:
+        return g.sum(axis=0)  # along the outer axis numpy adds in sequence
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _class_sum(g[:half]) + _class_sum(g[half:])
+    stop = c - c % 8
+    acc = g[:8]
+    for start in range(8, stop, 8):
+        acc = acc + g[start : start + 8]
+    pairs = acc[0::2] + acc[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for row in g[stop:]:
+        total += row
+    total += 0.0
+    return total
+
+
 def _softmax_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy w.r.t. the logits, computed in place."""
-    n = len(y)
-    logits -= logits.max(axis=1, keepdims=True)
+    """Gradient of the mean cross-entropy w.r.t. class-major (C, n) logits,
+    computed in place, with the bits of the row-major computation."""
+    n = logits.shape[1]
+    logits -= logits.max(axis=0)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
-    logits[np.arange(n), y] -= 1.0
+    logits /= _class_sum(logits)
+    logits[y, np.arange(n)] -= 1.0
     logits /= n
     return logits
 
 
 def _backprop(w1: np.ndarray, w2: np.ndarray, x: np.ndarray,
               y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the mean cross-entropy w.r.t. both dense weight matrices."""
-    z1 = x @ w1.T
-    hact = np.maximum(z1, 0.0)
-    dlogits = _softmax_gradient(hact @ w2.T, y)
+    """Gradients of the mean cross-entropy w.r.t. both dense weight matrices.
+
+    The softmax gradient is computed class-major and copied back, so that
+    BLAS gets every product in its row-major layout: OpenBLAS rounds a
+    product differently when an operand comes transposed, at many small
+    shapes.
+    """
+    hact = x @ w1.T
+    np.maximum(hact, 0.0, out=hact)
+    dlogits = _softmax_gradient((hact @ w2.T).T.copy(), y).T.copy()
     dw2 = dlogits.T @ hact
-    dz1 = (dlogits @ w2) * (z1 > 0.0)
+    dz1 = dlogits @ w2
+    np.multiply(dz1, hact > 0.0, out=dz1)
     return dz1.T @ x, dw2
 
 
@@ -359,19 +393,27 @@ def local_train(
         return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
     ff, cl = model.lora[LayerId.FEATURE_FIRST], model.lora[LayerId.CLASSIFIER]
     adapters = (ff.a, ff.b, cl.a, cl.b)
+    # the four adapters in one flat vector, so that a step is one scale, one
+    # subtract and one finiteness check; each step's adapters are views of it
+    flat = np.concatenate(adapters, axis=None)
+    parts = [(slice(end - m.size, end), m.shape)
+             for m, end in zip(adapters, accumulate(m.size for m in adapters))]
     batches = (idx for _ in range(epochs) for idx in _minibatches(shard.n, batch, rng))
     with np.errstate(over="ignore", invalid="ignore"):
         for idx in batches:
             grads = adapter_gradients(model.w1, model.w2, *adapters,
                                       shard.x[idx], shard.y[idx])
-            stepped = tuple(m - lr * g for m, g in zip(adapters, grads))
+            stepped = np.concatenate(grads, axis=None)
+            stepped *= lr
+            np.subtract(flat, stepped, out=stepped)  # flat - lr * grads
             # a poisoned broadcast can push gradients past float range; keep
             # the last finite adapters instead of submitting garbage
-            if not all(np.isfinite(m).all() for m in stepped):
+            if not np.isfinite(stepped).all():
                 log.warning("client %d: non-finite training step, stopping early",
                             model.client_id)
                 break
-            adapters = stepped
+            flat = stepped
+            adapters = [flat[part].reshape(shape) for part, shape in parts]
     a1, b1, a2, b2 = adapters
     model.lora = {
         LayerId.FEATURE_FIRST: LoraPair(a1, b1, ff.rank),
@@ -386,7 +428,8 @@ def evaluate(model: LocalModel, dataset: Dataset) -> float:
         raise ValueError("cannot evaluate on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         w1_eff, w2_eff = model.effective_weights()
-        hact = np.maximum(dataset.x @ w1_eff.T, 0.0)
+        hact = dataset.x @ w1_eff.T
+        np.maximum(hact, 0.0, out=hact)
         preds = np.argmax(hact @ w2_eff.T, axis=1)
     return float((preds == dataset.y).mean())
 

@@ -124,19 +124,19 @@ class TestTrimToLocal:
         rng = np.random.default_rng(4)
         u = make_update(rng, ff=(16, 12), cl=(12, 3))
         state = self._state_from(u, GLOBAL_DIMS)
-        for lid in LayerId:
-            pair = trim_to_local(state, lid, u.layers[lid].dims)
-            np.testing.assert_array_equal(pair.a, u.layers[lid].a)
-            np.testing.assert_array_equal(pair.b, u.layers[lid].b)
+        for lid, sent in u.layers.items():
+            pair = trim_to_local(state, lid, LayerDims(sent.d_in, sent.d_out))
+            np.testing.assert_array_equal(pair.a, sent.a)
+            np.testing.assert_array_equal(pair.b, sent.b)
 
     def test_round_trip_on_own_support(self):
         rng = np.random.default_rng(5)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
         state = self._state_from(u, GLOBAL_DIMS)
-        for lid in LayerId:
-            pair = trim_to_local(state, lid, u.layers[lid].dims)
-            np.testing.assert_array_equal(pair.a, u.layers[lid].a)
-            np.testing.assert_array_equal(pair.b, u.layers[lid].b)
+        for lid, sent in u.layers.items():
+            pair = trim_to_local(state, lid, LayerDims(sent.d_in, sent.d_out))
+            np.testing.assert_array_equal(pair.a, sent.a)
+            np.testing.assert_array_equal(pair.b, sent.b)
 
     def test_two_architectures_share_top_left_block(self):
         rng = np.random.default_rng(6)

@@ -8,12 +8,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import horus.attacks
 import horus.sim
 from horus.config import ClientTemplate, parse_config
 from horus.errors import SimulationError
 from horus.lora import LayerId, LoraPair, trim_to_local
 from horus.sim import (
+    _class_sum,
     Dataset,
     LocalModel,
     Simulation,
@@ -212,6 +216,32 @@ class TestTraining:
                         1, 0.1, 4, rng)
 
 
+class TestClassSum:
+    """The class-major softmax sum adds the classes in numpy's order."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(c=st.integers(1, 300), n=st.integers(1, 6),
+           seed=st.integers(0, 2**32 - 1), zero_row=st.booleans())
+    # the edges of numpy's three branches: in sequence below 8, eight
+    # accumulators up to 128, halving above
+    @example(c=7, n=3, seed=0, zero_row=True)
+    @example(c=8, n=3, seed=1, zero_row=True)
+    @example(c=9, n=3, seed=2, zero_row=False)
+    @example(c=16, n=3, seed=3, zero_row=True)
+    @example(c=128, n=3, seed=4, zero_row=False)
+    @example(c=129, n=3, seed=5, zero_row=True)
+    @example(c=256, n=3, seed=6, zero_row=False)
+    @example(c=257, n=3, seed=7, zero_row=True)
+    def test_equals_numpy_row_sums(self, c, n, seed, zero_row):
+        rng = np.random.default_rng(seed)
+        row_major = rng.normal(size=(n, c)) * 10.0 ** rng.uniform(-6, 6, size=(n, c))
+        row_major[rng.random((n, c)) < 0.05] = -0.0
+        if zero_row:  # numpy's sum of negative zeros is +0.0
+            row_major[-1] = -0.0
+        class_major = np.ascontiguousarray(row_major.T)
+        assert _class_sum(class_major).tobytes() == row_major.sum(axis=1).tobytes()
+
+
 def oracle_local_train(model, shard, epochs, lr, batch, rng):
     """The adapter loop in plain numpy, one ``LoraPair`` per step.
 
@@ -265,7 +295,10 @@ def oracle_local_train(model, shard, epochs, lr, batch, rng):
 class TestTrainingLoopOracle:
     """``local_train`` against the plain-numpy loop, bit for bit."""
 
-    def _model_and_shard(self, seed, h, scale=0.3, d=8, c=3, rank=2, n=37):
+    classes = 3  # numpy sums fewer than 8 classes in sequence
+
+    def _model_and_shard(self, seed, h, scale=0.3, d=8, rank=2, n=37):
+        c = self.classes
         rng = np.random.default_rng(seed)
         model = new_model(0, 0, d, c, h, rng)
         model.frozen = True
@@ -319,6 +352,37 @@ class TestTrainingLoopOracle:
         assert rng.bit_generator.state == one_epoch.bit_generator.state
 
 
+class TestTrainingLoopOracle10Classes(TestTrainingLoopOracle):
+    classes = 10  # numpy's 8 accumulators, then a tail of 2
+
+
+class TestTrainingLoopOracle17Classes(TestTrainingLoopOracle):
+    classes = 17  # two blocks of 8 accumulated, then a tail of 1
+
+
+def oracle_warmup(w1, w2, shard, epochs, lr, batch, rng):
+    """Full-backbone mini-batch descent in plain row-major numpy."""
+    w1, w2 = w1.copy(), w2.copy()
+    for _ in range(epochs):
+        perm = rng.permutation(shard.n)
+        for start in range(0, shard.n, batch):
+            idx = perm[start : start + batch]
+            x, y = shard.x[idx], shard.y[idx]
+            n = len(y)
+            z1 = x @ w1.T
+            hact = np.maximum(z1, 0.0)
+            logits = hact @ w2.T
+            expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+            dlogits = expz / expz.sum(axis=1, keepdims=True)
+            dlogits[np.arange(n), y] -= 1.0
+            dlogits /= n
+            dw2 = dlogits.T @ hact
+            dw1 = ((dlogits @ w2) * (z1 > 0.0)).T @ x
+            w1 -= lr * dw1
+            w2 -= lr * dw2
+    return w1, w2
+
+
 class TestWarmup:
     def _setup(self, seed=3):
         rng = np.random.default_rng(seed)
@@ -353,6 +417,23 @@ class TestWarmup:
         w1_eff, w2_eff = model.effective_weights()
         np.testing.assert_array_equal(w1_eff, model.w1)
         np.testing.assert_array_equal(w2_eff, model.w2)
+
+    @pytest.mark.parametrize("h", [6, 9])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_backbone_and_rng_match_the_oracle(self, seed, h):
+        rng = np.random.default_rng(seed)
+        model = new_model(0, 0, 8, 10, h, rng)
+        # 53 samples in batches of 16: three full batches and a ragged one of 5
+        shard = Dataset(rng.normal(size=(53, 8)), rng.integers(0, 10, size=53))
+        init = {FF: LoraPair(np.zeros((2, 8)), np.zeros((h, 2)), 2),
+                CL: LoraPair(np.zeros((2, h)), np.zeros((10, 2)), 2)}
+        rng_oracle = np.random.default_rng(seed)
+        w1, w2 = oracle_warmup(model.w1, model.w2, shard, 3, 0.2, 16, rng_oracle)
+        rng = np.random.default_rng(seed)
+        warmup(model, shard, init, epochs=3, lr=0.2, batch=16, rng=rng)
+        assert model.w1.tobytes() == w1.tobytes()
+        assert model.w2.tobytes() == w2.tobytes()
+        assert rng.bit_generator.state == rng_oracle.bit_generator.state
 
     def test_double_warmup_rejected(self):
         model, train, _, init, rng = self._setup()
@@ -573,6 +654,44 @@ class TestSimulation:
             assert r.detection.flagged == frozenset(r.metrics.participants)
             assert r.metrics.aggregation_skipped
             assert r.metrics.to_record()["aggregation_skipped"] is True
+
+    def test_non_finite_crafted_vector_submits_the_trained_update(
+        self, monkeypatch, caplog
+    ):
+        cfg = tiny_config(rounds=1, attack={
+            "kind": "lie", "start_round": 1, "attacker_ids": [0, 2],
+            "z_override": 1.5,
+        })
+        benign = Simulation(tiny_config(rounds=1)).run()[0].metrics.to_record()
+        trained, submitted = {}, {}
+
+        def non_finite(attack, knowledge, n_total, attacker_ids, rngs):
+            bad = {0: np.nan, 2: np.inf}
+            return {a: np.full(knowledge.shape[1], bad[a]) for a in attacker_ids}
+
+        def spying_train(model, *args, **kwargs):
+            trained[model.client_id] = real_train(model, *args, **kwargs)
+            return trained[model.client_id]
+
+        def spying_aggregate(submissions, *args, **kwargs):
+            submitted.update(submissions)
+            return real_aggregate(submissions, *args, **kwargs)
+
+        real_train, real_aggregate = horus.sim.local_train, horus.sim.horus_aggregate
+        monkeypatch.setattr(horus.attacks, "craft_malicious_vectors", non_finite)
+        monkeypatch.setattr(horus.sim, "local_train", spying_train)
+        monkeypatch.setattr(horus.sim, "horus_aggregate", spying_aggregate)
+        sim = Simulation(cfg)
+        with caplog.at_level(logging.WARNING, logger="horus.sim"):
+            rec = sim.run()[0].metrics.to_record()
+        warned = [r.args[1] for r in caplog.records
+                  if "crafted vector" in r.getMessage()]
+        assert warned == [0, 2]
+        assert submitted[0] is trained[0] and submitted[2] is trained[2]
+        for layer in sim.state.layers.values():
+            assert np.isfinite(layer.a).all() and np.isfinite(layer.b).all()
+        assert rec.keys() == benign.keys()
+        assert rec["positives"] == [0, 2]
 
     def test_frob_of_a_huge_finite_state_is_finite_and_json_safe(self):
         sim = Simulation(tiny_config(aggregator="fedavg", rounds=1))
