@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import warnings
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -160,14 +161,16 @@ def projection_weights(
         log.info("global directions uninitialized; using uniform weights")
         return np.ones((len(decompositions), len(layout)))
     alphas = np.empty((len(decompositions), len(layout)))
-    for i, d in enumerate(decompositions):
-        for j, (lid, factor, _) in enumerate(layout):
-            _, v = d[lid, factor]
-            g_v = getattr(g.layers[lid], "v_" + factor)
-            v_global = np.zeros(len(g_v))
-            v_global[: len(v)] = v
-            alphas[i, j] = np.clip(abs(np.dot(v_global, g_v)), 0.0, 1.0)
-    return alphas
+    for j, (lid, factor, _) in enumerate(layout):
+        g_v = getattr(g.layers[lid], "v_" + factor)
+        vs = np.zeros((len(decompositions), len(g_v)))
+        for i, d in enumerate(decompositions):
+            v = d[lid, factor][1]
+            vs[i, : len(v)] = v
+        # one dot per client: a matrix-vector product rounds differently
+        for i, v_global in enumerate(vs):
+            alphas[i, j] = abs(np.dot(v_global, g_v))
+    return np.clip(alphas, 0.0, 1.0, out=alphas)
 
 
 def update_global_directions(
@@ -231,8 +234,15 @@ def horus_aggregate(
     dims = g.dims()
     values, masks = pad_round([updates[c] for c in benign], dims, g.rank)
     alphas = projection_weights([decompositions[c] for c in benign], g)
-    sizes = [rows * cols for _, _, (rows, cols) in round_layout(dims, g.rank)]
-    flat = masked_mean(values, masks, np.repeat(alphas, sizes, axis=1), g.flat())
+    previous = g.flat()
+    bounds = [0, *accumulate(r * c for _, _, (r, c) in round_layout(dims, g.rank))]
+    # each block's columns with its (n, 1) weight column: the same products
+    # and row-by-row column sums as with the weights repeated per entry
+    flat = np.concatenate([
+        masked_mean(values[:, lo:hi], masks[:, lo:hi], alphas[:, j, None],
+                    previous[lo:hi])
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ])
     state = update_global_directions(g, unflatten_padded(flat, dims, g.rank))
     summary = _summarize(alphas) if g.directions_initialized else None
     return AggregationOutcome(

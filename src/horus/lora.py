@@ -75,6 +75,13 @@ class LoraPair:
         if b.shape[1] != self.rank:
             raise ValueError(f"b has {b.shape[1]} columns, expected rank {self.rank}")
 
+    @classmethod
+    def _trusted(cls, a: np.ndarray, b: np.ndarray, rank: int) -> "LoraPair":
+        """A pair from finite 2-D float matrices its caller has already checked."""
+        pair = object.__new__(cls)
+        pair.__dict__.update(a=a, b=b, rank=rank)
+        return pair
+
     @property
     def d_in(self) -> int:
         return self.a.shape[1]
@@ -170,7 +177,9 @@ class GlobalState:
 
 
 def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
-    """Top-left block of the global aggregate at a client's local shape."""
+    """Top-left block of the global aggregate at a client's local shape, as a
+    checked copy whose arrays are read-only, so that clients of one shape can
+    share it."""
     glayer = g.layers[layer]
     d_in_max, d_out_max = g.dims()[layer]
     if dims.d_in > d_in_max or dims.d_out > d_out_max:
@@ -178,11 +187,13 @@ def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
             f"local dims {tuple(dims)} exceed global maxima "
             f"({d_in_max}, {d_out_max}) on layer {layer.value}"
         )
-    return LoraPair(
+    pair = LoraPair(
         a=glayer.a[:, : dims.d_in].copy(),
         b=glayer.b[: dims.d_out, :].copy(),
         rank=g.rank,
     )
+    pair.a.flags.writeable = pair.b.flags.writeable = False
+    return pair
 
 
 def payload_bytes(u: ClientUpdate) -> int:

@@ -256,8 +256,8 @@ class LocalModel:
 
     def backbone_hash(self) -> str:
         digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.w1).tobytes())
-        digest.update(np.ascontiguousarray(self.w2).tobytes())
+        digest.update(np.ascontiguousarray(self.w1))  # the buffer, not a copy
+        digest.update(np.ascontiguousarray(self.w2))
         return digest.hexdigest()
 
 
@@ -414,10 +414,11 @@ def local_train(
                 break
             flat = stepped
             adapters = [flat[part].reshape(shape) for part, shape in parts]
+    # every step was checked finite above, and the views are 2-D
     a1, b1, a2, b2 = adapters
     model.lora = {
-        LayerId.FEATURE_FIRST: LoraPair(a1, b1, ff.rank),
-        LayerId.CLASSIFIER: LoraPair(a2, b2, cl.rank),
+        LayerId.FEATURE_FIRST: LoraPair._trusted(a1, b1, ff.rank),
+        LayerId.CLASSIFIER: LoraPair._trusted(a2, b2, cl.rank),
     }
     return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
 
@@ -431,7 +432,7 @@ def evaluate(model: LocalModel, dataset: Dataset) -> float:
         hact = dataset.x @ w1_eff.T
         np.maximum(hact, 0.0, out=hact)
         preds = np.argmax(hact @ w2_eff.T, axis=1)
-    return float((preds == dataset.y).mean())
+    return np.count_nonzero(preds == dataset.y) / dataset.n
 
 
 # --- round loop -----------------------------------------------------------
@@ -520,11 +521,11 @@ class Simulation:
         self._profile_rng = np.random.default_rng(ss_profiles)
         self._participation_rng = np.random.default_rng(ss_partic)
 
-        self.pool, self.global_test = generate_task(cfg.task)
+        pool, self.global_test = generate_task(cfg.task)
         templates = cfg.expand_clients()
         n = len(templates)
         shards = dirichlet_partition(
-            self.pool, n, cfg.task.dirichlet_alpha, np.random.default_rng(ss_partition)
+            pool, n, cfg.task.dirichlet_alpha, np.random.default_rng(ss_partition)
         )
         split_rng = np.random.default_rng(ss_partition.spawn(1)[0])
         client_seqs = ss_clients.spawn(n)
@@ -533,7 +534,7 @@ class Simulation:
         for cid, (arch_id, hidden, rate) in enumerate(templates):
             if rate is None:
                 rate = float(self._profile_rng.choice(PARTICIPATION_POOL))
-            train, test = _split_shard(self.pool, shards[cid], split_rng)
+            train, test = _split_shard(pool, shards[cid], split_rng)
             self.profiles.append(
                 ClientProfile(
                     client_id=cid,
@@ -596,13 +597,10 @@ class Simulation:
     def warm_up(self) -> None:
         cfg = self.cfg
         lr = cfg.warmup_lr if cfg.warmup_lr is not None else cfg.lr
+        inits = self._local_states(range(len(self.models)))
         for p, model, rng in zip(self.profiles, self.models, self._client_rngs):
-            init = {
-                lid: trim_to_local(self.state, lid, model.layer_dims()[lid])
-                for lid in LayerId
-            }
             # B is zero in the initial state, so delta starts at exactly 0.
-            warmup(model, p.train, init, cfg.warmup_epochs, lr, cfg.batch, rng)
+            warmup(model, p.train, inits[p.client_id], cfg.warmup_epochs, lr, cfg.batch, rng)
         self._backbone_hashes = [m.backbone_hash() for m in self.models]
 
     def _check_backbones(self) -> None:
@@ -621,13 +619,25 @@ class Simulation:
             if u < p.participation_rate
         ]
 
-    def _broadcast(self, client_ids: list[int]) -> None:
+    def _local_states(self, client_ids) -> dict[int, dict[LayerId, LoraPair]]:
+        """Each client's top-left block of the state in a dict of its own,
+        trimmed (and checked) once per distinct set of local layer dims:
+        clients of one shape share its read-only pairs."""
+        shared: dict[tuple[LayerDims, ...], dict[LayerId, LoraPair]] = {}
+        states = {}
         for cid in client_ids:
-            model = self.models[cid]
-            dims = model.layer_dims()
-            model.lora = {
-                lid: trim_to_local(self.state, lid, dims[lid]) for lid in LayerId
-            }
+            dims = self.models[cid].layer_dims()
+            key = tuple(dims.values())
+            if key not in shared:
+                shared[key] = {
+                    lid: trim_to_local(self.state, lid, dims[lid]) for lid in LayerId
+                }
+            states[cid] = dict(shared[key])
+        return states
+
+    def _broadcast(self, client_ids: list[int]) -> None:
+        for cid, pairs in self._local_states(client_ids).items():
+            self.models[cid].lora = pairs
             self._accuracy.pop(cid, None)
 
     def _train_participants(self, participants: list[int]) -> dict[int, ClientUpdate]:

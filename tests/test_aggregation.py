@@ -563,6 +563,82 @@ class TestPlainMeanReduction:
                     assert diff <= 1e-12 * np.linalg.norm(mean)
 
 
+def mixed_width_round(seed, n, rank):
+    """A round of n clients of random widths under random global maxima, with
+    each client's matrices at its own scale, and a state whose directions are
+    tracked: (updates, state)."""
+    rng = np.random.default_rng(seed)
+    d, h_max, c = (int(x) for x in rng.integers([2, 2, 2], [70, 70, 12]))
+    dims = {FF: LayerDims(d, h_max), CL: LayerDims(h_max, c)}
+    updates = {}
+    for cid in range(n):
+        h = int(rng.integers(1, h_max + 1))
+        u = make_update(rng, cid, rank=rank, ff=(d, h), cl=(h, c))
+        scale = 10.0 ** rng.uniform(-3, 3)
+        updates[cid] = ClientUpdate(cid, 0, {
+            lid: LoraPair(scale * p.a, scale * p.b, rank) for lid, p in u.layers.items()
+        })
+    state = GlobalState.zeros(dims, rank)
+    for lid, layer in state.layers.items():
+        layer.a = rng.normal(size=layer.a.shape)
+        layer.b = rng.normal(size=layer.b.shape)
+        layer.v_a = rng.normal(size=dims[lid].d_in)
+        layer.v_b = rng.normal(size=rank)
+        layer.v_a /= np.linalg.norm(layer.v_a)
+        layer.v_b /= np.linalg.norm(layer.v_b)
+    return updates, state
+
+
+def per_entry_weights(decompositions, g):
+    """Consistency weights entry by entry: each vector zero-extended on its
+    own, one dot product, clipped to [0, 1]."""
+    layout = round_layout(g.dims(), g.rank)
+    out = np.empty((len(decompositions), len(layout)))
+    for i, d in enumerate(decompositions):
+        for j, (lid, factor, _) in enumerate(layout):
+            _, v = d[lid, factor]
+            g_v = getattr(g.layers[lid], "v_" + factor)
+            v_global = np.zeros(len(g_v))
+            v_global[: len(v)] = v
+            out[i, j] = np.clip(abs(np.dot(v_global, g_v)), 0.0, 1.0)
+    return out
+
+
+class TestServerStepBitOracles:
+    """The horus server step keeps the bits of its per-entry formulation."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 8))
+    def test_projection_weights_equal_the_per_entry_oracle(self, seed, n, rank):
+        updates, state = mixed_width_round(seed, n, rank)
+        decompositions = decompose_round(updates)
+        ordered = [decompositions[c] for c in sorted(updates)]
+        got = projection_weights(ordered, state)
+        assert got.tobytes() == per_entry_weights(ordered, state).tobytes()
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 8),
+           st.booleans())
+    def test_block_weighted_mean_equals_the_repeated_weight_mean(
+        self, seed, n, rank, tracked
+    ):
+        updates, state = mixed_width_round(seed, n, rank)
+        if not tracked:  # unit weights before the first aggregate
+            for layer in state.layers.values():
+                layer.v_a = layer.v_b = None
+        out = horus_aggregate(updates, state, HorusConfig(mode=TopM(0)))
+        assert not out.detection.flagged
+        cids = sorted(updates)
+        dims = state.dims()
+        values, masks = pad_round([updates[c] for c in cids], dims, rank)
+        decompositions = decompose_round(updates)
+        alphas = projection_weights([decompositions[c] for c in cids], state)
+        sizes = [r * c for _, _, (r, c) in round_layout(dims, rank)]
+        want = masked_mean(values, masks, np.repeat(alphas, sizes, axis=1),
+                           state.flat())
+        assert out.state.flat().tobytes() == want.tobytes()
+
+
 def brute_force_krum(vectors, masks, f):
     """Exhaustive oracle: all pairwise distances, explicit neighbour sums."""
     n = len(vectors)

@@ -47,6 +47,18 @@ class TestTypes:
         with pytest.raises(ValueError):
             LoraPair(a=a, b=np.zeros((4, 2)), rank=2)
 
+    @pytest.mark.parametrize("a, b", [
+        pytest.param(np.full((2, 3), np.inf), np.zeros((4, 2)), id="inf-a"),
+        pytest.param(np.zeros((2, 3)), np.array([[0.0, 0.0]] * 3 + [[np.nan, 0.0]]),
+                     id="nan-b"),
+        pytest.param(np.zeros(3), np.zeros((4, 2)), id="1d-a"),
+        pytest.param(np.zeros((2, 3)), np.zeros((4, 2, 1)), id="3d-b"),
+    ])
+    def test_public_constructor_keeps_every_check(self, a, b):
+        # training results skip these checks; the public constructor must not
+        with pytest.raises(ValueError, match="non-finite|2-D"):
+            LoraPair(a=a, b=b, rank=2)
+
     def test_client_update_requires_both_layers(self):
         pair = LoraPair(np.zeros((2, 4)), np.zeros((3, 2)), 2)
         with pytest.raises(ValueError):
@@ -148,6 +160,15 @@ class TestTrimToLocal:
         big = trim_to_local(state, CL, LayerDims(12, 3))
         np.testing.assert_array_equal(small.a, big.a[:, :8])
         np.testing.assert_array_equal(small.b, big.b)
+
+    def test_returns_a_read_only_copy(self):
+        state = GlobalState.zeros(GLOBAL_DIMS, 4)
+        pair = trim_to_local(state, CL, LayerDims(8, 3))
+        for m, whole in ((pair.a, state.layers[CL].a), (pair.b, state.layers[CL].b)):
+            assert not m.flags.writeable and not np.shares_memory(m, whole)
+            with pytest.raises(ValueError, match="read-only"):
+                m[0, 0] = 1.0
+        assert state.layers[CL].a.flags.writeable
 
     def test_oversized_local_rejected(self):
         state = GlobalState.zeros(GLOBAL_DIMS, 4)

@@ -1,6 +1,7 @@
 """Unit tests for the synthetic federation: task, partition, training, rounds."""
 
 import dataclasses
+import hashlib
 import json
 import logging
 import math
@@ -442,7 +443,34 @@ class TestWarmup:
             warmup(model, train, init, epochs=1, lr=0.1, batch=32, rng=rng)
 
 
+class TestBackboneHash:
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equals_sha256_of_the_concatenated_bytes(self, layout):
+        rng = np.random.default_rng(4)
+        w1, w2 = rng.normal(size=(7, 10)), rng.normal(size=(3, 7))
+        if layout == "F":
+            w1, w2 = np.asfortranarray(w1), np.asfortranarray(w2)
+        elif layout == "strided":
+            w1 = w1[:, ::2]
+        model = LocalModel(0, 0, w1, w2)
+        want = hashlib.sha256(np.ascontiguousarray(w1).tobytes()
+                              + np.ascontiguousarray(w2).tobytes()).hexdigest()
+        assert model.backbone_hash() == want
+
+
 class TestEvaluate:
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(1, 200_000), st.data())
+    @example(n=2000, data=None)
+    def test_hit_count_over_n_is_the_mean_of_the_hits(self, n, data):
+        # evaluate counts hits; the mean of the 0/1 array it replaced sums
+        # them exactly in float64, and both divide once by n
+        hits = n // 3 if data is None else data.draw(st.integers(0, n))
+        correct = np.zeros(n, dtype=bool)
+        correct[:hits] = True
+        got = np.count_nonzero(correct) / n
+        assert isinstance(got, float) and got.hex() == float(correct.mean()).hex()
+
     def test_constant_predictor_scores_one_over_c(self):
         model = LocalModel(0, 0, np.zeros((4, 6)), np.zeros((3, 4)))
         x = np.random.default_rng(0).normal(size=(300, 6))
@@ -806,6 +834,79 @@ class TestRoundWork:
             assert rec["detection_skipped"] is True and rec["flagged"] == []
             assert rec["theta"] is None and rec["aggregation_skipped"] is False
         assert sim.state.round_index == cfg.rounds
+
+
+class TestSharedBroadcast:
+    """A broadcast trims the state once per client shape, and clients of one
+    shape share the read-only result."""
+
+    def config(self, widths):
+        return tiny_config(clients=[
+            {"count": 1, "hidden_width": w, "participation_rate": 1.0} for w in widths
+        ])
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(st.lists(st.sampled_from([5, 6, 8]), min_size=1, max_size=6), st.data())
+    def test_clients_of_one_width_share_read_only_pairs(self, widths, data):
+        sim = Simulation(self.config(widths))
+        ids = data.draw(st.lists(st.sampled_from(range(len(widths))), unique=True))
+        trims = []
+
+        def counting(*args):
+            trims.append(args)
+            return trim_to_local(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(horus.sim, "trim_to_local", counting)
+            sim._broadcast(ids)
+        assert len(trims) == len(LayerId) * len({widths[c] for c in ids})
+        for c in ids:
+            lora = sim.models[c].lora
+            for d in ids:
+                same = widths[c] == widths[d]
+                assert (sim.models[d].lora is lora) == (c == d)
+                for lid in LayerId:
+                    assert (sim.models[d].lora[lid] is lora[lid]) == same
+            dims = sim.models[c].layer_dims()
+            for lid, pair in lora.items():
+                want = trim_to_local(sim.state, lid, dims[lid])
+                for m, w in ((pair.a, want.a), (pair.b, want.b)):
+                    assert m.tobytes() == w.tobytes() and not m.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        m[0, 0] = 1.0
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(st.sampled_from(list(LayerId)), st.sampled_from("ab"), st.data())
+    def test_a_nan_in_any_block_a_client_receives_raises(self, lid, factor, data):
+        widths = [5, 6, 8, 8]
+        sim = Simulation(self.config(widths))
+        m = getattr(sim.state.layers[lid], factor)
+        row = data.draw(st.integers(0, m.shape[0] - 1))
+        col = data.draw(st.integers(0, m.shape[1] - 1))
+        ids = data.draw(st.lists(st.sampled_from(range(len(widths))), unique=True))
+        m[row, col] = np.nan
+
+        def receives(c):
+            dims = sim.models[c].layer_dims()[lid]
+            rows, cols = (sim.cfg.rank, dims.d_in) if factor == "a" else (
+                dims.d_out, sim.cfg.rank)
+            return row < rows and col < cols
+
+        if any(receives(c) for c in ids):
+            with pytest.raises(ValueError, match="non-finite"):
+                sim._broadcast(ids)
+        else:
+            sim._broadcast(ids)
+
+    def test_a_round_leaves_clients_of_one_width_sharing_pairs(self):
+        sim = Simulation(self.config([6, 6, 8, 8]))
+        results = sim.run()
+        assert all(r.metrics.participants == [0, 1, 2, 3] for r in results)
+        models = sim.models
+        for lid in LayerId:
+            assert models[0].lora[lid] is models[1].lora[lid]
+            assert models[2].lora[lid] is models[3].lora[lid]
+            assert not models[0].lora[lid].a.flags.writeable
 
 
 class TestClientTemplates:
