@@ -113,6 +113,12 @@ class RunConfig:
         n = self.num_clients
         if n < 1:
             raise ConfigurationError("clients: at least one client required")
+        pool = self.task.num_classes * self.task.samples_per_class
+        if n > pool:
+            raise ConfigurationError(
+                f"clients: {n} clients need at least one sample each, "
+                f"but the task pool holds {pool}"
+            )
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
         if self.lr < 0:

@@ -18,7 +18,7 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -137,12 +137,20 @@ class ClientProfile:
     seed: np.random.SeedSequence = field(repr=False)
 
 
-def generate_task(cfg: TaskConfig) -> tuple[Dataset, Dataset]:
+def generate_task(
+    cfg: TaskConfig, *, order: np.ndarray | None = None
+) -> tuple[Dataset, Dataset]:
     """Training pool plus a class-balanced global test set.
 
     Class means are random unit directions scaled by the separation factor;
-    samples add isotropic Gaussian noise. The test set holds one fifth of the
-    per-class training count (at least 10) per class.
+    samples add isotropic Gaussian noise. The pool's samples are drawn class
+    by class, ``samples_per_class`` of each, so class c is drawn as rows
+    [c * m, (c + 1) * m). The test set holds one fifth of the per-class
+    training count (at least 10, at most 200) per class, in the same layout.
+
+    ``order`` (a permutation of the pool's rows) returns the pool as
+    ``pool[order]``, without a second copy: each class's draw is written
+    straight to its rows in that order.
     """
     rng = np.random.default_rng(cfg.seed)
     if cfg.signal_dim is not None and cfg.signal_dim < cfg.feature_dim:
@@ -153,34 +161,53 @@ def generate_task(cfg: TaskConfig) -> tuple[Dataset, Dataset]:
     means /= np.linalg.norm(means, axis=1, keepdims=True)
     means *= cfg.class_separation
 
-    def sample(per_class: int) -> Dataset:
-        xs, ys = [], []
+    def sample(per_class: int, rows: np.ndarray | None = None) -> Dataset:
+        n = cfg.num_classes * per_class
+        x = np.empty((n, cfg.feature_dim))
+        y = np.empty(n, dtype=int)
         for c in range(cfg.num_classes):
+            drawn = slice(c * per_class, (c + 1) * per_class)
+            dest = drawn if rows is None else rows[drawn]
             noise = rng.normal(size=(per_class, cfg.feature_dim))
-            xs.append(means[c] + cfg.noise_scale * noise)
-            ys.append(np.full(per_class, c, dtype=int))
-        return Dataset(np.concatenate(xs), np.concatenate(ys))
+            noise *= cfg.noise_scale
+            noise += means[c]  # the bits of means[c] + noise_scale * noise
+            x[dest] = noise
+            y[dest] = c
+        return Dataset(x, y)
 
-    train = sample(cfg.samples_per_class)
+    rows = None
+    if order is not None:
+        n = cfg.num_classes * cfg.samples_per_class
+        order = np.asarray(order)
+        if not np.array_equal(np.sort(order), np.arange(n)):
+            raise ValueError(f"order must be a permutation of the {n} pool rows")
+        rows = np.empty(n, dtype=np.intp)  # where each drawn sample goes
+        rows[order] = np.arange(n)
+    train = sample(cfg.samples_per_class, rows)
     test = sample(min(200, max(10, cfg.samples_per_class // 5)))
     return train, test
 
 
 def dirichlet_partition(
-    pool: Dataset, num_clients: int, alpha: float, rng: np.random.Generator
+    labels: np.ndarray, num_clients: int, alpha: float, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Index shards with per-class proportions drawn from Dirichlet(alpha).
+    """Shards of the indices of ``labels``, with per-class proportions drawn
+    from Dirichlet(alpha).
 
     Draws are Gamma(alpha, 1) normalized per class. If some client ends up
     with an empty shard the draw is repeated (up to 100 times), after which
     the largest shards donate one sample each round-robin until every client
-    has at least one.
+    has at least one; so there must be at least one sample per client.
     """
     if alpha <= 0:
         raise ConfigurationError(f"alpha must be > 0, got {alpha}")
     if num_clients < 1:
         raise ConfigurationError("need at least one client")
-    class_indices = [np.flatnonzero(pool.y == c) for c in np.unique(pool.y)]
+    if num_clients > len(labels):
+        raise ConfigurationError(
+            f"{num_clients} clients need at least as many samples, got {len(labels)}"
+        )
+    class_indices = [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
     shards: list[list[int]] = []
     for _ in range(100):
@@ -209,16 +236,12 @@ def dirichlet_partition(
 
 
 def _split_shard(
-    pool: Dataset, indices: np.ndarray, rng: np.random.Generator
-) -> tuple[Dataset, Dataset]:
-    """80/20 train/test split of one client's shard."""
+    indices: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """80/20 (train, test) split of one client's shard indices."""
     perm = rng.permutation(indices)
     n_test = max(1, len(perm) // 5) if len(perm) >= 2 else 0
-    test_idx, train_idx = perm[:n_test], perm[n_test:]
-    return (
-        Dataset(pool.x[train_idx], pool.y[train_idx]),
-        Dataset(pool.x[test_idx], pool.y[test_idx]),
-    )
+    return perm[n_test:], perm[:n_test]
 
 
 # --- local model ----------------------------------------------------------
@@ -246,12 +269,15 @@ class LocalModel:
             LayerId.CLASSIFIER: LayerDims(d_in=h, d_out=c),
         }
 
-    def effective_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def effective_weights(
+        self, delta: Callable[[LoraPair], np.ndarray] = LoraPair.delta
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Backbone plus adapter update; ``delta`` gives a pair's ``B @ A``."""
         if self.lora is None:
             return self.w1, self.w2
         return (
-            self.w1 + self.lora[LayerId.FEATURE_FIRST].delta(),
-            self.w2 + self.lora[LayerId.CLASSIFIER].delta(),
+            self.w1 + delta(self.lora[LayerId.FEATURE_FIRST]),
+            self.w2 + delta(self.lora[LayerId.CLASSIFIER]),
         )
 
     def backbone_hash(self) -> str:
@@ -327,17 +353,6 @@ def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y):
     """(dA1, dB1, dA2, dB2) of the mean cross-entropy, backbone held fixed."""
     dw1, dw2 = _backprop(w1 + b1 @ a1, w2 + b2 @ a2, x, y)
     return b1.T @ dw1, dw1 @ a1.T, b2.T @ dw2, dw2 @ a2.T
-
-
-def lora_loss(model: LocalModel, lora: Mapping[LayerId, LoraPair],
-              x: np.ndarray, y: np.ndarray) -> float:
-    """Cross-entropy of the model with the given adapter values."""
-    w1_eff = model.w1 + lora[LayerId.FEATURE_FIRST].delta()
-    w2_eff = model.w2 + lora[LayerId.CLASSIFIER].delta()
-    logits = np.maximum(x @ w1_eff.T, 0.0) @ w2_eff.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=1))
-    return float((logsumexp - shifted[np.arange(len(y)), y]).mean())
 
 
 def _minibatches(n: int, batch: int, rng: np.random.Generator):
@@ -423,12 +438,16 @@ def local_train(
     return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
 
 
-def evaluate(model: LocalModel, dataset: Dataset) -> float:
-    """Fraction of argmax-correct predictions (ties go to the lowest class)."""
+def evaluate(model: LocalModel, dataset: Dataset,
+             weights: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Fraction of argmax-correct predictions (ties go to the lowest class).
+
+    ``weights`` are the model's effective weights, if the caller has them.
+    """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
-        w1_eff, w2_eff = model.effective_weights()
+        w1_eff, w2_eff = model.effective_weights() if weights is None else weights
         hact = dataset.x @ w1_eff.T
         np.maximum(hact, 0.0, out=hact)
         preds = np.argmax(hact @ w2_eff.T, axis=1)
@@ -521,20 +540,33 @@ class Simulation:
         self._profile_rng = np.random.default_rng(ss_profiles)
         self._participation_rng = np.random.default_rng(ss_partic)
 
-        pool, self.global_test = generate_task(cfg.task)
         templates = cfg.expand_clients()
         n = len(templates)
+        # partitioning reads only labels, and the pool draws class c as rows
+        # [c * m, (c + 1) * m): every client's rows are known before any x is
+        # drawn, so the pool is written once, in client order (client 0's
+        # train rows, its test rows, client 1's train rows, ...), and each
+        # shard is a row block of it
+        task = cfg.task
+        labels = np.repeat(np.arange(task.num_classes), task.samples_per_class)
         shards = dirichlet_partition(
-            pool, n, cfg.task.dirichlet_alpha, np.random.default_rng(ss_partition)
+            labels, n, task.dirichlet_alpha, np.random.default_rng(ss_partition)
         )
         split_rng = np.random.default_rng(ss_partition.spawn(1)[0])
+        blocks = [idx for shard in shards for idx in _split_shard(shard, split_rng)]
+        pool, self.global_test = generate_task(task, order=np.concatenate(blocks))
+        pool.x.flags.writeable = False  # shared by every client's views
+        pool.y.flags.writeable = False
+        bounds = [0, *accumulate(len(idx) for idx in blocks)]
+        views = [Dataset(pool.x[lo:hi], pool.y[lo:hi])
+                 for lo, hi in zip(bounds, bounds[1:])]
         client_seqs = ss_clients.spawn(n)
 
         self.profiles: list[ClientProfile] = []
         for cid, (arch_id, hidden, rate) in enumerate(templates):
             if rate is None:
                 rate = float(self._profile_rng.choice(PARTICIPATION_POOL))
-            train, test = _split_shard(pool, shards[cid], split_rng)
+            train, test = views[2 * cid], views[2 * cid + 1]
             self.profiles.append(
                 ClientProfile(
                     client_id=cid,
@@ -820,12 +852,23 @@ class Simulation:
         aggregation_skipped: bool,
     ) -> RoundMetrics:
         cfg = self.cfg
-        # only models broadcast to since their last evaluation have changed
+        # only models broadcast to since their last evaluation have changed;
+        # each is evaluated on both test sets with one set of effective
+        # weights, and clients of one shape share their pairs' deltas
+        deltas: dict[int, np.ndarray] = {}  # by id: the models keep the pairs
+
+        def shared_delta(pair: LoraPair) -> np.ndarray:
+            if id(pair) not in deltas:
+                deltas[id(pair)] = pair.delta()
+            return deltas[id(pair)]
+
         for m, p in zip(self.models, self.profiles):
             if m.client_id not in self._accuracy:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    weights = m.effective_weights(shared_delta)
                 self._accuracy[m.client_id] = (
-                    evaluate(m, self.global_test),
-                    evaluate(m, p.test) if p.test.n > 0 else None,
+                    evaluate(m, self.global_test, weights),
+                    evaluate(m, p.test, weights) if p.test.n > 0 else None,
                 )
         accuracy = [self._accuracy[m.client_id] for m in self.models]
         global_acc = float(np.mean([g for g, _ in accuracy]))

@@ -104,6 +104,15 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="krum"):
             parse_config(bad)
 
+    def test_more_clients_than_pool_samples_rejected(self):
+        # 2 classes x 2 samples: 4 samples cannot give 6 clients one each
+        tiny = dict(BASE["task"], num_classes=2, samples_per_class=2)
+        clients = [{"count": 6, "hidden_width": 6, "participation_rate": 1.0}]
+        with pytest.raises(ConfigurationError, match="6 clients"):
+            parse_config(dict(BASE, task=tiny, clients=clients))
+        cfg = parse_config(dict(BASE, task=tiny, clients=[dict(clients[0], count=4)]))
+        assert cfg.num_clients == 4
+
     def test_aggregator_shorthand_gets_defaults(self):
         cfg = parse_config(dict(BASE, clients=[
             {"count": 10, "hidden_width": 6, "participation_rate": 1.0}

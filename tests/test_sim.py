@@ -5,7 +5,9 @@ import hashlib
 import json
 import logging
 import math
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +16,8 @@ from hypothesis import strategies as st
 
 import horus.attacks
 import horus.sim
-from horus.config import ClientTemplate, parse_config
-from horus.errors import SimulationError
+from horus.config import ClientTemplate, load_config, parse_config
+from horus.errors import ConfigurationError, SimulationError
 from horus.lora import LayerId, LoraPair, trim_to_local
 from horus.sim import (
     _class_sum,
@@ -28,12 +30,24 @@ from horus.sim import (
     evaluate,
     generate_task,
     local_train,
-    lora_loss,
     new_model,
     warmup,
 )
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def lora_loss(model, lora, x, y):
+    """Mean cross-entropy of ``model`` with the adapters ``lora``, written
+    out here from the forward pass, so that the finite-difference oracle
+    shares no code with the gradients it checks."""
+    w1 = model.w1 + lora[FF].b @ lora[FF].a
+    w2 = model.w2 + lora[CL].b @ lora[CL].a
+    logits = np.maximum(x @ w1.T, 0.0) @ w2.T
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    logsumexp = np.log(np.exp(shifted).sum(axis=1))
+    return float((logsumexp - shifted[np.arange(len(y)), y]).mean())
 
 
 def tiny_config(**overrides):
@@ -102,7 +116,7 @@ class TestDirichletPartition:
 
     def test_partition_is_exact(self):
         pool = self._pool()
-        shards = dirichlet_partition(pool, 5, 0.5, np.random.default_rng(0))
+        shards = dirichlet_partition(pool.y, 5, 0.5, np.random.default_rng(0))
         joined = np.concatenate(shards)
         assert len(joined) == pool.n
         assert len(np.unique(joined)) == pool.n
@@ -110,22 +124,31 @@ class TestDirichletPartition:
     def test_every_client_nonempty(self):
         pool = self._pool(n_per_class=10, classes=2)
         for seed in range(10):
-            shards = dirichlet_partition(pool, 8, 0.05, np.random.default_rng(seed))
+            shards = dirichlet_partition(pool.y, 8, 0.05, np.random.default_rng(seed))
             assert all(len(s) >= 1 for s in shards)
 
     def test_huge_alpha_near_uniform(self):
         pool = self._pool(n_per_class=500, classes=4)
-        shards = dirichlet_partition(pool, 4, 1e6, np.random.default_rng(1))
+        shards = dirichlet_partition(pool.y, 4, 1e6, np.random.default_rng(1))
         for shard in shards:
             hist = np.bincount(pool.y[shard], minlength=4) / len(shard)
             tv = 0.5 * np.abs(hist - 0.25).sum()
             assert tv <= 0.05
 
+    def test_more_clients_than_samples_rejected(self):
+        # 4 samples cannot give 6 clients one each; the donor loop would
+        # hand one sample round forever
+        pool = self._pool(n_per_class=2, classes=2)
+        with pytest.raises(ConfigurationError, match="6 clients"):
+            dirichlet_partition(pool.y, 6, 0.5, np.random.default_rng(0))
+        shards = dirichlet_partition(pool.y, 4, 0.5, np.random.default_rng(0))
+        assert sorted(len(s) for s in shards) == [1, 1, 1, 1]
+
     def test_small_alpha_produces_skew(self):
         pool = self._pool(n_per_class=500, classes=4)
         skewed = False
         for seed in range(5):
-            shards = dirichlet_partition(pool, 4, 0.1, np.random.default_rng(seed))
+            shards = dirichlet_partition(pool.y, 4, 0.1, np.random.default_rng(seed))
             for shard in shards:
                 hist = np.bincount(pool.y[shard], minlength=4) / len(shard)
                 if hist.max() > 0.5:
@@ -150,6 +173,123 @@ def finite_difference_grads(model, lora, x, y, eps=1e-5):
                           - lora_loss(model, bumped_minus, x, y)) / (2 * eps)
             grads.setdefault(lid, {})[name] = g
     return grads
+
+
+def concatenated_task(cfg):
+    """The pool and test set as a list of per-class arrays, concatenated:
+    the reference that the in-place build must match byte for byte."""
+    rng = np.random.default_rng(cfg.seed)
+    if cfg.signal_dim is not None and cfg.signal_dim < cfg.feature_dim:
+        basis, _ = np.linalg.qr(rng.normal(size=(cfg.feature_dim, cfg.signal_dim)))
+        means = rng.normal(size=(cfg.num_classes, cfg.signal_dim)) @ basis.T
+    else:
+        means = rng.normal(size=(cfg.num_classes, cfg.feature_dim))
+    means /= np.linalg.norm(means, axis=1, keepdims=True)
+    means *= cfg.class_separation
+
+    def sample(per_class):
+        xs, ys = [], []
+        for c in range(cfg.num_classes):
+            noise = rng.normal(size=(per_class, cfg.feature_dim))
+            xs.append(means[c] + cfg.noise_scale * noise)
+            ys.append(np.full(per_class, c, dtype=int))
+        return Dataset(np.concatenate(xs), np.concatenate(ys))
+
+    return sample(cfg.samples_per_class), sample(
+        min(200, max(10, cfg.samples_per_class // 5)))
+
+
+def gathered_shards(cfg):
+    """Each client's (train, test) gathered out of the pool after an 80/20
+    split of its shard's permutation, from the same seed streams."""
+    pool, test = concatenated_task(cfg.task)
+    ss_partition = np.random.SeedSequence(cfg.master_seed).spawn(6)[1]
+    shards = dirichlet_partition(pool.y, cfg.num_clients, cfg.task.dirichlet_alpha,
+                                 np.random.default_rng(ss_partition))
+    split_rng = np.random.default_rng(ss_partition.spawn(1)[0])
+    out = []
+    for shard in shards:
+        perm = split_rng.permutation(shard)
+        n_test = max(1, len(perm) // 5) if len(perm) >= 2 else 0
+        out.append(tuple(Dataset(pool.x[idx], pool.y[idx])
+                         for idx in (perm[n_test:], perm[:n_test])))
+    return out, test
+
+
+def same_bytes(got: Dataset, want: Dataset) -> bool:
+    return (got.x.shape == want.x.shape and got.x.tobytes() == want.x.tobytes()
+            and got.y.dtype == want.y.dtype and got.y.tobytes() == want.y.tobytes())
+
+
+class TestTaskInClientOrder:
+    """The pool is written once, in client order, and every shard is a row
+    block of it holding the bytes the gathered construction gave."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        feature_dim=st.integers(2, 5),
+        num_classes=st.integers(2, 4),
+        samples_per_class=st.integers(1, 12),
+        signal_dim=st.one_of(st.none(), st.integers(1, 2)),
+        alpha=st.sampled_from([0.05, 0.5, 5.0]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    # four 1-sample shards: every client's test set is empty
+    @example(feature_dim=3, num_classes=2, samples_per_class=2, signal_dim=None,
+             alpha=0.5, seed=0, data=None)
+    def test_shards_equal_the_gathered_construction(
+        self, feature_dim, num_classes, samples_per_class, signal_dim, alpha,
+        seed, data,
+    ):
+        pool_size = num_classes * samples_per_class
+        n = pool_size if data is None else data.draw(st.integers(1, min(8, pool_size)))
+        task = {"feature_dim": feature_dim, "num_classes": num_classes,
+                "samples_per_class": samples_per_class, "signal_dim": signal_dim,
+                "dirichlet_alpha": alpha, "seed": seed}
+        cfg = tiny_config(
+            task=task, aggregator="fedavg", master_seed=seed + 1,
+            clients=[{"count": n, "hidden_width": 4, "participation_rate": 1.0}],
+        )
+        sim = Simulation(cfg)
+        want, want_test = gathered_shards(cfg)
+        assert same_bytes(sim.global_test, want_test)
+        buffer = sim.profiles[0].train.x.base
+        assert buffer is not None and not buffer.flags.writeable
+        for p, (train, test) in zip(sim.profiles, want, strict=True):
+            assert same_bytes(p.train, train) and same_bytes(p.test, test)
+            assert p.train.x.base is buffer and p.test.x.base is buffer
+        if data is None:
+            assert all(p.train.n == 1 and p.test.n == 0 for p in sim.profiles)
+
+        pool, test = generate_task(cfg.task)
+        want_pool, want_test = concatenated_task(cfg.task)
+        assert same_bytes(pool, want_pool) and same_bytes(test, want_test)
+        order = np.random.default_rng(seed).permutation(pool_size)
+        shuffled, _ = generate_task(cfg.task, order=order)
+        assert same_bytes(shuffled, Dataset(want_pool.x[order], want_pool.y[order]))
+
+    def test_order_must_be_a_permutation(self):
+        task = TaskConfig(feature_dim=3, num_classes=2, samples_per_class=3,
+                          signal_dim=None)
+        for order in ([0, 1, 2, 3, 4, 4], [0, 1, 2], [5, 4, 3, 2, 1, 6]):
+            with pytest.raises(ValueError, match="permutation"):
+                generate_task(task, order=np.array(order))
+
+    def test_setup_holds_the_pool_about_once(self):
+        # the gathered construction peaked at 2.2x the pool
+        cfg = load_config(ROOT / "configs" / "lie_attack.yaml")
+        tracemalloc.start()
+        try:
+            sim = Simulation(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        pool = sum(d.x.nbytes + d.y.nbytes
+                   for p in sim.profiles for d in (p.train, p.test))
+        assert pool == cfg.task.num_classes * cfg.task.samples_per_class * (
+            cfg.task.feature_dim + 1) * 8
+        assert peak <= 1.5 * pool
 
 
 class TestTraining:
@@ -765,9 +905,9 @@ class TestRoundWork:
         assert all(p.test.n > 0 for p in sim.profiles)
         calls = []
 
-        def counting(model, dataset):
+        def counting(model, dataset, *weights):
             calls.append(model.client_id)
-            return evaluate(model, dataset)
+            return evaluate(model, dataset, *weights)
 
         monkeypatch.setattr(horus.sim, "evaluate", counting)
         partial = 0
