@@ -40,8 +40,6 @@ from .lora import (
 )
 from .sim import Simulation, TaskConfig, generate_task
 from .spectral import (
-    Spectrum,
-    decompose,
     decompose_many,
     inverse_normal_cdf,
     percentile,
@@ -59,8 +57,8 @@ __all__ = [
     "ClientUpdate", "GlobalState", "LayerDims", "LayerId", "LoraPair", "pad_round",
     "payload_bytes", "trim_to_local",
     "Simulation", "TaskConfig", "generate_task",
-    "Spectrum", "decompose", "decompose_many", "inverse_normal_cdf", "percentile",
-    "spectral_entropy", "topk_energy_ratio",
+    "decompose_many", "inverse_normal_cdf", "percentile", "spectral_entropy",
+    "topk_energy_ratio",
 ]
 
 __version__ = "0.1.0"

@@ -25,8 +25,8 @@ from .lora import LayerId
 from .sim import RoundResult, Simulation
 
 __all__ = [
-    "SUMMARY_FIELDS", "DIAGNOSTIC_FIELDS", "summarize", "execute_run", "cmd_run",
-    "cmd_diagnose", "cmd_sweep", "main",
+    "SUMMARY_FIELDS", "DIAGNOSTIC_FIELDS", "summarize", "execute_run", "cmd_sweep",
+    "main",
 ]
 
 log = logging.getLogger(__name__)
@@ -170,16 +170,6 @@ def _cell_config(cfg: RunConfig, axis: str, raw: str, cell_dir: Path) -> RunConf
     return parse_config(data)
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    execute_run(cfg, Path(cfg.output_dir))
-    return 0
-
-
-def cmd_diagnose(cfg: RunConfig) -> int:
-    execute_run(cfg, Path(cfg.output_dir), diagnostics=True)
-    return 0
-
-
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[str]) -> int:
     """One full run per value in its own sub-directory, joined in sweep.csv.
 
@@ -247,10 +237,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "diagnose":
-            return cmd_diagnose(cfg)
+        if args.command in ("run", "diagnose"):
+            execute_run(cfg, Path(cfg.output_dir),
+                        diagnostics=args.command == "diagnose")
+            return 0
         values = [v.strip() for v in args.values.split(",") if v.strip()]
         if not values:
             print("sweep: --values must list at least one value", file=sys.stderr)

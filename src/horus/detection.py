@@ -2,7 +2,9 @@
 
 Each client's score combines two per-layer spectral indicators of its LoRA-A
 matrices: the top-k energy ratio (concentration along dominant directions)
-and the spectral entropy (dispersion across directions). Both are reduced to
+and the spectral entropy (dispersion across directions). Both are read from
+the singular-value arrays that :func:`decompose_round` gets for the whole
+round at once, one stacked SVD per shape. Both are reduced to
 absolute deviations from round-wise reference statistics, so the score is
 insensitive to matrix shape and to anything shared by the whole round's
 population. Only LoRA-A is read; LoRA-B is deliberately never touched here
@@ -20,9 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lora import ClientUpdate, LayerId
-from .spectral import (
-    Spectrum, decompose_many, percentile, spectral_entropy, topk_energy_ratio,
-)
+from .spectral import decompose_many, percentile, spectral_entropy, topk_energy_ratio
 
 __all__ = [
     "MatrixSource",
@@ -58,7 +58,6 @@ class MatrixSource(str, Enum):
 class LayerFeatures:
     entropy_h: float
     ratio_rk: float
-    k_used: int
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,10 @@ class RoundDetection:
         object.__setattr__(self, "flagged", frozenset(self.flagged))
 
 
-# One submission's factors, each as :func:`horus.spectral.decompose` returns
-# it, keyed (layer, factor) like the blocks of :func:`horus.lora.round_layout`.
-UpdateDecomposition = dict[tuple[LayerId, str], tuple[Spectrum, np.ndarray]]
+# One submission's factors, each as the (singular values, first right
+# singular vector) pair :func:`horus.spectral.decompose_many` returns, keyed
+# (layer, factor) like the blocks of :func:`horus.lora.round_layout`.
+UpdateDecomposition = dict[tuple[LayerId, str], tuple[np.ndarray, np.ndarray]]
 
 
 def decompose_round(
@@ -151,19 +151,16 @@ def client_features(
     """Spectral entropy and top-k energy ratio per instrumented layer.
 
     Features are computed from the decomposition of the layer's A matrix
-    alone (``source=B`` swaps in the B matrix for ablation runs). ``k`` is
-    clamped to the nominal rank.
+    alone (``source=B`` swaps in the B matrix for ablation runs).
+    :func:`horus.spectral.topk_energy_ratio` clamps ``k`` to the number of
+    singular values.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     feats: dict[LayerId, LayerFeatures] = {}
     for lid in LayerId:
-        spectrum, _ = d[lid, source.value]
-        k_used = min(k, spectrum.nominal_rank)
+        values, _ = d[lid, source.value]
         feats[lid] = LayerFeatures(
-            entropy_h=spectral_entropy(spectrum),
-            ratio_rk=topk_energy_ratio(spectrum, k_used),
-            k_used=k_used,
+            entropy_h=spectral_entropy(values),
+            ratio_rk=topk_energy_ratio(values, k),
         )
     return SpectralFeatures(layers=feats)
 

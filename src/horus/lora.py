@@ -82,14 +82,6 @@ class LoraPair:
         pair.__dict__.update(a=a, b=b, rank=rank)
         return pair
 
-    @property
-    def d_in(self) -> int:
-        return self.a.shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.b.shape[0]
-
     def delta(self) -> np.ndarray:
         """The dense update ``B @ A`` this pair represents."""
         return self.b @ self.a
@@ -111,10 +103,6 @@ class ClientUpdate:
         if len(ranks) != 1:
             raise ValueError(f"client {self.client_id} has mixed ranks {ranks}")
         object.__setattr__(self, "layers", dict(self.layers))
-
-    @property
-    def rank(self) -> int:
-        return next(iter(self.layers.values())).rank
 
 
 @dataclass
@@ -162,18 +150,6 @@ class GlobalState:
             for lid, d in dims.items()
         }
         return cls(layers=layers, rank=rank, round_index=0)
-
-    def copy(self) -> "GlobalState":
-        layers = {
-            lid: GlobalLayer(
-                a=g.a.copy(),
-                b=g.b.copy(),
-                v_a=None if g.v_a is None else g.v_a.copy(),
-                v_b=None if g.v_b is None else g.v_b.copy(),
-            )
-            for lid, g in self.layers.items()
-        }
-        return GlobalState(layers=layers, rank=self.rank, round_index=self.round_index)
 
 
 def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:

@@ -1,6 +1,7 @@
 """Synthetic hyper-heterogeneous federated simulation.
 
-Ten-ish clients with two different backbone widths train low-rank adapters on
+Clients of the backbone widths the config lists (the shipped configs run
+from 10 clients of two widths to 300 of three) train low-rank adapters on
 Dirichlet-skewed shards of a Gaussian-mixture classification task. Each round
 the server runs the configured aggregation rule (optionally with poisoning
 detection) and broadcasts the result; an attacker cohort can replace its
@@ -209,9 +210,9 @@ def dirichlet_partition(
         )
     class_indices = [np.flatnonzero(labels == c) for c in np.unique(labels)]
 
-    shards: list[list[int]] = []
+    shards: list[np.ndarray] = []
     for _ in range(100):
-        shards = [[] for _ in range(num_clients)]
+        pieces: list[list[np.ndarray]] = [[] for _ in range(num_clients)]
         for idx in class_indices:
             idx = rng.permutation(idx)
             gammas = rng.gamma(alpha, 1.0, size=num_clients)
@@ -222,17 +223,17 @@ def dirichlet_partition(
             fractional = props * len(idx) - counts
             for i in np.argsort(-fractional, kind="stable")[:remainder]:
                 counts[i] += 1
-            start = 0
-            for cl, cnt in enumerate(counts):
-                shards[cl].extend(idx[start : start + cnt].tolist())
-                start += cnt
+            for cl, piece in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
+                pieces[cl].append(piece)
+        shards = [np.concatenate(p) for p in pieces]
         if all(len(s) > 0 for s in shards):
             break
     while any(len(s) == 0 for s in shards):
         empty = min(i for i, s in enumerate(shards) if len(s) == 0)
         donor = max(range(num_clients), key=lambda i: (len(shards[i]), -i))
-        shards[empty].append(shards[donor].pop())
-    return [np.array(sorted(s), dtype=int) for s in shards]
+        # which sample moves is part of the partition: the donor's last one
+        shards[empty], shards[donor] = shards[donor][-1:], shards[donor][:-1]
+    return [np.sort(s) for s in shards]
 
 
 def _split_shard(
@@ -759,7 +760,7 @@ class Simulation:
             u = submissions[cid]
             for lid in LayerId:
                 for name in ("A", "B"):
-                    spectrum, _ = decompositions[cid][lid, name.lower()]
+                    values, _ = decompositions[cid][lid, name.lower()]
                     rows.append(
                         DiagnosticRow(
                             round=self.round_index,
@@ -767,7 +768,7 @@ class Simulation:
                             arch_id=u.arch_id,
                             layer=lid.value,
                             matrix=name,
-                            topk_ratio=topk_energy_ratio(spectrum, k),
+                            topk_ratio=topk_energy_ratio(values, k),
                             flagged=cid in flagged,
                         )
                     )

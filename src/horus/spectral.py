@@ -3,21 +3,19 @@
 Everything here is a pure function on immutable inputs; the heavy lifting
 (thin SVD) is delegated to LAPACK via numpy, in :func:`decompose_many`, the
 one place adapter factors are decomposed, with one stacked call per shape.
-Spectral entropy and the top-k energy ratio are computed on the normalized
-singular-value distribution and are therefore invariant to positive
-rescaling and to zero-padding of the source matrix.
+A spectrum is the plain 1-D array of singular values it hands out, checked
+there once per stack. Spectral entropy and the top-k energy ratio are
+computed on the normalized singular-value distribution and are therefore
+invariant to positive rescaling and to zero-padding of the source matrix.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
-    "Spectrum",
-    "decompose",
     "decompose_many",
     "spectral_entropy",
     "topk_energy_ratio",
@@ -26,61 +24,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Singular values of a real matrix, sorted non-increasing.
+def decompose_many(ms) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Singular values and first right singular vector of every p x q real
+    matrix, in input order, one SVD per shape.
 
-    ``nominal_rank`` is the number of retained values, i.e. min(rows, cols)
-    of the source matrix, not the numerical rank.
-    """
-
-    values: np.ndarray = field(repr=False)
-    nominal_rank: int
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 1 or len(vals) != self.nominal_rank:
-            raise ValueError(
-                f"spectrum length {len(vals)} != nominal_rank {self.nominal_rank}"
-            )
-        if self.nominal_rank < 1:
-            raise ValueError("nominal_rank must be positive")
-        if np.any(vals < 0) or not np.all(np.isfinite(vals)):
-            raise ValueError("singular values must be finite and non-negative")
-        if np.any(np.diff(vals) > 0):
-            raise ValueError("singular values must be sorted non-increasing")
-
-    @classmethod
-    def _checked(cls, values: np.ndarray) -> "Spectrum":
-        """A spectrum from values its caller has already validated."""
-        spectrum = object.__new__(cls)
-        spectrum.__dict__.update(values=values, nominal_rank=len(values))
-        return spectrum
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def decompose(m) -> tuple[Spectrum, np.ndarray]:
-    """Singular values and first right singular vector of a p x q real matrix.
-
-    The vector is the unit right singular vector of the largest singular
-    value, with its sign canonicalized so the entry of largest magnitude is
-    positive. A zero matrix has no principal direction; its vector is the
-    first standard basis vector.
-    """
-    return decompose_many([m])[0]
-
-
-def decompose_many(ms) -> list[tuple[Spectrum, np.ndarray]]:
-    """:func:`decompose` of every matrix, in input order, one SVD per shape.
+    The singular values are a 1-D array of min(p, q) entries, sorted
+    non-increasing. The vector is the unit right singular vector of the
+    largest singular value, with its sign canonicalized so the entry of
+    largest magnitude is positive. A zero matrix has no principal direction;
+    its vector is the first standard basis vector.
 
     Matrices of one shape are stacked and decomposed by a single LAPACK call;
     each result is bit-identical to decomposing its matrix alone. The input
-    and the singular values are checked once per stack, so the ``Spectrum``
-    rows handed out are not re-validated one by one.
+    and the singular values (finite, non-negative, sorted) are checked once
+    per stack, so the rows handed out need no further check.
     """
     ms = [np.asarray(m, dtype=float) for m in ms]
     by_shape: dict[tuple[int, int], list[int]] = {}
@@ -104,37 +61,37 @@ def decompose_many(ms) -> list[tuple[Spectrum, np.ndarray]]:
         zero = ~stack.any(axis=(1, 2))
         v[zero] = np.eye(1, v.shape[1])[0]
         for i, s_row, v_row in zip(idx, s, v):
-            out[i] = (Spectrum._checked(s_row), v_row)
+            out[i] = (s_row, v_row)
     return out
 
 
-def spectral_entropy(s: Spectrum) -> float:
-    """Shannon entropy (natural log) of the normalized singular values.
+def spectral_entropy(s: np.ndarray) -> float:
+    """Shannon entropy (natural log) of the normalized singular values ``s``.
 
     Zero-valued modes contribute nothing (0 * ln 0 := 0). An all-zero
     spectrum returns 0 by convention: a dead update carries no dispersion.
     """
-    total = s.total
+    total = float(s.sum())
     if total <= 0.0:
         return 0.0
-    p = s.values / total
+    p = s / total
     nz = p[p > 0.0]
     return float(-(nz * np.log(nz)).sum())
 
 
-def topk_energy_ratio(s: Spectrum, k: int) -> float:
-    """Fraction of total singular-value mass carried by the k largest values.
+def topk_energy_ratio(s: np.ndarray, k: int) -> float:
+    """Fraction of the total mass of the singular values ``s`` carried by the
+    k largest.
 
-    ``k`` is clamped to the nominal rank. An all-zero spectrum returns 1 by
+    ``k`` is clamped to ``len(s)``. An all-zero spectrum returns 1 by
     convention (maximally concentrated).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    k = min(int(k), s.nominal_rank)
-    total = s.total
+    total = float(s.sum())
     if total <= 0.0:
         return 1.0
-    return float(s.values[:k].sum() / total)
+    return float(s[: min(int(k), len(s))].sum() / total)
 
 
 def percentile(values, p: float) -> float:

@@ -263,7 +263,7 @@ class TestProjectionWeights:
         for lid in LayerId:
             # the right singular vector of the zero-padded A, by numpy directly
             a_pad = np.zeros((4, DIMS[lid].d_in))
-            a_pad[:, : u.layers[lid].d_in] = u.layers[lid].a
+            a_pad[:, : u.layers[lid].a.shape[1]] = u.layers[lid].a
             v = np.linalg.svd(a_pad)[2][0]
             expected = abs(v @ state.layers[lid].v_a)
             assert weights[lid, "a"] == pytest.approx(expected, abs=1e-12)

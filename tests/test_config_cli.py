@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from horus.aggregation import HorusConfig
 from horus.attacks import AttackKind, PerturbationDirection
-from horus.cli import main
+from horus.cli import DIAGNOSTIC_FIELDS, main
 from horus.config import (
     AGGREGATOR_DEFAULTS,
     ClientTemplate,
@@ -23,6 +23,7 @@ from horus.config import (
 )
 from horus.detection import Percentile, TopM
 from horus.errors import ConfigurationError
+from horus.sim import Simulation
 
 ROOT = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted(ROOT.glob("configs/*.yaml")) + sorted(
@@ -404,3 +405,24 @@ class TestCliDiagnose:
                           "topk_ratio", "flagged"]
         assert len(header) == 7
         assert len(rows) == 2 * 4 * 2 * 2  # rounds x clients x layers x matrices
+
+    @pytest.mark.parametrize("aggregator", ["horus", "fedavg"])
+    def test_diagnostics_csv_matches_in_process_run(self, tmp_path, aggregator):
+        # horus reads the rows from its own decompositions; fedavg
+        # decomposes for them. Adapters keep rank r/2 = 2 > k, so the
+        # ratios are not all 1.
+        out = tmp_path / "diag"
+        path = write_config(tmp_path, {"output_dir": str(out), "rank": 4,
+                                       "detection": {"k": 1},
+                                       "aggregator": {"kind": aggregator}})
+        assert main(["diagnose", str(path)]) == 0
+        with open(out / "diagnostics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        want = [d for r in Simulation(load_config(path), diagnostics=True).run()
+                for d in r.diagnostics]
+        assert len(rows) == len(want) == 5 * 4 * 2 * 2
+        assert any(d.flagged for d in want) == (aggregator == "horus")
+        assert len({d.topk_ratio for d in want}) > len(want) // 2
+        for row, d in zip(rows, want):
+            assert row == {f: str(getattr(d, f)) for f in DIAGNOSTIC_FIELDS}
+            assert float(row["topk_ratio"]) == d.topk_ratio

@@ -39,11 +39,11 @@ def features_of(u, k=5, source=MatrixSource.A):
     return client_features(decompose_round({u.client_id: u})[u.client_id], k, source)
 
 
-def features_from(ratios, entropies, k=5):
+def features_from(ratios, entropies):
     """Hand-built per-client features with equal values on both layers."""
     out = {}
     for cid, (r, h) in enumerate(zip(ratios, entropies)):
-        lf = LayerFeatures(entropy_h=h, ratio_rk=r, k_used=k)
+        lf = LayerFeatures(entropy_h=h, ratio_rk=r)
         out[cid] = SpectralFeatures(layers={FF: lf, CL: lf})
     return out
 
@@ -89,7 +89,6 @@ class TestClientFeatures:
             r5 = float(s[:5].sum() / s.sum())
             assert feats.layers[lid].entropy_h == pytest.approx(h, abs=1e-10)
             assert feats.layers[lid].ratio_rk == pytest.approx(r5, abs=1e-10)
-            assert feats.layers[lid].k_used == 5
 
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
@@ -149,8 +148,8 @@ class TestHopsScores:
         feats = {}
         for cid in range(4):
             feats[cid] = SpectralFeatures(layers={
-                FF: LayerFeatures(float(rng.random()), float(rng.random()), 5),
-                CL: LayerFeatures(float(rng.random()), float(rng.random()), 5),
+                FF: LayerFeatures(float(rng.random()), float(rng.random())),
+                CL: LayerFeatures(float(rng.random()), float(rng.random())),
             })
         for s in hops_scores(feats, 0.4).values():
             assert s.score == pytest.approx(
@@ -293,8 +292,8 @@ class TestDetectionInvariances:
         for c, u in updates.items():
             layers = {}
             for lid, p in u.layers.items():
-                a_pad = np.zeros((p.rank, p.d_in + 7))
-                a_pad[:, : p.d_in] = p.a
+                a_pad = np.zeros((p.rank, p.a.shape[1] + 7))
+                a_pad[:, : p.a.shape[1]] = p.a
                 layers[lid] = LoraPair(a_pad, p.b, p.rank)
             padded_feats[c] = features_of(ClientUpdate(c, 0, layers))
         padded = detect_round(padded_feats, 0.5, TopM(2))

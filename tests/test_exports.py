@@ -1,8 +1,12 @@
 """Every exported name resolves, so a deleted function cannot leave a stale
-export behind in ``horus`` or in one of its modules."""
+export behind in ``horus`` or in one of its modules; and every name a module
+exports has a caller outside the tests, so no public function lives on for
+its own tests alone."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import horus
 
@@ -24,3 +28,27 @@ def test_every_exported_name_imports():
         obj = getattr(horus, name)
         home = importlib.import_module(obj.__module__)
         assert name in home.__all__, f"{name} is not in {home.__name__}.__all__"
+
+
+def test_every_exported_name_has_a_caller():
+    """An exported name is used as code (a name or an attribute) somewhere
+    in the package's own modules, the benchmark or the tools, not only in
+    its tests."""
+    root = Path(__file__).resolve().parents[1]
+    files = [f for f in (root / "src" / "horus").glob("*.py") if f.name != "__init__.py"]
+    files += sorted((root / "bench").rglob("*.py")) + sorted((root / "tools").rglob("*.py"))
+    used = set()
+    for f in files:
+        for node in ast.walk(ast.parse(f.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    modules = [
+        importlib.import_module(f"horus.{info.name}")
+        for info in pkgutil.iter_modules(horus.__path__)
+    ]
+    unused = [
+        f"{m.__name__}.{name}" for m in modules for name in m.__all__ if name not in used
+    ]
+    assert unused == []

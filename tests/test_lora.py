@@ -15,7 +15,7 @@ from horus.lora import (
     trim_to_local,
     unflatten_padded,
 )
-from horus.spectral import decompose, spectral_entropy, topk_energy_ratio
+from horus.spectral import decompose_many, spectral_entropy, topk_energy_ratio
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 
@@ -73,9 +73,10 @@ class TestTypes:
 
 def padded_pairs(u, dims):
     """One update padded alone, as {layer: (A, B, mask A, mask B)} at global shapes."""
-    values, masks = pad_round([u], dims, u.rank)
-    vals = unflatten_padded(values[0], dims, u.rank)
-    cover = unflatten_padded(masks[0], dims, u.rank)
+    rank = u.layers[FF].rank
+    values, masks = pad_round([u], dims, rank)
+    vals = unflatten_padded(values[0], dims, rank)
+    cover = unflatten_padded(masks[0], dims, rank)
     return {lid: vals[lid] + cover[lid] for lid in LayerId}
 
 
@@ -110,8 +111,8 @@ class TestPadToGlobal:
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
         padded = padded_pairs(u, GLOBAL_DIMS)
         for lid in LayerId:
-            s_orig, _ = decompose(u.layers[lid].a)
-            s_pad, _ = decompose(padded[lid][0])
+            (s_orig, _), = decompose_many([u.layers[lid].a])
+            (s_pad, _), = decompose_many([padded[lid][0]])
             assert abs(spectral_entropy(s_orig) - spectral_entropy(s_pad)) <= 1e-10
             assert abs(
                 topk_energy_ratio(s_orig, 2) - topk_energy_ratio(s_pad, 2)
@@ -121,13 +122,13 @@ class TestPadToGlobal:
         rng = np.random.default_rng(3)
         u = make_update(rng, ff=(20, 8), cl=(8, 3))
         with pytest.raises(ConfigurationError, match="exceeds global maxima"):
-            pad_round([u], GLOBAL_DIMS, u.rank)
+            pad_round([u], GLOBAL_DIMS, u.layers[FF].rank)
 
 
 class TestTrimToLocal:
     def _state_from(self, u, dims):
         padded = padded_pairs(u, dims)
-        state = GlobalState.zeros(dims, u.rank)
+        state = GlobalState.zeros(dims, u.layers[FF].rank)
         for lid in LayerId:
             state.layers[lid].a, state.layers[lid].b = padded[lid][:2]
         return state
@@ -137,7 +138,7 @@ class TestTrimToLocal:
         u = make_update(rng, ff=(16, 12), cl=(12, 3))
         state = self._state_from(u, GLOBAL_DIMS)
         for lid, sent in u.layers.items():
-            pair = trim_to_local(state, lid, LayerDims(sent.d_in, sent.d_out))
+            pair = trim_to_local(state, lid, LayerDims(sent.a.shape[1], sent.b.shape[0]))
             np.testing.assert_array_equal(pair.a, sent.a)
             np.testing.assert_array_equal(pair.b, sent.b)
 
@@ -146,7 +147,7 @@ class TestTrimToLocal:
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
         state = self._state_from(u, GLOBAL_DIMS)
         for lid, sent in u.layers.items():
-            pair = trim_to_local(state, lid, LayerDims(sent.d_in, sent.d_out))
+            pair = trim_to_local(state, lid, LayerDims(sent.a.shape[1], sent.b.shape[0]))
             np.testing.assert_array_equal(pair.a, sent.a)
             np.testing.assert_array_equal(pair.b, sent.b)
 
@@ -205,17 +206,17 @@ class TestFlatten:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
-        values, masks = pad_round([u], GLOBAL_DIMS, u.rank)
+        values, masks = pad_round([u], GLOBAL_DIMS, u.layers[FF].rank)
         assert values.shape == masks.shape
         # padded by hand: top-left placement at the global shapes
         by_hand = {}
         for lid, pair in u.layers.items():
-            a = np.zeros((u.rank, GLOBAL_DIMS[lid].d_in))
-            a[:, : pair.d_in] = pair.a
-            b = np.zeros((GLOBAL_DIMS[lid].d_out, u.rank))
-            b[: pair.d_out, :] = pair.b
+            a = np.zeros((u.layers[FF].rank, GLOBAL_DIMS[lid].d_in))
+            a[:, : pair.a.shape[1]] = pair.a
+            b = np.zeros((GLOBAL_DIMS[lid].d_out, u.layers[FF].rank))
+            b[: pair.b.shape[0], :] = pair.b
             by_hand[lid] = (a, b)
-        rebuilt = unflatten_padded(values[0], GLOBAL_DIMS, u.rank)
+        rebuilt = unflatten_padded(values[0], GLOBAL_DIMS, u.layers[FF].rank)
         for lid in LayerId:
             np.testing.assert_array_equal(rebuilt[lid][0], by_hand[lid][0])
             np.testing.assert_array_equal(rebuilt[lid][1], by_hand[lid][1])

@@ -1,5 +1,6 @@
 """Unit tests for the synthetic federation: task, partition, training, rounds."""
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import horus.attacks
@@ -154,6 +155,71 @@ class TestDirichletPartition:
                 if hist.max() > 0.5:
                     skewed = True
         assert skewed
+
+    @staticmethod
+    def assert_same_shards(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 12),
+           st.sampled_from([0.05, 0.3, 1.0, 1e3]), st.integers(0, 2**32 - 1))
+    def test_matches_list_reference(self, labels, clients, alpha, seed):
+        labels = np.array(labels)
+        assume(clients <= len(labels))
+        got = dirichlet_partition(labels, clients, alpha, np.random.default_rng(seed))
+        want, _, _ = list_partition(labels, clients, alpha, np.random.default_rng(seed))
+        self.assert_same_shards(got, want)
+
+    def test_retry_and_donor_paths_match_list_reference(self):
+        # 10 samples for 5 clients at alpha 0.1 often leave a client empty:
+        # most seeds redraw, and seed 13 fails 100 draws and takes donations
+        labels = np.repeat(np.arange(2), 5)
+        attempts, donated = [], 0
+        for seed in range(20):
+            got = dirichlet_partition(labels, 5, 0.1, np.random.default_rng(seed))
+            want, tries, given_up = list_partition(
+                labels, 5, 0.1, np.random.default_rng(seed)
+            )
+            self.assert_same_shards(got, want)
+            attempts.append(tries)
+            donated += given_up
+        assert any(1 < a < 100 for a in attempts)
+        assert 100 in attempts and donated > 0
+
+
+def list_partition(labels, num_clients, alpha, rng):
+    """Reference for :func:`dirichlet_partition`: the same draws, with each
+    shard built as a Python list of ints. Also returns the number of draws
+    made and of samples donated, so that a test can tell which path ran."""
+    class_indices = [np.flatnonzero(labels == c) for c in np.unique(labels)]
+    for attempt in range(1, 101):
+        shards = [[] for _ in range(num_clients)]
+        for idx in class_indices:
+            idx = rng.permutation(idx)
+            gammas = rng.gamma(alpha, 1.0, size=num_clients)
+            total = gammas.sum()
+            props = gammas / total if total > 0 else np.full(num_clients, 1.0 / num_clients)
+            counts = np.floor(props * len(idx)).astype(int)
+            remainder = len(idx) - counts.sum()
+            fractional = props * len(idx) - counts
+            for i in np.argsort(-fractional, kind="stable")[:remainder]:
+                counts[i] += 1
+            start = 0
+            for cl, cnt in enumerate(counts):
+                shards[cl].extend(idx[start : start + cnt].tolist())
+                start += cnt
+        if all(len(s) > 0 for s in shards):
+            break
+    donated = 0
+    while any(len(s) == 0 for s in shards):
+        empty = min(i for i, s in enumerate(shards) if len(s) == 0)
+        donor = max(range(num_clients), key=lambda i: (len(shards[i]), -i))
+        shards[empty].append(shards[donor].pop())
+        donated += 1
+    return [np.array(sorted(s), dtype=int) for s in shards], attempt, donated
 
 
 def finite_difference_grads(model, lora, x, y, eps=1e-5):
@@ -941,7 +1007,7 @@ class TestRoundWork:
         previous: set[int] = set()
         returning = 0
         for _ in range(sim.cfg.rounds):
-            state = sim.state.copy()
+            state = copy.deepcopy(sim.state)
             seen.clear()
             m = sim.run_round().metrics
             assert sorted(seen) == m.participants
