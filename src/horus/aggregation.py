@@ -21,10 +21,10 @@ import numpy as np
 
 from .detection import (
     DetectionMode,
+    LayerFeatures,
     MatrixSource,
     Percentile,
     RoundDetection,
-    SpectralFeatures,
     UpdateDecomposition,
     client_features,
     decompose_round,
@@ -116,13 +116,14 @@ class HorusConfig:
 
 @dataclass(frozen=True)
 class AggregationOutcome:
-    """Result of one server-side aggregation step."""
+    """Result of one server step; a baseline rule detects and decomposes
+    nothing, and a skipped step returns the state it was given."""
 
     state: GlobalState
-    detection: RoundDetection
+    detection: RoundDetection | None
     alpha_summary: dict[str, float] | None = None
     skipped: bool = False
-    features: Mapping[int, "SpectralFeatures"] | None = None
+    features: Mapping[int, dict[LayerId, LayerFeatures]] | None = None
     decompositions: Mapping[int, UpdateDecomposition] | None = None
 
 
@@ -177,7 +178,7 @@ def update_global_directions(
     g: GlobalState, aggregates: Mapping[LayerId, tuple[np.ndarray, np.ndarray]]
 ) -> GlobalState:
     """New global state from this round's aggregates, with refreshed tracked
-    directions and an incremented round index.
+    directions.
 
     A degenerate (all-zero) aggregate matrix keeps the previous direction for
     that factor rather than inventing one.
@@ -194,7 +195,7 @@ def update_global_directions(
             log.info("layer %s: zero aggregate B, keeping previous direction", lid.value)
             v_b = prev.v_b
         layers[lid] = GlobalLayer(a=a_bar.copy(), b=b_bar.copy(), v_a=v_a, v_b=v_b)
-    return GlobalState(layers=layers, rank=g.rank, round_index=g.round_index + 1)
+    return GlobalState(layers=layers, rank=g.rank)
 
 
 def _summarize(alphas: np.ndarray) -> dict[str, float]:
@@ -343,7 +344,7 @@ def masked_trimmed_mean(
 
 def baseline_aggregate(
     kind: AggregatorKind, updates: Mapping[int, ClientUpdate], g: GlobalState
-) -> GlobalState:
+) -> AggregationOutcome:
     """Classical aggregation rules on dimension-aligned updates.
 
     All rules reduce the padded round matrix: fedavg is a masked mean with
@@ -375,4 +376,4 @@ def baseline_aggregate(
         lid: GlobalLayer(a=a, b=b, v_a=g.layers[lid].v_a, v_b=g.layers[lid].v_b)
         for lid, (a, b) in unflatten_padded(flat, dims, g.rank).items()
     }
-    return GlobalState(layers=layers, rank=g.rank, round_index=g.round_index + 1)
+    return AggregationOutcome(GlobalState(layers=layers, rank=g.rank), detection=None)

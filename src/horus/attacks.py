@@ -76,6 +76,10 @@ class AttackConfig:
         if self.kind is not AttackKind.NONE and not self.attacker_ids:
             raise ConfigurationError("attack configured but attacker_ids is empty")
 
+    def active(self, round_index: int) -> bool:
+        """Whether the attack runs in round ``round_index``."""
+        return self.kind is not AttackKind.NONE and round_index >= self.start_round
+
 
 def flip_labels(labels, num_classes: int):
     """Mirror class ids: y -> C - 1 - y. Applying twice restores the input."""

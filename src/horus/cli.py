@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -18,11 +19,10 @@ from pathlib import Path
 
 import yaml
 
-from .attacks import AttackKind
 from .config import RunConfig, config_to_dict, load_config, parse_config
 from .errors import ConfigurationError, SimulationError
 from .lora import LayerId
-from .sim import RoundResult, Simulation
+from .sim import DiagnosticRow, RoundResult, Simulation, finite_or_none
 
 __all__ = [
     "SUMMARY_FIELDS", "DIAGNOSTIC_FIELDS", "summarize", "execute_run", "cmd_sweep",
@@ -40,9 +40,7 @@ SUMMARY_FIELDS = [
     "total_payload_bytes",
 ]
 
-DIAGNOSTIC_FIELDS = [
-    "round", "client_id", "arch_id", "layer", "matrix", "topk_ratio", "flagged",
-]
+DIAGNOSTIC_FIELDS = [f.name for f in dataclasses.fields(DiagnosticRow)]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -62,7 +60,7 @@ def _jsonl(records: list[dict]) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -74,11 +72,7 @@ def summarize(cfg: RunConfig, results: list[RoundResult]) -> dict:
     """Final-10-round accuracy means, detection means over attack rounds, and
     the total upload payload."""
     tail = results[-10:]
-    attack_rounds = [
-        r for r in results
-        if cfg.attack.kind is not AttackKind.NONE
-        and r.metrics.round >= cfg.attack.start_round
-    ]
+    attack_rounds = [r for r in results if cfg.attack.active(r.metrics.round)]
 
     def mean(vals):
         return float(sum(vals) / len(vals)) if vals else 0.0
@@ -96,19 +90,18 @@ def summarize(cfg: RunConfig, results: list[RoundResult]) -> dict:
 def _detection_records(results: list[RoundResult]) -> list[dict]:
     records = []
     for r in results:
-        det, feats = r.detection, r.features
-        if det is None or feats is None:
+        det = r.outcome.detection if r.outcome else None
+        if det is None:
             continue
-        theta = det.threshold_theta
-        theta = None if theta != theta or theta in (float("inf"), float("-inf")) else theta
+        theta = finite_or_none(det.threshold_theta)
         for cid in sorted(det.scores):
             score = det.scores[cid]
-            f = feats[cid]
+            f = r.outcome.features[cid]
             records.append({
                 "round": r.metrics.round,
                 "client_id": cid,
-                "h": {lid.value: f.layers[lid].entropy_h for lid in LayerId},
-                "r_k": {lid.value: f.layers[lid].ratio_rk for lid in LayerId},
+                "h": {lid.value: f[lid].entropy_h for lid in LayerId},
+                "r_k": {lid.value: f[lid].ratio_rk for lid in LayerId},
                 "sub": {lid.value: score.per_layer[lid] for lid in LayerId},
                 "score": score.score,
                 "theta": theta,
@@ -133,12 +126,7 @@ def execute_run(cfg: RunConfig, out_dir: Path, diagnostics: bool = False) -> dic
         _csv_text(SUMMARY_FIELDS, [[summary[k] for k in SUMMARY_FIELDS]]),
     )
     if diagnostics:
-        rows = [
-            [d.round, d.client_id, d.arch_id, d.layer, d.matrix, d.topk_ratio,
-             d.flagged]
-            for r in results
-            for d in r.diagnostics
-        ]
+        rows = [dataclasses.astuple(d) for r in results for d in r.diagnostics]
         _atomic_write(out_dir / "diagnostics.csv",
                       _csv_text(DIAGNOSTIC_FIELDS, rows))
     log.info(

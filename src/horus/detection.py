@@ -27,7 +27,6 @@ from .spectral import decompose_many, percentile, spectral_entropy, topk_energy_
 __all__ = [
     "MatrixSource",
     "LayerFeatures",
-    "SpectralFeatures",
     "HopsScore",
     "Percentile",
     "TopM",
@@ -58,16 +57,6 @@ class MatrixSource(str, Enum):
 class LayerFeatures:
     entropy_h: float
     ratio_rk: float
-
-
-@dataclass(frozen=True)
-class SpectralFeatures:
-    """Per-layer spectral indicators for one client's submission."""
-
-    layers: Mapping[LayerId, LayerFeatures]
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", dict(self.layers))
 
 
 @dataclass(frozen=True)
@@ -147,7 +136,7 @@ def decompose_round(
 
 def client_features(
     d: UpdateDecomposition, k: int, source: MatrixSource = MatrixSource.A
-) -> SpectralFeatures:
+) -> dict[LayerId, LayerFeatures]:
     """Spectral entropy and top-k energy ratio per instrumented layer.
 
     Features are computed from the decomposition of the layer's A matrix
@@ -162,11 +151,11 @@ def client_features(
             entropy_h=spectral_entropy(values),
             ratio_rk=topk_energy_ratio(values, k),
         )
-    return SpectralFeatures(layers=feats)
+    return feats
 
 
 def hops_scores(
-    features: Mapping[int, SpectralFeatures], lam: float
+    features: Mapping[int, Mapping[LayerId, LayerFeatures]], lam: float
 ) -> dict[int, HopsScore]:
     """Outlier scores as absolute deviations from round-wise statistics.
 
@@ -186,8 +175,8 @@ def hops_scores(
     cids = sorted(features)
     per_layer_subs: dict[LayerId, np.ndarray] = {}
     for lid in LayerId:
-        dev = np.array([1.0 - features[c].layers[lid].ratio_rk for c in cids])
-        ent = np.array([features[c].layers[lid].entropy_h for c in cids])
+        dev = np.array([1.0 - features[c][lid].ratio_rk for c in cids])
+        ent = np.array([features[c][lid].entropy_h for c in cids])
         mu_r = dev.mean()
         mu_h = ent.mean()
         sigma_h = ent.std()
@@ -232,7 +221,8 @@ def flag_clients(
 
 
 def detect_round(
-    features: Mapping[int, SpectralFeatures], lam: float, mode: DetectionMode
+    features: Mapping[int, Mapping[LayerId, LayerFeatures]], lam: float,
+    mode: DetectionMode,
 ) -> RoundDetection:
     """Score and flag one round's population, skipping degenerate rounds.
 

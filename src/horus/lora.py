@@ -125,7 +125,6 @@ class GlobalState:
 
     layers: dict[LayerId, GlobalLayer]
     rank: int
-    round_index: int = 0
 
     @property
     def directions_initialized(self) -> bool:
@@ -149,7 +148,7 @@ class GlobalState:
             lid: GlobalLayer(a=np.zeros((rank, d.d_in)), b=np.zeros((d.d_out, rank)))
             for lid, d in dims.items()
         }
-        return cls(layers=layers, rank=rank, round_index=0)
+        return cls(layers=layers, rank=rank)
 
 
 def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:

@@ -24,16 +24,9 @@ from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
 import numpy as np
 
 from . import attacks as atk
-from .aggregation import (
-    AggregationOutcome,
-    HorusConfig,
-    baseline_aggregate,
-    horus_aggregate,
-)
-from .attacks import AttackConfig, AttackKind
-from .detection import (
-    RoundDetection, SpectralFeatures, UpdateDecomposition, decompose_round,
-)
+from .aggregation import AggregationOutcome, baseline_aggregate, horus_aggregate
+from .attacks import AttackKind
+from .detection import decompose_round
 from .errors import ConfigurationError, SimulationError
 from .lora import (
     ClientUpdate,
@@ -127,15 +120,12 @@ class TaskConfig:
 
 @dataclass
 class ClientProfile:
-    """One client's identity, architecture, data shards and stream seed."""
+    """One client's participation rate and data shards; its id, architecture
+    and width are its :class:`LocalModel`'s."""
 
-    client_id: int
-    arch_id: int
-    hidden_width: int
     participation_rate: float
     train: Dataset
     test: Dataset
-    seed: np.random.SeedSequence = field(repr=False)
 
 
 def generate_task(
@@ -259,8 +249,7 @@ class LocalModel:
     arch_id: int
     w1: np.ndarray = field(repr=False)  # (h, d)
     w2: np.ndarray = field(repr=False)  # (C, h)
-    lora: dict[LayerId, LoraPair] | None = None
-    frozen: bool = False
+    lora: dict[LayerId, LoraPair] | None = None  # installed by warm-up
 
     def layer_dims(self) -> dict[LayerId, LayerDims]:
         h, d = self.w1.shape
@@ -373,7 +362,7 @@ def warmup(
 ) -> LocalModel:
     """Train the full backbone on local data, then freeze it and install the
     initial adapters (B zero, A from the shared server init)."""
-    if model.frozen:
+    if model.lora is not None:
         raise SimulationError(f"client {model.client_id}: backbone already frozen")
     if shard.n == 0:
         log.warning("client %d: empty shard, warm-up skipped", model.client_id)
@@ -383,7 +372,6 @@ def warmup(
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
     model.lora = {lid: pair for lid, pair in lora_init.items()}
-    model.frozen = True
     return model
 
 
@@ -402,7 +390,7 @@ def local_train(
     at the first step that leaves a non-finite entry, keeping the adapters
     from before it; later epochs draw no batch permutation.
     """
-    if not model.frozen or model.lora is None:
+    if model.lora is None:
         raise SimulationError(f"client {model.client_id}: warm-up must run first")
     if shard.n == 0:
         log.warning("client %d: empty shard, returning adapters unchanged", model.client_id)
@@ -473,6 +461,11 @@ def _frobenius_norm(m: np.ndarray) -> float:
     return norm
 
 
+def finite_or_none(x: float | None) -> float | None:
+    """``x``, or ``None`` (JSON ``null``) when it is missing or not finite."""
+    return x if x is not None and np.isfinite(x) else None
+
+
 @dataclass
 class RoundMetrics:
     round: int
@@ -495,12 +488,10 @@ class RoundMetrics:
     def to_record(self) -> dict:
         rec = asdict(self)
         rec["alpha"] = rec.pop("alpha_summary")
-        if rec["theta"] is not None and not np.isfinite(rec["theta"]):
-            rec["theta"] = None
+        rec["theta"] = finite_or_none(rec["theta"])
         for norms in rec["frob"].values():
             for factor, norm in norms.items():
-                if not np.isfinite(norm):
-                    norms[factor] = None
+                norms[factor] = finite_or_none(norm)
         return rec
 
 
@@ -518,8 +509,7 @@ class DiagnosticRow:
 @dataclass
 class RoundResult:
     metrics: RoundMetrics
-    detection: RoundDetection | None
-    features: Mapping[int, SpectralFeatures] | None
+    outcome: AggregationOutcome | None  # None if the server step did not run
     diagnostics: list[DiagnosticRow]
 
 
@@ -538,7 +528,7 @@ class Simulation:
         ss_profiles, ss_partition, ss_clients, ss_attack, ss_partic, ss_init = (
             root.spawn(6)
         )
-        self._profile_rng = np.random.default_rng(ss_profiles)
+        profile_rng = np.random.default_rng(ss_profiles)
         self._participation_rng = np.random.default_rng(ss_partic)
 
         templates = cfg.expand_clients()
@@ -561,45 +551,16 @@ class Simulation:
         bounds = [0, *accumulate(len(idx) for idx in blocks)]
         views = [Dataset(pool.x[lo:hi], pool.y[lo:hi])
                  for lo, hi in zip(bounds, bounds[1:])]
-        client_seqs = ss_clients.spawn(n)
+        self._client_rngs = [np.random.default_rng(s) for s in ss_clients.spawn(n)]
 
         self.profiles: list[ClientProfile] = []
+        self.models: list[LocalModel] = []
         for cid, (arch_id, hidden, rate) in enumerate(templates):
             if rate is None:
-                rate = float(self._profile_rng.choice(PARTICIPATION_POOL))
-            train, test = views[2 * cid], views[2 * cid + 1]
-            self.profiles.append(
-                ClientProfile(
-                    client_id=cid,
-                    arch_id=arch_id,
-                    hidden_width=hidden,
-                    participation_rate=rate,
-                    train=train,
-                    test=test,
-                    seed=client_seqs[cid],
-                )
-            )
-
-        self.models: list[LocalModel] = []
-        self._client_rngs: list[np.random.Generator] = []
-        for p in self.profiles:
-            rng = np.random.default_rng(p.seed)
-            self._client_rngs.append(rng)
-            self.models.append(
-                new_model(p.client_id, p.arch_id, cfg.task.feature_dim,
-                          cfg.task.num_classes, p.hidden_width, rng)
-            )
-
-        self.global_dims = {
-            LayerId.FEATURE_FIRST: LayerDims(
-                d_in=cfg.task.feature_dim,
-                d_out=max(p.hidden_width for p in self.profiles),
-            ),
-            LayerId.CLASSIFIER: LayerDims(
-                d_in=max(p.hidden_width for p in self.profiles),
-                d_out=cfg.task.num_classes,
-            ),
-        }
+                rate = float(profile_rng.choice(PARTICIPATION_POOL))
+            self.profiles.append(ClientProfile(rate, views[2 * cid], views[2 * cid + 1]))
+            self.models.append(new_model(cid, arch_id, task.feature_dim, task.num_classes,
+                                         hidden, self._client_rngs[cid]))
         self.state = self._initial_state(np.random.default_rng(ss_init))
         attacker_ids = sorted(cfg.attack.attacker_ids)
         self._attack_rngs = {
@@ -615,11 +576,14 @@ class Simulation:
         self._holding_state: set[int] = set()
 
     def _initial_state(self, rng: np.random.Generator) -> GlobalState:
-        state = GlobalState.zeros(self.global_dims, self.cfg.rank)
-        rank = self.cfg.rank
+        width = max(m.w1.shape[0] for m in self.models)
+        task, rank = self.cfg.task, self.cfg.rank
+        dims = {LayerId.FEATURE_FIRST: LayerDims(task.feature_dim, width),
+                LayerId.CLASSIFIER: LayerDims(width, task.num_classes)}
+        state = GlobalState.zeros(dims, rank)
         half = max(1, rank // 2)
         for lid in LayerId:
-            d_in = self.global_dims[lid].d_in
+            d_in = dims[lid].d_in
             left = rng.uniform(-1.0, 1.0, size=(rank, half))
             right = rng.uniform(-1.0, 1.0, size=(half, d_in))
             a = left @ right
@@ -633,7 +597,8 @@ class Simulation:
         inits = self._local_states(range(len(self.models)))
         for p, model, rng in zip(self.profiles, self.models, self._client_rngs):
             # B is zero in the initial state, so delta starts at exactly 0.
-            warmup(model, p.train, inits[p.client_id], cfg.warmup_epochs, lr, cfg.batch, rng)
+            warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
+                   rng)
         self._backbone_hashes = [m.backbone_hash() for m in self.models]
 
     def _check_backbones(self) -> None:
@@ -646,11 +611,8 @@ class Simulation:
 
     def _sample_participants(self) -> list[int]:
         draws = self._participation_rng.random(len(self.profiles))
-        return [
-            p.client_id
-            for p, u in zip(self.profiles, draws)
-            if u < p.participation_rate
-        ]
+        return [cid for cid, (p, u) in enumerate(zip(self.profiles, draws))
+                if u < p.participation_rate]
 
     def _local_states(self, client_ids) -> dict[int, dict[LayerId, LoraPair]]:
         """Each client's top-left block of the state in a dict of its own,
@@ -676,10 +638,8 @@ class Simulation:
     def _train_participants(self, participants: list[int]) -> dict[int, ClientUpdate]:
         cfg = self.cfg
         attack = cfg.attack
-        flip_active = (
-            attack.kind is AttackKind.LABEL_FLIP
-            and self.round_index >= attack.start_round
-        )
+        flip_active = (attack.kind is AttackKind.LABEL_FLIP
+                       and attack.active(self.round_index))
 
         def run_one(cid: int) -> ClientUpdate:
             shard = self.profiles[cid].train
@@ -702,9 +662,7 @@ class Simulation:
         self, submissions: dict[int, ClientUpdate], participants: list[int]
     ) -> None:
         attack = self.cfg.attack
-        if attack.kind in (AttackKind.NONE, AttackKind.LABEL_FLIP):
-            return
-        if self.round_index < attack.start_round:
+        if attack.kind is AttackKind.LABEL_FLIP or not attack.active(self.round_index):
             return
         present = sorted(attack.attacker_ids & set(participants))
         if not present:
@@ -718,9 +676,8 @@ class Simulation:
                 self.round_index, len(knowledge_ids),
             )
             return
-        vectors, _ = pad_round(
-            [submissions[c] for c in knowledge_ids], self.global_dims, self.cfg.rank
-        )
+        dims, rank = self.state.dims(), self.state.rank
+        vectors, _ = pad_round([submissions[c] for c in knowledge_ids], dims, rank)
         with np.errstate(over="ignore", invalid="ignore"):
             crafted = atk.craft_malicious_vectors(
                 attack, vectors, len(self.profiles), present, self._attack_rngs,
@@ -732,28 +689,28 @@ class Simulation:
                 log.warning("round %d: crafted vector for client %d is non-finite; "
                             "submitting the benign-style update", self.round_index, a)
                 continue
-            matrices = unflatten_padded(vec, self.global_dims, self.cfg.rank)
-            dims = self.models[a].layer_dims()
+            matrices = unflatten_padded(vec, dims, rank)
+            local = self.models[a].layer_dims()
             layers = {
                 lid: LoraPair(
-                    a=matrices[lid][0][:, : dims[lid].d_in],
-                    b=matrices[lid][1][: dims[lid].d_out, :],
-                    rank=self.cfg.rank,
+                    a=matrices[lid][0][:, : local[lid].d_in],
+                    b=matrices[lid][1][: local[lid].d_out, :],
+                    rank=rank,
                 )
                 for lid in LayerId
             }
             submissions[a] = ClientUpdate(a, self.models[a].arch_id, layers)
 
     def _diagnostics(
-        self,
-        submissions: dict[int, ClientUpdate],
-        flagged: frozenset[int],
-        decompositions: Mapping[int, UpdateDecomposition] | None,
+        self, submissions: dict[int, ClientUpdate], outcome: AggregationOutcome | None
     ) -> list[DiagnosticRow]:
         """Top-k energy ratio of every submitted factor, read from the server
         step's decompositions; rules that decompose nothing get them here."""
+        decompositions = outcome.decompositions if outcome else None
         if decompositions is None:
             decompositions = decompose_round(submissions)
+        detection = outcome.detection if outcome else None
+        flagged = detection.flagged if detection else frozenset()
         rows = []
         k = self.cfg.detection.k
         for cid in sorted(submissions):
@@ -791,12 +748,9 @@ class Simulation:
         self.round_index += 1
         participants = self._sample_participants()
         holding, self._holding_state = self._holding_state, set()
-        detection: RoundDetection | None = None
-        features = decompositions = None
-        alpha_summary = None
+        outcome: AggregationOutcome | None = None
         diagnostics: list[DiagnosticRow] = []
         payload = 0
-        skipped = False
 
         if participants:
             # the state is unchanged since last round's final broadcast
@@ -804,53 +758,25 @@ class Simulation:
             submissions = self._train_participants(participants)
             self._apply_model_poisoning(submissions, participants)
             payload = sum(payload_bytes(u) for u in submissions.values())
-
-            if not self._aggregation_feasible(len(participants)):
-                skipped = True
-            elif cfg.aggregator.name == "horus":
-                outcome: AggregationOutcome = horus_aggregate(
-                    submissions, self.state, cfg.detection
-                )
-                detection = outcome.detection
-                features = outcome.features
-                decompositions = outcome.decompositions
-                alpha_summary = outcome.alpha_summary
-                skipped = outcome.skipped
-                if skipped:
-                    log.warning("round %d: all clients flagged, state unchanged",
-                                self.round_index)
+            if self._aggregation_feasible(len(participants)):
+                if cfg.aggregator.name == "horus":
+                    outcome = horus_aggregate(submissions, self.state, cfg.detection)
                 else:
-                    self.state = outcome.state
-            else:
-                self.state = baseline_aggregate(cfg.aggregator, submissions, self.state)
+                    outcome = baseline_aggregate(cfg.aggregator, submissions, self.state)
+                self.state = outcome.state  # a skipped step returns the old state
             self._broadcast(participants)
             self._holding_state = set(participants)
             if self.diagnostics:
-                diagnostics = self._diagnostics(
-                    submissions, detection.flagged if detection else frozenset(),
-                    decompositions,
-                )
+                diagnostics = self._diagnostics(submissions, outcome)
         else:
             log.warning("round %d: no participants, round skipped", self.round_index)
-            skipped = True
 
         self._check_backbones()
-        metrics = self._measure(participants, detection, alpha_summary, payload,
-                                skipped)
-        return RoundResult(
-            metrics=metrics,
-            detection=detection,
-            features=features,
-            diagnostics=diagnostics,
-        )
+        metrics = self._measure(participants, outcome, payload)
+        return RoundResult(metrics=metrics, outcome=outcome, diagnostics=diagnostics)
 
     def _measure(
-        self,
-        participants: list[int],
-        detection: RoundDetection | None,
-        alpha_summary: dict[str, float] | None,
-        payload: int,
-        aggregation_skipped: bool,
+        self, participants: list[int], outcome: AggregationOutcome | None, payload: int
     ) -> RoundMetrics:
         cfg = self.cfg
         # only models broadcast to since their last evaluation have changed;
@@ -876,15 +802,12 @@ class Simulation:
         local_accs = [local for _, local in accuracy if local is not None]
         local_acc = float(np.mean(local_accs)) if local_accs else 0.0
 
-        attack_active = (
-            cfg.attack.kind is not AttackKind.NONE
-            and self.round_index >= cfg.attack.start_round
-        )
         positives = (
             sorted(cfg.attack.attacker_ids & set(participants))
-            if attack_active
+            if cfg.attack.active(self.round_index)
             else []
         )
+        detection = outcome.detection if outcome else None
         flagged = sorted(detection.flagged) if detection else []
         tp = len(set(flagged) & set(positives))
         precision = tp / len(flagged) if flagged and positives else 0.0
@@ -912,11 +835,11 @@ class Simulation:
             flagged=flagged,
             positives=positives,
             theta=detection.threshold_theta if detection else None,
-            alpha_summary=alpha_summary,
+            alpha_summary=outcome.alpha_summary if outcome else None,
             frob=frob,
             aggregator=cfg.aggregator.name,
             detection_skipped=detection.skipped if detection else False,
-            aggregation_skipped=aggregation_skipped,
+            aggregation_skipped=outcome is None or outcome.skipped,
         )
 
     def run(self, on_round=None) -> list[RoundResult]:

@@ -12,7 +12,6 @@ from horus.detection import (
     LayerFeatures,
     MatrixSource,
     Percentile,
-    SpectralFeatures,
     TopM,
     client_features,
     decompose_round,
@@ -44,7 +43,7 @@ def features_from(ratios, entropies):
     out = {}
     for cid, (r, h) in enumerate(zip(ratios, entropies)):
         lf = LayerFeatures(entropy_h=h, ratio_rk=r)
-        out[cid] = SpectralFeatures(layers={FF: lf, CL: lf})
+        out[cid] = {FF: lf, CL: lf}
     return out
 
 
@@ -57,8 +56,8 @@ class TestClientFeatures:
         }
         feats = features_of(make_update(rng, a_maps=a_maps))
         for lid in LayerId:
-            assert feats.layers[lid].ratio_rk == pytest.approx(1.0, abs=1e-10)
-            assert feats.layers[lid].entropy_h == pytest.approx(0.0, abs=1e-8)
+            assert feats[lid].ratio_rk == pytest.approx(1.0, abs=1e-10)
+            assert feats[lid].entropy_h == pytest.approx(0.0, abs=1e-8)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
@@ -70,11 +69,11 @@ class TestClientFeatures:
         scaled = ClientUpdate(0, 0, scaled_layers)
         f1, f2 = features_of(u), features_of(scaled)
         for lid in LayerId:
-            assert f1.layers[lid].entropy_h == pytest.approx(
-                f2.layers[lid].entropy_h, abs=1e-10
+            assert f1[lid].entropy_h == pytest.approx(
+                f2[lid].entropy_h, abs=1e-10
             )
-            assert f1.layers[lid].ratio_rk == pytest.approx(
-                f2.layers[lid].ratio_rk, abs=1e-10
+            assert f1[lid].ratio_rk == pytest.approx(
+                f2[lid].ratio_rk, abs=1e-10
             )
 
     def test_matches_two_step_oracle(self):
@@ -87,8 +86,8 @@ class TestClientFeatures:
             p = s / s.sum()
             h = float(-(p[p > 0] * np.log(p[p > 0])).sum())
             r5 = float(s[:5].sum() / s.sum())
-            assert feats.layers[lid].entropy_h == pytest.approx(h, abs=1e-10)
-            assert feats.layers[lid].ratio_rk == pytest.approx(r5, abs=1e-10)
+            assert feats[lid].entropy_h == pytest.approx(h, abs=1e-10)
+            assert feats[lid].ratio_rk == pytest.approx(r5, abs=1e-10)
 
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
@@ -147,10 +146,10 @@ class TestHopsScores:
         rng = np.random.default_rng(5)
         feats = {}
         for cid in range(4):
-            feats[cid] = SpectralFeatures(layers={
+            feats[cid] = {
                 FF: LayerFeatures(float(rng.random()), float(rng.random())),
                 CL: LayerFeatures(float(rng.random()), float(rng.random())),
-            })
+            }
         for s in hops_scores(feats, 0.4).values():
             assert s.score == pytest.approx(
                 (s.per_layer[FF] + s.per_layer[CL]) / 2.0, abs=1e-15

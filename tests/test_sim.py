@@ -362,7 +362,6 @@ class TestTraining:
     def _model_and_batch(self, seed, d=6, c=3, h=5, rank=2, n=10):
         rng = np.random.default_rng(seed)
         model = new_model(0, 0, d, c, h, rng)
-        model.frozen = True
         model.lora = {
             FF: LoraPair(0.3 * rng.normal(size=(rank, d)),
                          0.3 * rng.normal(size=(h, rank)), rank),
@@ -508,7 +507,6 @@ class TestTrainingLoopOracle:
         c = self.classes
         rng = np.random.default_rng(seed)
         model = new_model(0, 0, d, c, h, rng)
-        model.frozen = True
         model.lora = {
             FF: LoraPair(scale * rng.normal(size=(rank, d)),
                          scale * rng.normal(size=(h, rank)), rank),
@@ -613,7 +611,7 @@ class TestWarmup:
     def test_backbone_frozen_and_adapters_installed(self):
         model, train, _, init, rng = self._setup()
         warmup(model, train, init, epochs=2, lr=0.1, batch=32, rng=rng)
-        assert model.frozen
+        assert model.lora is not None
         h = model.backbone_hash()
         local_train(model, train, 1, 0.1, 32, rng)
         assert model.backbone_hash() == h
@@ -870,24 +868,44 @@ class TestSimulation:
         for _ in range(cfg.rounds):
             before = {lid: (layer.a.copy(), layer.b.copy())
                       for lid, layer in sim.state.layers.items()}
-            m = sim.run_round().metrics
+            r = sim.run_round()
+            m = r.metrics
             infeasible = len(m.participants) < 7
             assert m.aggregation_skipped == infeasible
+            assert m.to_record()["aggregation_skipped"] is infeasible
             if infeasible:
                 skipped += 1
+                assert r.outcome is None  # the server step did not run
                 for lid, layer in sim.state.layers.items():
                     np.testing.assert_array_equal(layer.a, before[lid][0])
                     np.testing.assert_array_equal(layer.b, before[lid][1])
+            else:
+                assert r.outcome.detection is None and not r.outcome.skipped
+                assert r.outcome.state is sim.state
         assert 0 < skipped < cfg.rounds
+        # a round nobody joins has no server step either
+        sim._sample_participants = lambda: []
+        r = sim.run_round()
+        assert r.metrics.participants == [] and r.outcome is None
+        assert r.metrics.to_record()["aggregation_skipped"] is True
 
-    def test_all_flagged_round_records_aggregation_skipped(self):
+    def test_all_flagged_round_records_aggregation_skipped(self, caplog):
         cfg = tiny_config(detection={"lambda": 0.5, "k": 2, "mode": {"top_m": 4}},
                           rounds=2)
-        results = Simulation(cfg).run()
-        for r in results:
-            assert r.detection.flagged == frozenset(r.metrics.participants)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            before = sim.state
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="horus"):
+                r = sim.run_round()
+            assert r.outcome.detection.flagged == frozenset(r.metrics.participants)
+            assert r.outcome.skipped and r.outcome.state is before is sim.state
             assert r.metrics.aggregation_skipped
             assert r.metrics.to_record()["aggregation_skipped"] is True
+            warnings = [rec for rec in caplog.records if rec.levelno >= logging.WARNING]
+            assert len(warnings) == 1, [rec.getMessage() for rec in warnings]
+            assert "flagged" in warnings[0].getMessage()
 
     def test_non_finite_crafted_vector_submits_the_trained_update(
         self, monkeypatch, caplog
@@ -1035,11 +1053,11 @@ class TestRoundWork:
                    for r in caplog.records) == cfg.rounds
         for r in results:
             assert r.metrics.participants == [0, 1]
-            assert r.detection.skipped and r.detection.flagged == frozenset()
+            assert r.outcome.detection.skipped
+            assert r.outcome.detection.flagged == frozenset()
             rec = r.metrics.to_record()
             assert rec["detection_skipped"] is True and rec["flagged"] == []
             assert rec["theta"] is None and rec["aggregation_skipped"] is False
-        assert sim.state.round_index == cfg.rounds
 
 
 class TestSharedBroadcast:
