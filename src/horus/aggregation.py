@@ -132,12 +132,13 @@ def masked_mean(
 ) -> np.ndarray:
     """Weighted mean of each column over the rows that cover it.
 
-    ``values`` and the 0/1 ``masks`` are (n, P); ``weights`` broadcasts
-    against them, (n, 1) for one weight per row or (n, P) per entry. Columns
-    whose weighted coverage ``sum(weights * masks)`` does not exceed the
-    denominator guard keep the entry of ``previous``.
+    ``values`` and the 0/1 ``masks`` are (n, P), with ``values`` zero
+    wherever ``masks`` is, as :func:`horus.lora.pad_round` pads them;
+    ``weights`` broadcasts against them, (n, 1) for one weight per row or
+    (n, P) per entry. Columns whose weighted coverage ``sum(weights * masks)``
+    does not exceed the denominator guard keep the entry of ``previous``.
     """
-    num = (weights * (values * masks)).sum(axis=0)
+    num = (weights * values).sum(axis=0)
     den = (weights * masks).sum(axis=0)
     covered = den > WEIGHT_DENOMINATOR_GUARD
     return np.where(covered, num / np.where(covered, den, 1.0), previous)
@@ -312,7 +313,7 @@ def masked_median(stack: np.ndarray, masks: np.ndarray, prev: np.ndarray) -> np.
     vals = np.where(masks > 0, stack, np.nan)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        med = np.nanmedian(vals, axis=0)
+        med = np.nanmedian(vals, axis=0, overwrite_input=True)
     return np.where(masks.sum(axis=0) > 0, med, prev)
 
 
@@ -328,10 +329,15 @@ def masked_trimmed_mean(
     if not 0.0 <= beta < 0.5:
         raise ConfigurationError(f"beta must be in [0, 0.5), got {beta}")
     counts = masks.sum(axis=0).astype(int)
-    vals = np.where(masks > 0, stack, np.nan)
-    ordered = np.sort(vals, axis=0)  # NaNs sort to the end
-    filled = np.nan_to_num(ordered, nan=0.0)
-    csum = np.concatenate([np.zeros((1,) + filled.shape[1:]), np.cumsum(filled, axis=0)])
+    # one (n + 1, P) buffer: row 0 is zero, and below it the covering values
+    # are sorted (NaNs to the end), zero-filled and summed in place
+    csum = np.full((len(stack) + 1,) + stack.shape[1:], np.nan)
+    csum[0] = 0.0
+    vals = csum[1:]
+    np.copyto(vals, stack, where=masks > 0)
+    vals.sort(axis=0)
+    np.nan_to_num(vals, copy=False, nan=0.0)
+    np.cumsum(vals, axis=0, out=vals)
     t = np.floor(beta * counts).astype(int)
     hi = np.clip(counts - t, 0, len(stack))
     lo = np.minimum(t, hi)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -170,10 +171,11 @@ def generate_task(
     if order is not None:
         n = cfg.num_classes * cfg.samples_per_class
         order = np.asarray(order)
-        if not np.array_equal(np.sort(order), np.arange(n)):
+        rows = np.full(n, -1, dtype=np.intp)  # where each drawn sample goes
+        if order.shape == (n,) and order.min() >= 0 and order.max() < n:
+            rows[order] = np.arange(n)
+        if (rows < 0).any():  # a repeated row leaves another unwritten
             raise ValueError(f"order must be a permutation of the {n} pool rows")
-        rows = np.empty(n, dtype=np.intp)  # where each drawn sample goes
-        rows[order] = np.arange(n)
     train = sample(cfg.samples_per_class, rows)
     test = sample(min(200, max(10, cfg.samples_per_class // 5)))
     return train, test
@@ -427,20 +429,141 @@ def local_train(
     return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
 
 
+# unit roundoffs, and the ranges within which evaluate's float32 error bound
+# holds (see its docstring)
+U32, U64 = 2.0**-24, 2.0**-53
+NORM_RANGE = (1e-30, 1e30)
+MAX_WIDTH = 2**20
+ROW_NORM_RANGE = (2.0**-64, 2.0**64)
+
+
+class Float32Copy(NamedTuple):
+    """A dataset's features cast once to float32 for :func:`evaluate`."""
+
+    xt: np.ndarray  # (d, n) float32, feature-major
+    norms: np.ndarray  # (n,) float32 Euclidean norms of the float64 rows
+    truth: np.ndarray  # (n,) flat index of (y_i, i) in (C, n) class-major logits
+
+
+def float32_copy(dataset: Dataset) -> Float32Copy | None:
+    """``dataset`` cast for :func:`evaluate`, or None if a row's norm is not
+    finite or lies outside ``ROW_NORM_RANGE``, or the rows are wider than
+    ``MAX_WIDTH``: there the float32 error bound would not hold."""
+    x = dataset.x
+    norms = np.linalg.norm(x, axis=1)
+    lo, hi = ROW_NORM_RANGE
+    if x.shape[1] > MAX_WIDTH or not ((lo <= norms) & (norms <= hi)).all():
+        return None
+    return Float32Copy(
+        xt=np.ascontiguousarray(x.T, dtype=np.float32),
+        norms=norms.astype(np.float32),
+        truth=dataset.y * dataset.n + np.arange(dataset.n),
+    )
+
+
+def _gamma(n: int, u: float) -> float:
+    return n * u / (1 - n * u)
+
+
+def _bound_factors(d: int, h: int) -> tuple[float, float]:
+    """K / (max_c ||W2,c|| ||W1||_F) for float32 logits and for float64
+    logits recomputed by row, each against the logits of the plain float64
+    path and with the safety factor 2 (see :func:`evaluate`)."""
+    c32 = 2 * U32 + U32**2 + _gamma(d, U32) * (1 + U32) ** 2
+    c64 = _gamma(d, U64)
+    from32 = (_gamma(h, U32) * (1 + U32) + U32) * (1 + c32) + c32  # |L32 - L|
+    from64 = _gamma(h, U64) * (1 + c64) + c64  # |L64 - L|
+    return 2 * (from32 + from64), 2 * (from64 + from64)
+
+
+def _margins(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """True-class logit minus the best other one, per column of class-major
+    logits; ``truth`` holds the flat index of each column's true class. The
+    logits are overwritten."""
+    true = logits.take(truth)
+    logits.put(truth, -np.inf)
+    true -= logits.max(axis=0)
+    return true
+
+
+def _certified_hits(w1: np.ndarray, w2: np.ndarray, dataset: Dataset,
+                    cast: Float32Copy) -> int | None:
+    """The hit count of the plain float64 path, decided from float32 logits
+    and float64 row recomputes; None where that cannot decide every row."""
+    h, d = w1.shape
+    f = float(np.linalg.norm(w1))
+    m = float(np.linalg.norm(w2, axis=1).max())
+    lo, hi = NORM_RANGE
+    if not (lo <= f <= hi and lo <= m <= hi and h <= MAX_WIDTH):
+        return None
+    # scale both layers by powers of two, exactly, to norms in [1/2, 1)
+    f, e1 = math.frexp(f)
+    m, e2 = math.frexp(m)
+    w1, w2 = np.ldexp(w1, -e1), np.ldexp(w2, -e2)
+    k32, k64 = _bound_factors(d, h)
+    hidden = w1.astype(np.float32) @ cast.xt
+    np.maximum(hidden, 0.0, out=hidden)
+    margin = _margins(w2.astype(np.float32) @ hidden, cast.truth)
+    bound = cast.norms * np.float32(k32 * f * m)
+    hits = np.count_nonzero(margin > bound)
+    rows = np.flatnonzero(~(np.abs(margin) > bound))  # NaN decides nothing
+    if rows.size:
+        hidden = w1 @ dataset.x[rows].T
+        np.maximum(hidden, 0.0, out=hidden)
+        truth = dataset.y[rows] * rows.size + np.arange(rows.size)
+        margin = _margins(w2 @ hidden, truth)
+        bound = cast.norms[rows] * (k64 * f * m)
+        if not (np.abs(margin) > bound).all():
+            return None
+        hits += np.count_nonzero(margin > bound)
+    return hits
+
+
 def evaluate(model: LocalModel, dataset: Dataset,
-             weights: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+             weights: tuple[np.ndarray, np.ndarray] | None = None,
+             cast: Float32Copy | None = None) -> float:
     """Fraction of argmax-correct predictions (ties go to the lowest class).
 
     ``weights`` are the model's effective weights, if the caller has them.
+
+    ``cast``, the :func:`float32_copy` of ``dataset``, lets the count be
+    certified from float32 logits; it is the float64 count exactly. With
+    u32 = 2^-24, u64 = 2^-53, g(n, u) = nu / (1 - nu) (the dot-product error
+    bound of Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    2002, section 3.1), d the input and h the hidden width, let
+
+        c32 = 2 u32 + u32^2 + g(d, u32) (1 + u32)^2,    c64 = g(d, u64),
+        K = 2 max_c ||W2,c|| ||W1||_F [(g(h, u32) (1 + u32) + u32) (1 + c32)
+                                       + g(h, u64) (1 + c64) + c32 + c64].
+
+    Every float32 logit of row i lies within E_i / 2 = K ||x_i|| / 2 of the
+    logit the plain float64 path computes, in any summation order: casting
+    costs u32 per factor, a relu moves a value no further than its input
+    error, and |W2,c| |W1| |x_i| <= ||W2,c|| ||W1||_F ||x_i||. The factor 2
+    more than covers the rounding of K, of the norms and of the margins. A
+    row whose true-class margin exceeds 2 E_i is a hit and one whose margin
+    is below -2 E_i a miss; a NaN margin decides neither. Rows left are
+    recomputed in float64, against K with both float32 terms replaced by
+    their float64 ones, and if any is still undecided (an exact tie, a dead
+    relu layer) the plain path counts them all.
+
+    The plain path also takes models whose ``||W1||_F`` or ``max ||W2,c||``
+    lies outside ``NORM_RANGE`` (or is not finite), where its own logits
+    could overflow or underflow, and models wider than ``MAX_WIDTH``. Both
+    layers are scaled by powers of two to norms in [1/2, 1) before the cast,
+    which changes no argmax and keeps every float32 value within about
+    ||x_i|| <= 2^64 and the subnormal rounding far below E_i.
     """
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         w1_eff, w2_eff = model.effective_weights() if weights is None else weights
-        hact = dataset.x @ w1_eff.T
-        np.maximum(hact, 0.0, out=hact)
-        preds = np.argmax(hact @ w2_eff.T, axis=1)
-    return np.count_nonzero(preds == dataset.y) / dataset.n
+        hits = None if cast is None else _certified_hits(w1_eff, w2_eff, dataset, cast)
+        if hits is None:
+            hact = dataset.x @ w1_eff.T
+            np.maximum(hact, 0.0, out=hact)
+            hits = np.count_nonzero(np.argmax(hact @ w2_eff.T, axis=1) == dataset.y)
+    return hits / dataset.n
 
 
 # --- round loop -----------------------------------------------------------
@@ -545,10 +668,12 @@ class Simulation:
         )
         split_rng = np.random.default_rng(ss_partition.spawn(1)[0])
         blocks = [idx for shard in shards for idx in _split_shard(shard, split_rng)]
-        pool, self.global_test = generate_task(task, order=np.concatenate(blocks))
+        bounds = [0, *accumulate(len(idx) for idx in blocks)]
+        order = np.concatenate(blocks)
+        del labels, shards, blocks  # freed before the pool is drawn
+        pool, self.global_test = generate_task(task, order=order)
         pool.x.flags.writeable = False  # shared by every client's views
         pool.y.flags.writeable = False
-        bounds = [0, *accumulate(len(idx) for idx in blocks)]
         views = [Dataset(pool.x[lo:hi], pool.y[lo:hi])
                  for lo, hi in zip(bounds, bounds[1:])]
         self._client_rngs = [np.random.default_rng(s) for s in ss_clients.spawn(n)]
@@ -574,6 +699,9 @@ class Simulation:
         self._accuracy: dict[int, tuple[float, float | None]] = {}
         # clients holding the current state from last round's final broadcast
         self._holding_state: set[int] = set()
+        # the global test set cast for evaluate, made by warm_up, after the
+        # set-up's memory peak
+        self._global_cast: Float32Copy | None = None
 
     def _initial_state(self, rng: np.random.Generator) -> GlobalState:
         width = max(m.w1.shape[0] for m in self.models)
@@ -600,6 +728,7 @@ class Simulation:
             warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
                    rng)
         self._backbone_hashes = [m.backbone_hash() for m in self.models]
+        self._global_cast = float32_copy(self.global_test)
 
     def _check_backbones(self) -> None:
         assert self._backbone_hashes is not None
@@ -794,7 +923,7 @@ class Simulation:
                 with np.errstate(over="ignore", invalid="ignore"):
                     weights = m.effective_weights(shared_delta)
                 self._accuracy[m.client_id] = (
-                    evaluate(m, self.global_test, weights),
+                    evaluate(m, self.global_test, weights, self._global_cast),
                     evaluate(m, p.test, weights) if p.test.n > 0 else None,
                 )
         accuracy = [self._accuracy[m.client_id] for m in self.models]

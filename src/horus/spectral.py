@@ -55,7 +55,7 @@ def decompose_many(ms) -> list[tuple[np.ndarray, np.ndarray]]:
             raise ValueError("singular values must be finite and non-negative")
         if (np.diff(s, axis=1) > 0).any():
             raise ValueError("singular values must be sorted non-increasing")
-        v = vt[:, 0, :]
+        v = vt[:, 0, :].copy()  # a view would keep the whole (n, k, q) stack alive
         flip = v[np.arange(len(v)), np.abs(v).argmax(axis=1)] < 0
         v[flip] = -v[flip]
         zero = ~stack.any(axis=(1, 2))

@@ -338,7 +338,8 @@ class TestTaskInClientOrder:
     def test_order_must_be_a_permutation(self):
         task = TaskConfig(feature_dim=3, num_classes=2, samples_per_class=3,
                           signal_dim=None)
-        for order in ([0, 1, 2, 3, 4, 4], [0, 1, 2], [5, 4, 3, 2, 1, 6]):
+        for order in ([0, 1, 2, 3, 4, 4], [0, 1, 2], [5, 4, 3, 2, 1, 6],
+                      [0, 1, 2, 3, 4, -1]):
             with pytest.raises(ValueError, match="permutation"):
                 generate_task(task, order=np.array(order))
 
@@ -721,6 +722,82 @@ class TestEvaluate:
         assert evaluate(model, test) >= 0.99
 
 
+def float64_hits(x, y, w1, w2):
+    """The plain float64 count, written out as the oracle of the float32 path."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.count_nonzero(np.argmax(np.maximum(x @ w1.T, 0) @ w2.T, axis=1) == y)
+
+
+WEIGHT_SCALES = [1e-200, 1e-25, 1e-3, 1.0, 1e3, 1e25, 1e200]
+
+
+@st.composite
+def certified_cases(draw, cases=("random", "tied", "near_tie", "dead", "nan"),
+                    scales=WEIGHT_SCALES):
+    """(x, y, w1, w2) of random shapes; the weights may tie classes exactly or
+    nearly, kill the relu layer, hold a NaN or sit far from unit scale."""
+    n, d = draw(st.integers(1, 300)), draw(st.integers(1, 40))
+    h, c = draw(st.integers(1, 40)), draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(n, d)) + rng.normal(size=d)
+    y = rng.integers(0, c, size=n)
+    w1, w2 = rng.normal(size=(h, d)), rng.normal(size=(c, h))
+    i, j = rng.choice(c, size=2, replace=False)
+    case = draw(st.sampled_from(cases))
+    if case == "tied":  # exact ties in float64 too
+        w2[j] = w2[i]
+    elif case == "near_tie":  # too close for float32, not for float64
+        w2[j] = w2[i] * (1 + 1e-9 * rng.normal(size=h))
+    elif case == "dead":  # all logits 0: class 0 wins every row
+        w1[:] = 0.0
+    elif case == "nan":
+        w1[rng.integers(h), rng.integers(d)] = np.nan
+    w1 *= draw(st.sampled_from(scales))
+    w2 *= draw(st.sampled_from(scales))
+    return x, y, w1, w2
+
+
+class TestCertifiedEvaluate:
+    """The float32 path of evaluate counts exactly what float64 counts."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(certified_cases())
+    def test_certified_count_is_the_float64_count(self, case):
+        x, y, w1, w2 = case
+        data = Dataset(x, y)
+        cast = horus.sim.float32_copy(data)
+        assert cast is not None
+        want = float64_hits(x, y, w1, w2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = evaluate(LocalModel(0, 0, w1, w2), data, None, cast)
+            with np.errstate(over="ignore", invalid="ignore"):
+                hits = horus.sim._certified_hits(w1, w2, data, cast)
+        assert got == want / len(y)
+        assert hits is None or hits == want
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    # scales at which float32 neither overflows nor underflows unscaled
+    @given(certified_cases(cases=("random", "tied", "near_tie"), scales=[1e-3, 1.0, 1e3]))
+    def test_float32_logits_lie_within_the_bound(self, case):
+        x, y, w1, w2 = case
+        f, m = np.linalg.norm(w1), np.linalg.norm(w2, axis=1).max()
+        l32 = np.maximum(x.astype(np.float32) @ w1.T.astype(np.float32), 0)
+        l32 = l32 @ w2.T.astype(np.float32)
+        l64 = np.maximum(x @ w1.T, 0) @ w2.T
+        k32, _ = horus.sim._bound_factors(x.shape[1], w1.shape[0])
+        e = k32 * f * m * np.linalg.norm(x, axis=1)
+        assert (np.abs(l32 - l64).max(axis=1) <= e).all()
+
+    def test_rows_the_bound_cannot_cover_get_no_copy(self):
+        x = np.ones((4, 3))
+        y = np.zeros(4, dtype=int)
+        assert horus.sim.float32_copy(Dataset(x, y)) is not None
+        for bad in (0.0, 1e-30, 1e30, np.inf, np.nan):
+            x[2] = bad
+            assert horus.sim.float32_copy(Dataset(x, y)) is None
+
+
 class TestSimulation:
     def test_heterogeneous_shapes_on_both_layers(self):
         sim = Simulation(tiny_config())
@@ -986,6 +1063,7 @@ class TestRoundWork:
     def test_cached_accuracies_equal_a_fresh_evaluation(self, monkeypatch):
         sim = Simulation(self.pool_config())
         sim.warm_up()
+        assert sim._global_cast is not None  # global accuracies take float32
         assert all(p.test.n > 0 for p in sim.profiles)
         calls = []
 
@@ -994,6 +1072,7 @@ class TestRoundWork:
             return evaluate(model, dataset, *weights)
 
         monkeypatch.setattr(horus.sim, "evaluate", counting)
+        x, y = sim.global_test
         partial = 0
         for _ in range(sim.cfg.rounds):
             calls.clear()
@@ -1003,6 +1082,9 @@ class TestRoundWork:
                            for mod, p in zip(sim.models, sim.profiles)]
             assert m.global_accuracy == float(np.mean(fresh_global))
             assert m.mean_local_accuracy == float(np.mean(fresh_local))
+            oracle = [float64_hits(x, y, *mod.effective_weights()) / len(y)
+                      for mod in sim.models]
+            assert m.global_accuracy == float(np.mean(oracle))
             if m.round == 1:
                 assert sorted(calls) == sorted(2 * list(range(len(sim.models))))
             else:
@@ -1058,6 +1140,111 @@ class TestRoundWork:
             rec = r.metrics.to_record()
             assert rec["detection_skipped"] is True and rec["flagged"] == []
             assert rec["theta"] is None and rec["aggregation_skipped"] is False
+
+
+class TestDegenerateRounds:
+    """Rounds at the edges of detection and aggregation run through
+    ``run_round`` to one documented outcome."""
+
+    PERCENTILE = {"lambda": 0.5, "k": 2, "mode": {"percentile": 95}}
+
+    @staticmethod
+    def spy_submissions(monkeypatch):
+        submitted = {}
+        aggregate = horus.sim.horus_aggregate
+
+        def spying(updates, *args, **kwargs):
+            submitted.clear()
+            submitted.update(updates)
+            return aggregate(updates, *args, **kwargs)
+
+        monkeypatch.setattr(horus.sim, "horus_aggregate", spying)
+        return submitted
+
+    def test_one_participant_skips_detection_and_becomes_the_state(self, monkeypatch):
+        cfg = tiny_config(clients=[{"count": 1, "hidden_width": 8,
+                                    "participation_rate": 1.0}], rounds=2)
+        submitted = self.spy_submissions(monkeypatch)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            r = sim.run_round()
+            rec = r.metrics.to_record()
+            assert rec["participants"] == [0] and rec["flagged"] == []
+            assert rec["detection_skipped"] is True and rec["theta"] is None
+            assert rec["aggregation_skipped"] is False
+            assert r.outcome.detection.skipped and r.outcome.state is sim.state
+            # the one client covers the whole state: its weighted mean is itself
+            for lid, layer in sim.state.layers.items():
+                pair = submitted[0].layers[lid]
+                np.testing.assert_allclose(layer.a, pair.a, rtol=1e-15, atol=0)
+                np.testing.assert_allclose(layer.b, pair.b, rtol=1e-15, atol=0)
+
+    def test_rank_above_the_input_width_runs_a_full_round(self):
+        cfg = tiny_config(rank=10)  # input widths 8 (features) and 6 or 8
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            r = sim.run_round()
+            rec = r.metrics.to_record()
+            assert not rec["detection_skipped"] and not rec["aggregation_skipped"]
+            assert len(rec["flagged"]) == 1 and np.isfinite(rec["theta"])
+            for cid, decomposition in r.outcome.decompositions.items():
+                dims = sim.models[cid].layer_dims()
+                for lid in LayerId:
+                    values, _ = decomposition[lid, "a"]
+                    assert len(values) == dims[lid].d_in < cfg.rank
+            for lid, layer in sim.state.layers.items():
+                assert layer.a.shape == (cfg.rank, sim.state.dims()[lid].d_in)
+                assert np.isfinite(layer.a).all() and np.isfinite(layer.b).all()
+            json.dumps(rec, allow_nan=False)
+
+    def test_identical_updates_score_equal_and_none_is_flagged(self, monkeypatch):
+        # lr 0: every client of the one width submits the broadcast state, so
+        # the entropies' spread is 0 and the guard zeroes the entropy term
+        cfg = tiny_config(lr=0.0, detection=self.PERCENTILE, rounds=2, clients=[
+            {"count": 4, "hidden_width": 8, "participation_rate": 1.0}])
+        submitted = self.spy_submissions(monkeypatch)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            before = copy.deepcopy(sim.state)
+            r = sim.run_round()
+            pairs = [[(u.layers[lid].a.tobytes(), u.layers[lid].b.tobytes())
+                      for lid in LayerId] for u in submitted.values()]
+            assert len(submitted) == 4 and all(p == pairs[0] for p in pairs)
+            scores = r.outcome.detection.scores.values()
+            assert len({(s.score, *s.per_layer.values()) for s in scores}) == 1
+            assert all(np.isfinite(s.score) for s in scores)
+            rec = r.metrics.to_record()
+            assert rec["flagged"] == [] and not rec["detection_skipped"]
+            assert not rec["aggregation_skipped"]
+            for lid, layer in sim.state.layers.items():
+                np.testing.assert_allclose(layer.a, before.layers[lid].a, rtol=1e-15)
+                np.testing.assert_allclose(layer.b, before.layers[lid].b, rtol=1e-15)
+
+    def test_all_zero_updates_aggregate_to_zero_and_keep_directions(self, monkeypatch):
+        def zero_train(model, *args, **kwargs):
+            layers = {lid: LoraPair(np.zeros_like(p.a), np.zeros_like(p.b), p.rank)
+                      for lid, p in model.lora.items()}
+            return horus.sim.ClientUpdate(model.client_id, model.arch_id, layers)
+
+        monkeypatch.setattr(horus.sim, "local_train", zero_train)
+        cfg = tiny_config(detection=self.PERCENTILE, rounds=2)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            r = sim.run_round()
+            rec = r.metrics.to_record()
+            assert rec["flagged"] == [] and not rec["aggregation_skipped"]
+            assert len({s.score for s in r.outcome.detection.scores.values()}) == 1
+            assert all(v == {"a": 0.0, "b": 0.0} for v in rec["frob"].values())
+            # a zero aggregate has no direction: e1 first, then the one kept
+            for layer in sim.state.layers.values():
+                assert not layer.a.any() and not layer.b.any()
+                for v in (layer.v_a, layer.v_b):
+                    np.testing.assert_array_equal(v, np.eye(1, len(v))[0])
+            json.dumps(rec, allow_nan=False)
 
 
 class TestSharedBroadcast:
