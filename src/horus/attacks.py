@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 GAMMA_SLACK_REL = 1e-6
+GAMMA_INIT = 1.0
+SEARCH_ITERS = 20
 
 
 class AttackKind(str, Enum):
@@ -58,8 +60,6 @@ class AttackConfig:
     start_round: int = 1
     attacker_ids: frozenset[int] = frozenset()
     z_override: float | None = None
-    gamma_init: float = 1.0
-    search_iters: int = 20
     direction: PerturbationDirection = PerturbationDirection.NEG_STD
     knowledge: str = "own"  # "own": attacker cohort only; "all": every participant
 
@@ -67,10 +67,6 @@ class AttackConfig:
         object.__setattr__(self, "attacker_ids", frozenset(self.attacker_ids))
         if self.start_round < 1:
             raise ConfigurationError(f"start_round must be >= 1, got {self.start_round}")
-        if self.gamma_init <= 0:
-            raise ConfigurationError(f"gamma_init must be > 0, got {self.gamma_init}")
-        if self.search_iters < 1:
-            raise ConfigurationError(f"search_iters must be >= 1, got {self.search_iters}")
         if self.knowledge not in ("own", "all"):
             raise ConfigurationError(f"knowledge must be 'own' or 'all', got {self.knowledge!r}")
         if self.kind is not AttackKind.NONE and not self.attacker_ids:
@@ -120,19 +116,18 @@ def lie_attack(benign, n: int, m: int, z_override: float | None = None) -> np.nd
     return mu + z * sigma
 
 
-def _maximize_gamma(
-    value_fn: Callable[[float], float], bound: float, gamma_init: float, iters: int
-) -> float:
-    """Largest gamma with value_fn(gamma) <= bound, by doubling then bisection.
+def _maximize_gamma(value_fn: Callable[[float], float], bound: float) -> float:
+    """Largest gamma with value_fn(gamma) <= bound, by doubling from
+    GAMMA_INIT, then bisection.
 
     Assumes the feasible set is an interval [0, gamma*] (value_fn is convex
-    in gamma and feasible at 0). Iterates past `iters` steps if needed until
-    the result is maximal within 0.5% and the constraint slack is below
+    in gamma and feasible at 0). Bisects at least SEARCH_ITERS steps, and on
+    until the result is maximal within 0.5% and the constraint slack is below
     GAMMA_SLACK_REL relative to the bound.
     """
     if value_fn(0.0) > bound:
         raise SimulationError("cohort mean violates the distance constraint")
-    hi = float(gamma_init)
+    hi = GAMMA_INIT
     doublings = 0
     while value_fn(hi) <= bound:
         hi *= 2.0
@@ -143,7 +138,7 @@ def _maximize_gamma(
     steps = 0
     while steps < 300:
         if (
-            steps >= iters
+            steps >= SEARCH_ITERS
             and hi <= lo * 1.005 + 1e-15
             and bound - value_fn(lo) <= GAMMA_SLACK_REL * bound
         ):
@@ -167,10 +162,7 @@ def _perturbation(mu: np.ndarray, sigma: np.ndarray,
 
 
 def min_max_attack(
-    benign,
-    direction: PerturbationDirection = AttackConfig.direction,
-    gamma_init: float = AttackConfig.gamma_init,
-    iters: int = AttackConfig.search_iters,
+    benign, direction: PerturbationDirection = AttackConfig.direction
 ) -> np.ndarray:
     """Push mean + gamma * p as far as possible while staying no farther from
     any benign vector than the benign vectors are from each other.
@@ -193,15 +185,12 @@ def min_max_attack(
         d_sq = (gamma * gamma * p_sq - 2.0 * gamma * c_p + c_sq).max()
         return float(np.sqrt(max(d_sq, 0.0)))
 
-    gamma = _maximize_gamma(value_fn, bound, gamma_init, iters)
+    gamma = _maximize_gamma(value_fn, bound)
     return mu + gamma * p
 
 
 def min_sum_attack(
-    benign,
-    direction: PerturbationDirection = AttackConfig.direction,
-    gamma_init: float = AttackConfig.gamma_init,
-    iters: int = AttackConfig.search_iters,
+    benign, direction: PerturbationDirection = AttackConfig.direction
 ) -> np.ndarray:
     """As min_max_attack, but bounded by the worst benign sum of squared
     distances to the rest of the cohort.
@@ -221,7 +210,7 @@ def min_sum_attack(
     def value_fn(gamma: float) -> float:
         return n * gamma * gamma * p_sq - 2.0 * gamma * sum_p + sum_sq
 
-    gamma = _maximize_gamma(value_fn, bound, gamma_init, iters)
+    gamma = _maximize_gamma(value_fn, bound)
     return mu + gamma * p
 
 
@@ -258,10 +247,10 @@ def craft_malicious_vectors(
         v = lie_attack(knowledge, n_total, len(cfg.attacker_ids), cfg.z_override)
         return {a: v.copy() for a in attacker_ids}
     if kind is AttackKind.MIN_MAX:
-        v = min_max_attack(knowledge, cfg.direction, cfg.gamma_init, cfg.search_iters)
+        v = min_max_attack(knowledge, cfg.direction)
         return {a: v.copy() for a in attacker_ids}
     if kind is AttackKind.MIN_SUM:
-        v = min_sum_attack(knowledge, cfg.direction, cfg.gamma_init, cfg.search_iters)
+        v = min_sum_attack(knowledge, cfg.direction)
         return {a: v.copy() for a in attacker_ids}
     if kind is AttackKind.FANG_TRIMMED:
         return {a: fang_trimmed_attack(knowledge, rngs[a]) for a in sorted(attacker_ids)}

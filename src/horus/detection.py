@@ -63,7 +63,6 @@ class LayerFeatures:
 class HopsScore:
     """A client's outlier score: the mean of its per-layer sub-scores."""
 
-    client_id: int
     score: float
     per_layer: Mapping[LayerId, float]
 
@@ -190,7 +189,7 @@ def hops_scores(
     for i, c in enumerate(cids):
         subs = {lid: float(per_layer_subs[lid][i]) for lid in LayerId}
         score = float(np.mean([subs[lid] for lid in LayerId]))
-        out[c] = HopsScore(client_id=c, score=score, per_layer=subs)
+        out[c] = HopsScore(score=score, per_layer=subs)
     return out
 
 
@@ -209,10 +208,10 @@ def flag_clients(
         theta = percentile([s.score for s in scores.values()], mode.p)
         flagged = frozenset(c for c, s in scores.items() if s.score > theta)
     elif isinstance(mode, TopM):
-        ordered = sorted(scores.values(), key=lambda s: (-s.score, s.client_id))
+        ordered = sorted(scores.items(), key=lambda cs: (-cs[1].score, cs[0]))
         m = min(mode.m, len(ordered))
-        flagged = frozenset(s.client_id for s in ordered[:m])
-        theta = ordered[m].score if m < len(ordered) else float("-inf")
+        flagged = frozenset(c for c, _ in ordered[:m])
+        theta = ordered[m][1].score if m < len(ordered) else float("-inf")
     else:
         raise TypeError(f"unknown detection mode: {mode!r}")
     return RoundDetection(
@@ -238,7 +237,7 @@ def detect_round(
             "detection skipped: %d participant(s), need at least 3", len(features)
         )
         zero = {
-            c: HopsScore(c, 0.0, {lid: 0.0 for lid in LayerId}) for c in features
+            c: HopsScore(0.0, {lid: 0.0 for lid in LayerId}) for c in features
         }
         return RoundDetection(
             scores=zero,

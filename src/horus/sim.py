@@ -67,10 +67,12 @@ PARTICIPATION_POOL = (1.0, 0.75, 0.5)
 
 # Initial adapter-A: a random rank-(r/2) product of uniform factors, scaled
 # to the Frobenius norm an iid uniform(+-scale/sqrt(d_in)) draw would have.
-# A full-rank iid init pins every tail singular value at a common floor that
-# training never washes out (the bilinear dynamics are init-scale
-# self-similar), which would hide the low-rank structure of learned updates
-# from the spectral features; the low-rank init leaves the tail to training.
+# With B = 0, A's gradient B^T dW and B's dW A^T stay in that rank-(r/2)
+# span, so every benign A keeps exact rank r/2 for the whole run: its tail
+# singular values are ~1e-16 of the first, and criterion 11 compares A and B
+# CoVs of ~3e-16, rounding noise. A full-rank init does not blind detection:
+# under a full-rank geometric (q = 0.5) init, LIE recall stayed 1.0 on three
+# seeds. Replacing this init is ROADMAP item 2.
 LORA_A_INIT_SCALE = 0.1
 
 
@@ -697,8 +699,6 @@ class Simulation:
         # (global, local) accuracy of each client's model since its adapters
         # last changed; local is None for an empty test shard
         self._accuracy: dict[int, tuple[float, float | None]] = {}
-        # clients holding the current state from last round's final broadcast
-        self._holding_state: set[int] = set()
         # the global test set cast for evaluate, made by warm_up, after the
         # set-up's memory peak
         self._global_cast: Float32Copy | None = None
@@ -876,14 +876,12 @@ class Simulation:
         cfg = self.cfg
         self.round_index += 1
         participants = self._sample_participants()
-        holding, self._holding_state = self._holding_state, set()
         outcome: AggregationOutcome | None = None
         diagnostics: list[DiagnosticRow] = []
         payload = 0
 
         if participants:
-            # the state is unchanged since last round's final broadcast
-            self._broadcast([c for c in participants if c not in holding])
+            self._broadcast(participants)
             submissions = self._train_participants(participants)
             self._apply_model_poisoning(submissions, participants)
             payload = sum(payload_bytes(u) for u in submissions.values())
@@ -894,7 +892,6 @@ class Simulation:
                     outcome = baseline_aggregate(cfg.aggregator, submissions, self.state)
                 self.state = outcome.state  # a skipped step returns the old state
             self._broadcast(participants)
-            self._holding_state = set(participants)
             if self.diagnostics:
                 diagnostics = self._diagnostics(submissions, outcome)
         else:

@@ -283,7 +283,7 @@ def test_criterion_06_attack_constraints():
             diffs = benign[:, None, :] - benign[None, :, :]
             d2 = (diffs**2).sum(axis=-1)
 
-            mal = min_max_attack(benign, iters=20)
+            mal = min_max_attack(benign)
             bound = float(np.sqrt(d2.max()))
             value = float(np.linalg.norm(mal - benign, axis=1).max())
             assert value <= bound * (1.0 + 1e-12)
@@ -294,7 +294,7 @@ def test_criterion_06_attack_constraints():
             pushed = mu + 1.01 * gamma * direction
             assert float(np.linalg.norm(pushed - benign, axis=1).max()) > bound
 
-            mal = min_sum_attack(benign, iters=20)
+            mal = min_sum_attack(benign)
             bound = float(d2.sum(axis=1).max())
             value = float(((mal - benign) ** 2).sum())
             assert value <= bound * (1.0 + 1e-12)

@@ -105,7 +105,7 @@ class TestMinMax:
         rng = np.random.default_rng(5)
         for _ in range(10):
             benign = rng.normal(size=(6, 9))
-            mal = min_max_attack(benign, iters=20)
+            mal = min_max_attack(benign)
             bound = max_pairwise(benign)
             value = float(np.linalg.norm(mal - benign, axis=1).max())
             assert value <= bound * (1 + 1e-12)
@@ -144,7 +144,7 @@ class TestMinSum:
         rng = np.random.default_rng(7)
         for _ in range(10):
             benign = rng.normal(size=(5, 8))
-            mal = min_sum_attack(benign, iters=20)
+            mal = min_sum_attack(benign)
             bound = worst_sum_sq(benign)
             value = float(((mal - benign) ** 2).sum())
             assert value <= bound * (1 + 1e-12)
@@ -184,7 +184,7 @@ class TestConstraintProperties:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(cohorts())
     def test_min_max(self, benign):
-        mal = min_max_attack(benign, iters=20)
+        mal = min_max_attack(benign)
         bound = max_pairwise(benign)
         value = float(np.linalg.norm(mal - benign, axis=1).max())
         assert value <= bound * (1 + 1e-12)
@@ -193,7 +193,7 @@ class TestConstraintProperties:
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(cohorts())
     def test_min_sum(self, benign):
-        mal = min_sum_attack(benign, iters=20)
+        mal = min_sum_attack(benign)
         bound = worst_sum_sq(benign)
         value = float(((mal - benign) ** 2).sum())
         assert value <= bound * (1 + 1e-12)
@@ -286,6 +286,3 @@ class TestCrafting:
                          attacker_ids=frozenset({1}))
         with pytest.raises(ConfigurationError):
             AttackConfig(kind=AttackKind.LIE, attacker_ids=frozenset())
-        with pytest.raises(ConfigurationError):
-            AttackConfig(kind=AttackKind.MIN_MAX, attacker_ids=frozenset({1}),
-                         gamma_init=0.0)

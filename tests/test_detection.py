@@ -166,7 +166,7 @@ class TestHopsScores:
 
 def scores_of(values):
     return {
-        cid: HopsScore(cid, v, {FF: v, CL: v}) for cid, v in enumerate(values)
+        cid: HopsScore(v, {FF: v, CL: v}) for cid, v in enumerate(values)
     }
 
 
@@ -238,7 +238,7 @@ def hops_score_maps():
     return ids.flatmap(lambda cids: st.lists(
         values, min_size=len(cids), max_size=len(cids),
     ).map(lambda vals: {
-        c: HopsScore(c, v, {lid: v for lid in LayerId}) for c, v in zip(cids, vals)
+        c: HopsScore(v, {lid: v for lid in LayerId}) for c, v in zip(cids, vals)
     }))
 
 

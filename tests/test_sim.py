@@ -1107,6 +1107,8 @@ class TestRoundWork:
         previous: set[int] = set()
         returning = 0
         for _ in range(sim.cfg.rounds):
+            if sim.round_index > 0:  # the state may be edited in place between rounds
+                sim.state.layers[FF].a *= 0.5
             state = copy.deepcopy(sim.state)
             seen.clear()
             m = sim.run_round().metrics
