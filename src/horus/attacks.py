@@ -9,6 +9,7 @@ to each attacker's local shape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping
@@ -24,6 +25,7 @@ __all__ = [
     "PerturbationDirection",
     "AttackConfig",
     "flip_labels",
+    "lie_z",
     "lie_attack",
     "min_max_attack",
     "min_sum_attack",
@@ -92,27 +94,29 @@ def _cohort_stats(benign) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return benign, benign.mean(axis=0), benign.std(axis=0)
 
 
-def lie_attack(benign, n: int, m: int, z_override: float | None = None) -> np.ndarray:
-    """Craft mean + z * std over the cohort's benign-style vectors.
+def lie_z(n: int, m: int) -> float:
+    """LIE's z for n clients of which m attack: Phi^{-1}((n - m - s) / (n - m))
+    with s = floor(n/2) + 1 - m; this targets the largest coordinate-wise
+    shift that a majority-based defense would still accept. Raises where s
+    or the quantile leaves z undefined."""
+    if n - m < 1:
+        raise ConfigurationError(f"need n > m for the z formula (n={n}, m={m})")
+    s = n // 2 + 1 - m
+    q = (n - m - s) / (n - m)
+    if s <= 0 or not 0.0 < q < 1.0:
+        raise ConfigurationError(
+            f"z undefined for n={n}, m={m} (s={s}); provide z_override"
+        )
+    return inverse_normal_cdf(q)
 
-    Without an override, z = Phi^{-1}((n - m - s) / (n - m)) with
-    s = floor(n/2) + 1 - m; this targets the largest coordinate-wise shift
-    that a majority-based defense would still accept. All attackers submit
-    the identical vector.
+
+def lie_attack(benign, n: int, m: int, z_override: float | None = None) -> np.ndarray:
+    """Craft mean + z * std over the cohort's benign-style vectors, with z
+    from :func:`lie_z` unless overridden. All attackers submit the identical
+    vector.
     """
     benign, mu, sigma = _cohort_stats(benign)
-    if z_override is not None:
-        z = float(z_override)
-    else:
-        if n - m < 1:
-            raise ConfigurationError(f"need n > m for the z formula (n={n}, m={m})")
-        s = n // 2 + 1 - m
-        q = (n - m - s) / (n - m)
-        if s <= 0 or not 0.0 < q < 1.0:
-            raise ConfigurationError(
-                f"z undefined for n={n}, m={m} (s={s}); provide z_override"
-            )
-        z = inverse_normal_cdf(q)
+    z = float(z_override) if z_override is not None else lie_z(n, m)
     return mu + z * sigma
 
 
@@ -123,18 +127,17 @@ def _maximize_gamma(value_fn: Callable[[float], float], bound: float) -> float:
     Assumes the feasible set is an interval [0, gamma*] (value_fn is convex
     in gamma and feasible at 0). Bisects at least SEARCH_ITERS steps, and on
     until the result is maximal within 0.5% and the constraint slack is below
-    GAMMA_SLACK_REL relative to the bound.
+    GAMMA_SLACK_REL relative to the bound. Returns inf if doubling overflows
+    before the constraint binds.
     """
     if value_fn(0.0) > bound:
         raise SimulationError("cohort mean violates the distance constraint")
     hi = GAMMA_INIT
-    doublings = 0
     while value_fn(hi) <= bound:
         hi *= 2.0
-        doublings += 1
-        if doublings > 30:
-            raise SimulationError("distance constraint never binds")
-    lo = hi / 2.0 if doublings else 0.0
+        if math.isinf(hi):
+            return hi
+    lo = hi / 2.0 if hi > GAMMA_INIT else 0.0
     steps = 0
     while steps < 300:
         if (

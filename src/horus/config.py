@@ -20,7 +20,7 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 import yaml
 
 from .aggregation import AggregatorKind, HorusConfig
-from .attacks import AttackConfig
+from .attacks import AttackConfig, AttackKind, lie_z
 from .detection import DetectionMode, Percentile, TopM
 from .errors import ConfigurationError
 from .sim import TaskConfig
@@ -138,6 +138,11 @@ class RunConfig:
             raise ConfigurationError(
                 f"attack.attacker_ids: ids {sorted(bad)} outside [0, {n})"
             )
+        if self.attack.kind is AttackKind.LIE and self.attack.z_override is None:
+            try:
+                lie_z(n, len(self.attack.attacker_ids))
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"attack: {exc}") from None
         self.aggregator.check_feasible(n)
 
 

@@ -9,7 +9,7 @@ averages padding into the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -28,7 +28,6 @@ __all__ = [
     "pad_round",
     "trim_to_local",
     "payload_bytes",
-    "unflatten_padded",
 ]
 
 
@@ -61,25 +60,24 @@ class LoraPair:
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    rank: int
 
     def __post_init__(self):
         a = _as_float_matrix(self.a, "a")
         b = _as_float_matrix(self.b, "b")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        if a.shape[0] != self.rank:
-            raise ValueError(f"a has {a.shape[0]} rows, expected rank {self.rank}")
-        if b.shape[1] != self.rank:
-            raise ValueError(f"b has {b.shape[1]} columns, expected rank {self.rank}")
+        if not a.shape[0] == b.shape[1] >= 1:
+            raise ValueError(f"a {a.shape} and b {b.shape} share no positive rank")
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0]
 
     @classmethod
-    def _trusted(cls, a: np.ndarray, b: np.ndarray, rank: int) -> "LoraPair":
+    def _trusted(cls, a: np.ndarray, b: np.ndarray) -> "LoraPair":
         """A pair from finite 2-D float matrices its caller has already checked."""
         pair = object.__new__(cls)
-        pair.__dict__.update(a=a, b=b, rank=rank)
+        pair.__dict__.update(a=a, b=b)
         return pair
 
     def delta(self) -> np.ndarray:
@@ -91,17 +89,15 @@ class LoraPair:
 class ClientUpdate:
     """A client's per-round submission: one adapter pair per instrumented layer."""
 
-    client_id: int
-    arch_id: int
     layers: Mapping[LayerId, LoraPair]
 
     def __post_init__(self):
         missing = [lid for lid in LayerId if lid not in self.layers]
         if missing:
-            raise ValueError(f"client {self.client_id} missing layers: {missing}")
+            raise ValueError(f"update is missing layers: {missing}")
         ranks = {pair.rank for pair in self.layers.values()}
         if len(ranks) != 1:
-            raise ValueError(f"client {self.client_id} has mixed ranks {ranks}")
+            raise ValueError(f"update has mixed ranks {ranks}")
         object.__setattr__(self, "layers", dict(self.layers))
 
 
@@ -124,23 +120,29 @@ class GlobalState:
     """Aggregated adapter pairs per layer plus tracked global directions."""
 
     layers: dict[LayerId, GlobalLayer]
-    rank: int
 
     @property
     def directions_initialized(self) -> bool:
         return all(g.v_a is not None and g.v_b is not None
                    for g in self.layers.values())
 
-    def dims(self) -> dict[LayerId, LayerDims]:
-        return {lid: LayerDims(g.a.shape[1], g.b.shape[0])
-                for lid, g in self.layers.items()}
-
     def flat(self) -> np.ndarray:
-        """Every layer's A and B as one row in the :func:`pad_round` layout."""
+        """Every layer's A and B as one row in the :func:`round_layout`."""
         return np.concatenate([
-            getattr(self.layers[lid], factor).ravel()
-            for lid, factor, _ in round_layout(self.dims(), self.rank)
+            getattr(self.layers[block.layer], block.factor).ravel()
+            for block in round_layout(self)
         ])
+
+    def with_flat(self, row: np.ndarray) -> "GlobalState":
+        """A state of copies of the blocks of ``row``, a row in this state's
+        :func:`round_layout`, with this state's tracked directions."""
+        layout = round_layout(self)
+        if row.shape != (layout[-1].cols.stop,):
+            raise ValueError(f"row of shape {row.shape} does not fit the round layout")
+        state = GlobalState({lid: replace(layer) for lid, layer in self.layers.items()})
+        for lid, factor, shape, cols in layout:
+            setattr(state.layers[lid], factor, row[cols].reshape(shape).copy())
+        return state
 
     @classmethod
     def zeros(cls, dims: Mapping[LayerId, LayerDims], rank: int) -> "GlobalState":
@@ -148,7 +150,7 @@ class GlobalState:
             lid: GlobalLayer(a=np.zeros((rank, d.d_in)), b=np.zeros((d.d_out, rank)))
             for lid, d in dims.items()
         }
-        return cls(layers=layers, rank=rank)
+        return cls(layers)
 
 
 def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
@@ -156,7 +158,7 @@ def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
     checked copy whose arrays are read-only, so that clients of one shape can
     share it."""
     glayer = g.layers[layer]
-    d_in_max, d_out_max = g.dims()[layer]
+    d_in_max, d_out_max = glayer.a.shape[1], glayer.b.shape[0]
     if dims.d_in > d_in_max or dims.d_out > d_out_max:
         raise ConfigurationError(
             f"local dims {tuple(dims)} exceed global maxima "
@@ -165,7 +167,6 @@ def trim_to_local(g: GlobalState, layer: LayerId, dims: LayerDims) -> LoraPair:
     pair = LoraPair(
         a=glayer.a[:, : dims.d_in].copy(),
         b=glayer.b[: dims.d_out, :].copy(),
-        rank=g.rank,
     )
     pair.a.flags.writeable = pair.b.flags.writeable = False
     return pair
@@ -176,56 +177,50 @@ def payload_bytes(u: ClientUpdate) -> int:
     return 8 * sum(pair.a.size + pair.b.size for pair in u.layers.values())
 
 
-def round_layout(
-    dims: Mapping[LayerId, LayerDims], rank: int
-) -> list[tuple[LayerId, str, tuple[int, int]]]:
-    """(layer, factor, global shape) of each block of a flat round row: every
+class Block(NamedTuple):
+    """One global matrix's place in a flat round row."""
+
+    layer: LayerId
+    factor: str  # "a" | "b"
+    shape: tuple[int, int]
+    cols: slice
+
+
+def round_layout(g: GlobalState) -> list[Block]:
+    """The blocks of a flat round row at the global shapes of ``g``: every
     layer's A in declaration order, then every layer's B in the same order."""
-    return [(lid, "a", (rank, dims[lid].d_in)) for lid in LayerId] + [
-        (lid, "b", (dims[lid].d_out, rank)) for lid in LayerId
-    ]
+    blocks, end = [], 0
+    for factor in ("a", "b"):
+        for lid in LayerId:
+            shape = getattr(g.layers[lid], factor).shape
+            start, end = end, end + shape[0] * shape[1]
+            blocks.append(Block(lid, factor, shape, slice(start, end)))
+    return blocks
 
 
 def pad_round(
-    updates: Sequence[ClientUpdate], dims: Mapping[LayerId, LayerDims], rank: int
+    updates: Sequence[ClientUpdate], g: GlobalState
 ) -> tuple[np.ndarray, np.ndarray]:
     """One round's submissions as an (n, P) value matrix and an (n, P) 0/1 mask.
 
     Row i holds update i's matrices zero-padded top-left to the global shapes
-    and laid out as :func:`round_layout` lists them; the mask marks the real
-    entries. :func:`unflatten_padded` inverts a row of values.
+    of ``g`` and laid out in its :func:`round_layout`; the mask marks the real
+    entries. :meth:`GlobalState.with_flat` reads a row of values back.
     """
-    layout = round_layout(dims, rank)
-    sizes = [rows * cols for _, _, (rows, cols) in layout]
-    values = np.zeros((len(updates), sum(sizes)))
+    layout = round_layout(g)
+    values = np.zeros((len(updates), layout[-1].cols.stop))
     masks = np.zeros_like(values)
-    offset = 0
-    for (lid, factor, shape), size in zip(layout, sizes):
+    for lid, factor, shape, cols in layout:
         block = (len(updates),) + shape
-        vals = values[:, offset : offset + size].reshape(block)
-        mask = masks[:, offset : offset + size].reshape(block)
+        vals = values[:, cols].reshape(block)
+        mask = masks[:, cols].reshape(block)
         for i, u in enumerate(updates):
             m = getattr(u.layers[lid], factor)
             if m.shape[0] > shape[0] or m.shape[1] > shape[1]:
                 raise ConfigurationError(
-                    f"client {u.client_id} layer {lid.value} {factor.upper()} "
+                    f"update {i} layer {lid.value} {factor.upper()} "
                     f"shape {m.shape} exceeds global maxima {shape}"
                 )
             vals[i, : m.shape[0], : m.shape[1]] = m
             mask[i, : m.shape[0], : m.shape[1]] = 1.0
-        offset += size
     return values, masks
-
-
-def unflatten_padded(
-    vec: np.ndarray, dims: Mapping[LayerId, LayerDims], rank: int
-) -> dict[LayerId, tuple[np.ndarray, np.ndarray]]:
-    """Rebuild global-shape (A, B) matrices from a flat row of :func:`pad_round`."""
-    blocks: dict[tuple[LayerId, str], np.ndarray] = {}
-    offset = 0
-    for lid, factor, (rows, cols) in round_layout(dims, rank):
-        blocks[lid, factor] = vec[offset : offset + rows * cols].reshape(rows, cols)
-        offset += rows * cols
-    if offset != vec.size:
-        raise ValueError(f"vector length {vec.size} does not match dims (need {offset})")
-    return {lid: (blocks[lid, "a"].copy(), blocks[lid, "b"].copy()) for lid in LayerId}

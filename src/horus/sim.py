@@ -38,7 +38,6 @@ from .lora import (
     pad_round,
     payload_bytes,
     trim_to_local,
-    unflatten_padded,
 )
 from .spectral import topk_energy_ratio
 
@@ -398,9 +397,8 @@ def local_train(
         raise SimulationError(f"client {model.client_id}: warm-up must run first")
     if shard.n == 0:
         log.warning("client %d: empty shard, returning adapters unchanged", model.client_id)
-        return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
-    ff, cl = model.lora[LayerId.FEATURE_FIRST], model.lora[LayerId.CLASSIFIER]
-    adapters = (ff.a, ff.b, cl.a, cl.b)
+        return ClientUpdate(dict(model.lora))
+    adapters = [m for lid in LayerId for m in (model.lora[lid].a, model.lora[lid].b)]
     # the four adapters in one flat vector, so that a step is one scale, one
     # subtract and one finiteness check; each step's adapters are views of it
     flat = np.concatenate(adapters, axis=None)
@@ -425,10 +423,10 @@ def local_train(
     # every step was checked finite above, and the views are 2-D
     a1, b1, a2, b2 = adapters
     model.lora = {
-        LayerId.FEATURE_FIRST: LoraPair._trusted(a1, b1, ff.rank),
-        LayerId.CLASSIFIER: LoraPair._trusted(a2, b2, cl.rank),
+        LayerId.FEATURE_FIRST: LoraPair._trusted(a1, b1),
+        LayerId.CLASSIFIER: LoraPair._trusted(a2, b2),
     }
-    return ClientUpdate(model.client_id, model.arch_id, dict(model.lora))
+    return ClientUpdate(dict(model.lora))
 
 
 # unit roundoffs, and the ranges within which evaluate's float32 error bound
@@ -783,8 +781,7 @@ class Simulation:
 
         if cfg.workers > 1 and len(participants) > 1:
             with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-                results = list(pool.map(run_one, participants))
-            return {u.client_id: u for u in results}
+                return dict(zip(participants, pool.map(run_one, participants)))
         return {cid: run_one(cid) for cid in participants}
 
     def _apply_model_poisoning(
@@ -794,19 +791,14 @@ class Simulation:
         if attack.kind is AttackKind.LABEL_FLIP or not attack.active(self.round_index):
             return
         present = sorted(attack.attacker_ids & set(participants))
-        if not present:
-            return
-        knowledge_ids = (
-            present if attack.knowledge == "own" else sorted(participants)
-        )
-        if len(knowledge_ids) < 2:
+        knowledge_ids = present if attack.knowledge == "own" else sorted(participants)
+        if not present or len(knowledge_ids) < 2:
             log.warning(
-                "round %d: only %d knowledge vector(s); attack skipped",
-                self.round_index, len(knowledge_ids),
+                "round %d: %d attacker(s) and %d knowledge vector(s); attack skipped",
+                self.round_index, len(present), len(knowledge_ids),
             )
             return
-        dims, rank = self.state.dims(), self.state.rank
-        vectors, _ = pad_round([submissions[c] for c in knowledge_ids], dims, rank)
+        vectors, _ = pad_round([submissions[c] for c in knowledge_ids], self.state)
         with np.errstate(over="ignore", invalid="ignore"):
             crafted = atk.craft_malicious_vectors(
                 attack, vectors, len(self.profiles), present, self._attack_rngs,
@@ -818,17 +810,10 @@ class Simulation:
                 log.warning("round %d: crafted vector for client %d is non-finite; "
                             "submitting the benign-style update", self.round_index, a)
                 continue
-            matrices = unflatten_padded(vec, dims, rank)
-            local = self.models[a].layer_dims()
-            layers = {
-                lid: LoraPair(
-                    a=matrices[lid][0][:, : local[lid].d_in],
-                    b=matrices[lid][1][: local[lid].d_out, :],
-                    rank=rank,
-                )
-                for lid in LayerId
-            }
-            submissions[a] = ClientUpdate(a, self.models[a].arch_id, layers)
+            poisoned = self.state.with_flat(vec)
+            layers = {lid: trim_to_local(poisoned, lid, dims)
+                      for lid, dims in self.models[a].layer_dims().items()}
+            submissions[a] = ClientUpdate(layers)
 
     def _diagnostics(
         self, submissions: dict[int, ClientUpdate], outcome: AggregationOutcome | None
@@ -843,7 +828,6 @@ class Simulation:
         rows = []
         k = self.cfg.detection.k
         for cid in sorted(submissions):
-            u = submissions[cid]
             for lid in LayerId:
                 for name in ("A", "B"):
                     values, _ = decompositions[cid][lid, name.lower()]
@@ -851,7 +835,7 @@ class Simulation:
                         DiagnosticRow(
                             round=self.round_index,
                             client_id=cid,
-                            arch_id=u.arch_id,
+                            arch_id=self.models[cid].arch_id,
                             layer=lid.value,
                             matrix=name,
                             topk_ratio=topk_energy_ratio(values, k),

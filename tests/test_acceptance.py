@@ -36,7 +36,6 @@ from horus.lora import (
     LoraPair,
     pad_round,
     round_layout,
-    unflatten_padded,
 )
 from horus.sim import Simulation, adapter_gradients, new_model
 from horus.spectral import spectral_entropy, topk_energy_ratio
@@ -144,12 +143,12 @@ def test_criterion_01_spectral_correctness():
         assert time.perf_counter() - start < 1.0
 
 
-def _random_update(rng, cid, rank=8, ff=(64, 32), cl=(32, 10)):
+def _random_update(rng, rank=8, ff=(64, 32), cl=(32, 10)):
     layers = {}
     for lid, (d_in, d_out) in ((FF, ff), (CL, cl)):
         layers[lid] = LoraPair(rng.normal(size=(rank, d_in)),
-                               rng.normal(size=(d_out, rank)), rank)
-    return ClientUpdate(cid, 0, layers)
+                               rng.normal(size=(d_out, rank)))
+    return ClientUpdate(layers)
 
 
 def test_criterion_02_obliviousness_invariants():
@@ -157,7 +156,7 @@ def test_criterion_02_obliviousness_invariants():
         start = time.perf_counter()
         rng = np.random.default_rng(1)
         for _ in range(10):  # 10 populations x 10 clients = 100 matrices
-            updates = {c: _random_update(rng, c) for c in range(10)}
+            updates = {c: _random_update(rng) for c in range(10)}
             feats = {c: client_features(d, 5)
                      for c, d in decompose_round(updates).items()}
             base = detect_round(feats, 0.3, TopM(2))
@@ -169,8 +168,8 @@ def test_criterion_02_obliviousness_invariants():
                 for lid, p in u.layers.items():
                     a_pad = np.zeros((p.rank, p.a.shape[1] + 9))
                     a_pad[:, : p.a.shape[1]] = scale * p.a
-                    layers[lid] = LoraPair(a_pad, p.b, p.rank)
-                transformed[c] = ClientUpdate(c, 0, layers)
+                    layers[lid] = LoraPair(a_pad, p.b)
+                transformed[c] = ClientUpdate(layers)
             tfeats = {c: client_features(d, 5)
                       for c, d in decompose_round(transformed).items()}
             for c in updates:
@@ -209,28 +208,27 @@ def test_criterion_04_aggregation_reductions():
         rng = np.random.default_rng(2)
         dims = {FF: LayerDims(20, 12), CL: LayerDims(12, 5)}
         updates = {
-            c: _random_update(rng, c, rank=4,
+            c: _random_update(rng, rank=4,
                               ff=(20 if c % 2 else 14, 12 if c % 2 else 8),
                               cl=(12 if c % 2 else 8, 5))
             for c in range(6)
         }
-        values, masks = pad_round(list(updates.values()), dims, 4)
+        state = GlobalState.zeros(dims, 4)
+        values, masks = pad_round(list(updates.values()), state)
         zeros = np.zeros(values.shape[1])
         # unit weights, per row (fedavg) and per client and block (horus)
         plain = masked_mean(values, masks, np.ones((len(values), 1)), zeros)
-        sizes = [r * c for _, _, (r, c) in round_layout(dims, 4)]
+        sizes = [b.cols.stop - b.cols.start for b in round_layout(state)]
         ones = np.repeat(np.ones((len(values), len(sizes))), sizes, axis=1)
         weighted = masked_mean(values, masks, ones, zeros)
         assert plain.tobytes() == weighted.tobytes()
 
-        homogeneous = [_random_update(rng, c, rank=4, ff=(20, 12), cl=(12, 5))
-                       for c in range(5)]
-        values, masks = pad_round(homogeneous, dims, 4)
-        means = unflatten_padded(
-            masked_mean(values, masks, np.ones((5, 1)), zeros), dims, 4
-        )
+        homogeneous = [_random_update(rng, rank=4, ff=(20, 12), cl=(12, 5))
+                       for _ in range(5)]
+        values, masks = pad_round(homogeneous, state)
+        means = state.with_flat(masked_mean(values, masks, np.ones((5, 1)), zeros))
         for lid in LayerId:
-            a_bar, b_bar = means[lid]
+            a_bar, b_bar = means.layers[lid].a, means.layers[lid].b
             mean_a = np.mean([u.layers[lid].a for u in homogeneous], axis=0)
             mean_b = np.mean([u.layers[lid].b for u in homogeneous], axis=0)
             assert np.abs(a_bar - mean_a).max() <= 1e-12
@@ -238,14 +236,13 @@ def test_criterion_04_aggregation_reductions():
 
         # one client covering 2 of 6 A columns and B rows keeps the rest
         small = {FF: LayerDims(6, 6), CL: LayerDims(6, 3)}
-        only = _random_update(rng, 0, rank=4, ff=(2, 2), cl=(2, 3))
+        only = _random_update(rng, rank=4, ff=(2, 2), cl=(2, 3))
         prev = GlobalState.zeros(small, 4)
         prev.layers[FF].a[:] = 3.5
         prev.layers[FF].b[:] = -2.5
-        values, masks = pad_round([only], small, 4)
-        a_bar, b_bar = unflatten_padded(
-            masked_mean(values, masks, np.ones((1, 1)), prev.flat()), small, 4
-        )[FF]
+        values, masks = pad_round([only], prev)
+        mean = prev.with_flat(masked_mean(values, masks, np.ones((1, 1)), prev.flat()))
+        a_bar, b_bar = mean.layers[FF].a, mean.layers[FF].b
         assert np.array_equal(a_bar[:, 2:], np.full((4, 4), 3.5))
         assert np.array_equal(b_bar[2:, :], np.full((4, 4), -2.5))
 
@@ -314,9 +311,9 @@ def test_criterion_07_gradient_check():
             model = new_model(0, 0, d, c, h, rng)
             lora = {
                 FF: LoraPair(0.4 * rng.normal(size=(rank, d)),
-                             0.4 * rng.normal(size=(h, rank)), rank),
+                             0.4 * rng.normal(size=(h, rank))),
                 CL: LoraPair(0.4 * rng.normal(size=(rank, h)),
-                             0.4 * rng.normal(size=(c, rank)), rank),
+                             0.4 * rng.normal(size=(c, rank))),
             }
             x = rng.normal(size=(10, d))
             y = rng.integers(0, c, size=10)
@@ -329,9 +326,9 @@ def test_criterion_07_gradient_check():
                     analytic = grads[lid][part]
                     base = getattr(lora[lid], name)
                     for idx in np.ndindex(*base.shape):
-                        plus = {k: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+                        plus = {k: LoraPair(p.a.copy(), p.b.copy())
                                 for k, p in lora.items()}
-                        minus = {k: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+                        minus = {k: LoraPair(p.a.copy(), p.b.copy())
                                  for k, p in lora.items()}
                         getattr(plus[lid], name)[idx] += eps
                         getattr(minus[lid], name)[idx] -= eps

@@ -26,20 +26,20 @@ from horus.detection import Percentile, TopM, decompose_round
 from horus.errors import ConfigurationError
 from horus.lora import (
     ClientUpdate,
+    GlobalLayer,
     GlobalState,
     LayerDims,
     LayerId,
     LoraPair,
     pad_round,
     round_layout,
-    unflatten_padded,
 )
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 DIMS = {FF: LayerDims(10, 8), CL: LayerDims(8, 3)}
 
 
-def make_update(rng, cid, rank=4, ff=(10, 8), cl=(8, 3), fill=None):
+def make_update(rng, rank=4, ff=(10, 8), cl=(8, 3), fill=None):
     layers = {}
     for lid, (d_in, d_out) in ((FF, ff), (CL, cl)):
         if fill is None:
@@ -48,27 +48,41 @@ def make_update(rng, cid, rank=4, ff=(10, 8), cl=(8, 3), fill=None):
         else:
             a = np.full((rank, d_in), float(fill))
             b = np.full((d_out, rank), float(fill))
-        layers[lid] = LoraPair(a, b, rank)
-    return ClientUpdate(cid, 0, layers)
+        layers[lid] = LoraPair(a, b)
+    return ClientUpdate(layers)
 
 
-BLOCK_SIZES = [r * c for _, _, (r, c) in round_layout(DIMS, 4)]
+ZEROS = GlobalState.zeros(DIMS, 4)
+
+
+def block_sizes(g):
+    return [b.cols.stop - b.cols.start for b in round_layout(g)]
+
+
+def as_pairs(flat, g=ZEROS):
+    """{layer: (A, B)} of a flat row in the round layout of ``g``."""
+    return {lid: (p.a, p.b) for lid, p in g.with_flat(flat).layers.items()}
+
+
+def with_aggregates(g, aggregates):
+    """``g`` with each layer's (A, B) replaced by the given aggregates."""
+    return GlobalState({lid: GlobalLayer(a, b, g.layers[lid].v_a, g.layers[lid].v_b)
+                        for lid, (a, b) in aggregates.items()})
 
 
 def unit_mean(updates):
     """masked_mean with unit weights over the round matrix of ``updates``."""
-    values, masks = pad_round(updates, DIMS, 4)
+    values, masks = pad_round(updates, ZEROS)
     zeros = np.zeros(values.shape[1])
-    flat = masked_mean(values, masks, np.ones((len(values), 1)), zeros)
-    return unflatten_padded(flat, DIMS, 4)
+    return as_pairs(masked_mean(values, masks, np.ones((len(values), 1)), zeros))
 
 
 def block_weighted_mean(updates, alphas, previous=None):
     """masked_mean with one weight per client and block, as horus passes them."""
-    values, masks = pad_round(updates, DIMS, 4)
+    values, masks = pad_round(updates, ZEROS)
     prev = np.zeros(values.shape[1]) if previous is None else previous
-    weights = np.repeat(np.asarray(alphas, dtype=float), BLOCK_SIZES, axis=1)
-    return unflatten_padded(masked_mean(values, masks, weights, prev), DIMS, 4)
+    weights = np.repeat(np.asarray(alphas, dtype=float), block_sizes(ZEROS), axis=1)
+    return as_pairs(masked_mean(values, masks, weights, prev))
 
 
 class TestMaskedAverage:
@@ -76,7 +90,7 @@ class TestMaskedAverage:
 
     def test_same_shape_equals_plain_mean(self):
         rng = np.random.default_rng(0)
-        updates = [make_update(rng, c) for c in range(4)]
+        updates = [make_update(rng) for _ in range(4)]
         a_bar, b_bar = unit_mean(updates)[FF]
         np.testing.assert_allclose(
             a_bar, np.mean([u.layers[FF].a for u in updates], axis=0)
@@ -87,8 +101,8 @@ class TestMaskedAverage:
 
     def test_exclusive_column_keeps_single_value(self):
         rng = np.random.default_rng(1)
-        small = make_update(rng, 0, ff=(8, 8), cl=(8, 3))
-        big = make_update(rng, 1, ff=(10, 8), cl=(8, 3))
+        small = make_update(rng, ff=(8, 8), cl=(8, 3))
+        big = make_update(rng, ff=(10, 8), cl=(8, 3))
         a_bar, _ = unit_mean([small, big])[FF]
         np.testing.assert_array_equal(a_bar[:, 8:], big.layers[FF].a[:, 8:])
 
@@ -122,33 +136,33 @@ class TestWeightedMaskedAverage:
 
     def test_all_ones_weights_reduce_bitwise(self):
         rng = np.random.default_rng(2)
-        updates = [make_update(rng, c, ff=(10, 8) if c % 2 else (8, 8))
+        updates = [make_update(rng, ff=(10, 8) if c % 2 else (8, 8))
                    for c in range(5)]
         plain = unit_mean(updates)
-        weighted = block_weighted_mean(updates, np.ones((5, len(BLOCK_SIZES))))
+        weighted = block_weighted_mean(updates, np.ones((5, len(round_layout(ZEROS)))))
         for lid in LayerId:
             assert plain[lid][0].tobytes() == weighted[lid][0].tobytes()
             assert plain[lid][1].tobytes() == weighted[lid][1].tobytes()
 
     def test_zero_weight_excludes_client(self):
         rng = np.random.default_rng(3)
-        u0 = make_update(rng, 0)
-        u1 = make_update(rng, 1)
+        u0 = make_update(rng)
+        u1 = make_update(rng)
         out = block_weighted_mean([u0, u1], [[0.0] * 4, [1.0] * 4])
         for lid in LayerId:
             np.testing.assert_allclose(out[lid][0], u1.layers[lid].a)
             np.testing.assert_allclose(out[lid][1], u1.layers[lid].b)
 
     def test_hand_example_quarter_three_quarters(self):
-        zeros = make_update(np.random.default_rng(4), 0, fill=0.0)
-        fours = make_update(np.random.default_rng(5), 1, fill=4.0)
+        zeros = make_update(np.random.default_rng(4), fill=0.0)
+        fours = make_update(np.random.default_rng(5), fill=4.0)
         out = block_weighted_mean([zeros, fours], [[0.25] * 4, [0.75] * 4])
         for lid in LayerId:
             np.testing.assert_allclose(out[lid][0], 3.0)  # (0.25*0 + 0.75*4) / 1
             np.testing.assert_allclose(out[lid][1], 3.0)
 
     def test_all_tiny_weights_keep_previous(self):
-        u = make_update(np.random.default_rng(6), 0)
+        u = make_update(np.random.default_rng(6))
         state = GlobalState.zeros(DIMS, 4)
         for lid in LayerId:
             state.layers[lid].a[:] = 5.0
@@ -174,7 +188,7 @@ def state_with_directions(rng, rank=4):
 def block_weights(u, state):
     """{(layer, factor): alpha} of one client's consistency weights."""
     weights = projection_weights([decompose_round({0: u})[0]], state)
-    keys = [(lid, f) for lid, f, _ in round_layout(DIMS, 4)]
+    keys = [(b.layer, b.factor) for b in round_layout(state)]
     assert weights.shape == (1, len(keys))
     return dict(zip(keys, weights[0]))
 
@@ -186,8 +200,8 @@ class TestProjectionWeights:
             d_in, d_out = DIMS[lid]
             a = np.outer(np.arange(1, rank + 1, dtype=float), v_a[lid])
             b = np.outer(np.arange(1, d_out + 1, dtype=float), v_b[lid])
-            layers[lid] = LoraPair(a, b, rank)
-        return ClientUpdate(0, 0, layers)
+            layers[lid] = LoraPair(a, b)
+        return ClientUpdate(layers)
 
     def test_aligned_rank_one_gives_alpha_one(self):
         rng = np.random.default_rng(7)
@@ -219,11 +233,11 @@ class TestProjectionWeights:
     def test_sign_flip_invariance(self):
         rng = np.random.default_rng(9)
         state = state_with_directions(rng)
-        u = make_update(rng, 0)
+        u = make_update(rng)
         flipped_layers = {
-            lid: LoraPair(-p.a, -p.b, p.rank) for lid, p in u.layers.items()
+            lid: LoraPair(-p.a, -p.b) for lid, p in u.layers.items()
         }
-        flipped = ClientUpdate(0, 0, flipped_layers)
+        flipped = ClientUpdate(flipped_layers)
         w1 = block_weights(u, state)
         w2 = block_weights(flipped, state)
         for lid in LayerId:
@@ -232,11 +246,11 @@ class TestProjectionWeights:
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(10)
         state = state_with_directions(rng)
-        u = make_update(rng, 0)
+        u = make_update(rng)
         scaled_layers = {
-            lid: LoraPair(3.5 * p.a, 3.5 * p.b, p.rank) for lid, p in u.layers.items()
+            lid: LoraPair(3.5 * p.a, 3.5 * p.b) for lid, p in u.layers.items()
         }
-        scaled = ClientUpdate(0, 0, scaled_layers)
+        scaled = ClientUpdate(scaled_layers)
         w1 = block_weights(u, state)
         w2 = block_weights(scaled, state)
         for lid in LayerId:
@@ -245,7 +259,7 @@ class TestProjectionWeights:
     def test_uninitialized_directions_fall_back_to_uniform(self):
         rng = np.random.default_rng(11)
         state = GlobalState.zeros(DIMS, 4)
-        u = make_update(rng, 0)
+        u = make_update(rng)
         weights = block_weights(u, state)
         assert all(w == 1.0 for w in weights.values())
         # uniform weights are not summarized
@@ -258,7 +272,7 @@ class TestProjectionWeights:
         for lid in LayerId:
             state.layers[lid].v_a = rng.normal(size=DIMS[lid].d_in)
             state.layers[lid].v_a /= np.linalg.norm(state.layers[lid].v_a)
-        u = make_update(rng, 0, ff=(7, 5), cl=(5, 3))
+        u = make_update(rng, ff=(7, 5), cl=(5, 3))
         weights = block_weights(u, state)
         for lid in LayerId:
             # the right singular vector of the zero-padded A, by numpy directly
@@ -276,9 +290,9 @@ class TestUpdateGlobalDirections:
         w = rng.normal(size=10)
         a_bar = np.outer(np.arange(1, 5, dtype=float), w)
         b_bar = rng.normal(size=(8, 4))
-        new = update_global_directions(state, {FF: (a_bar, b_bar),
-                                               CL: (rng.normal(size=(4, 8)),
-                                                    rng.normal(size=(3, 4)))})
+        new = update_global_directions(with_aggregates(state, {
+            FF: (a_bar, b_bar), CL: (rng.normal(size=(4, 8)), rng.normal(size=(3, 4)))
+        }))
         expected = w / np.linalg.norm(w)
         v = new.layers[FF].v_a
         assert min(np.linalg.norm(v - expected), np.linalg.norm(v + expected)) < 1e-10
@@ -289,8 +303,8 @@ class TestUpdateGlobalDirections:
         aggs = {lid: (rng.normal(size=(4, DIMS[lid].d_in)),
                       rng.normal(size=(DIMS[lid].d_out, 4))) for lid in LayerId}
         doubled = {lid: (2.0 * a, 2.0 * b) for lid, (a, b) in aggs.items()}
-        n1 = update_global_directions(state, aggs)
-        n2 = update_global_directions(state, doubled)
+        n1 = update_global_directions(with_aggregates(state, aggs))
+        n2 = update_global_directions(with_aggregates(state, doubled))
         for lid in LayerId:
             np.testing.assert_allclose(n1.layers[lid].v_a, n2.layers[lid].v_a,
                                        atol=1e-10)
@@ -300,7 +314,7 @@ class TestUpdateGlobalDirections:
         state = GlobalState.zeros(DIMS, 4)
         aggs = {lid: (rng.normal(size=(4, DIMS[lid].d_in)),
                       rng.normal(size=(DIMS[lid].d_out, 4))) for lid in LayerId}
-        new = update_global_directions(state, aggs)
+        new = update_global_directions(with_aggregates(state, aggs))
         for lid in LayerId:
             gram = aggs[lid][0].T @ aggs[lid][0]
             v = np.ones(gram.shape[0]) / np.sqrt(gram.shape[0])
@@ -318,12 +332,27 @@ class TestUpdateGlobalDirections:
         prev_va = {lid: state.layers[lid].v_a.copy() for lid in LayerId}
         zero_aggs = {lid: (np.zeros((4, DIMS[lid].d_in)),
                            np.zeros((DIMS[lid].d_out, 4))) for lid in LayerId}
-        new = update_global_directions(state, zero_aggs)
+        new = update_global_directions(with_aggregates(state, zero_aggs))
         for lid in LayerId:
             np.testing.assert_array_equal(new.layers[lid].v_a, prev_va[lid])
 
+    def test_shares_the_matrices_and_leaves_the_argument(self):
+        rng = np.random.default_rng(16)
+        state = state_with_directions(rng)
+        before = {lid: (layer.a, layer.b, layer.v_a.copy(), layer.v_b.copy())
+                  for lid, layer in state.layers.items()}
+        new = update_global_directions(state)
+        assert new is not state
+        for lid, (a, b, v_a, v_b) in before.items():
+            assert new.layers[lid].a is a and new.layers[lid].b is b
+            layer = state.layers[lid]
+            assert layer.a is a and layer.b is b
+            np.testing.assert_array_equal(layer.v_a, v_a)
+            np.testing.assert_array_equal(layer.v_b, v_b)
+            assert not np.array_equal(new.layers[lid].v_a, v_a)
 
-def coherent_update(rng, cid, rank=4, eps=0.02):
+
+def coherent_update(rng, rank=4, eps=0.02):
     """Benign-style client: A dominated by one shared direction per layer."""
     layers = {}
     for lid in LayerId:
@@ -331,8 +360,8 @@ def coherent_update(rng, cid, rank=4, eps=0.02):
         direction = np.sin(np.arange(d_in) + 1.0)  # shared across clients
         a = np.outer(rng.normal(1.0, 0.1, size=rank), direction)
         a += eps * rng.normal(size=(rank, d_in))
-        layers[lid] = LoraPair(a, rng.normal(size=(d_out, rank)), rank)
-    return ClientUpdate(cid, 0, layers)
+        layers[lid] = LoraPair(a, rng.normal(size=(d_out, rank)))
+    return ClientUpdate(layers)
 
 
 def staged_oracle(updates, cids, state):
@@ -366,7 +395,7 @@ def staged_oracle(updates, cids, state):
 class TestHorusAggregate:
     def test_single_client_round_one(self):
         rng = np.random.default_rng(16)
-        u = make_update(rng, 0, ff=(8, 8), cl=(8, 3))
+        u = make_update(rng, ff=(8, 8), cl=(8, 3))
         state = GlobalState.zeros(DIMS, 4)
         out = horus_aggregate({0: u}, state, HorusConfig(mode=TopM(0)))
         np.testing.assert_array_equal(out.state.layers[FF].a[:, :8],
@@ -379,9 +408,9 @@ class TestHorusAggregate:
 
     def test_identical_clients_unflagged_and_averaged(self):
         rng = np.random.default_rng(17)
-        base = make_update(rng, 0)
+        base = make_update(rng)
         updates = {
-            c: ClientUpdate(c, 0, dict(base.layers)) for c in range(10)
+            c: ClientUpdate(dict(base.layers)) for c in range(10)
         }
         state = GlobalState.zeros(DIMS, 4)
         out = horus_aggregate(updates, state, HorusConfig())
@@ -391,18 +420,17 @@ class TestHorusAggregate:
 
     def test_flags_lie_outliers_and_matches_staged_oracle(self):
         rng = np.random.default_rng(18)
-        updates = {c: coherent_update(rng, c) for c in range(8)}
+        updates = {c: coherent_update(rng) for c in range(8)}
         # the colluding pair submits an identical dispersive (full-rank) A
         for c in (8, 9):
             layers = {
                 lid: LoraPair(
                     np.random.default_rng(99).normal(size=(4, DIMS[lid].d_in)),
                     rng.normal(size=(DIMS[lid].d_out, 4)),
-                    4,
                 )
                 for lid in LayerId
             }
-            updates[c] = ClientUpdate(c, 0, layers)
+            updates[c] = ClientUpdate(layers)
 
         state = GlobalState.zeros(DIMS, 4)
         cfg = HorusConfig(lam=0.3, k=2, mode=TopM(2))
@@ -423,13 +451,13 @@ class TestHorusAggregate:
 
     def test_flagged_client_perturbation_changes_nothing(self):
         rng = np.random.default_rng(19)
-        updates = {c: make_update(rng, c) for c in range(6)}
+        updates = {c: make_update(rng) for c in range(6)}
         outlier_layers = {
             lid: LoraPair(np.outer(np.arange(1, 5), np.ones(DIMS[lid].d_in)),
-                          updates[5].layers[lid].b, 4)
+                          updates[5].layers[lid].b)
             for lid in LayerId
         }
-        updates[5] = ClientUpdate(5, 0, outlier_layers)
+        updates[5] = ClientUpdate(outlier_layers)
         state = GlobalState.zeros(DIMS, 4)
         cfg = HorusConfig(mode=TopM(1))
         out1 = horus_aggregate(updates, state, cfg)
@@ -438,12 +466,12 @@ class TestHorusAggregate:
         cid = flagged.pop()
         wild_layers = {
             lid: LoraPair(1e6 * np.ones_like(updates[cid].layers[lid].a),
-                          -1e6 * np.ones_like(updates[cid].layers[lid].b), 4)
+                          -1e6 * np.ones_like(updates[cid].layers[lid].b))
             for lid in LayerId
         }
         # keep the perturbed client just as flaggable: wildly concentrated
         updates2 = dict(updates)
-        updates2[cid] = ClientUpdate(cid, 0, wild_layers)
+        updates2[cid] = ClientUpdate(wild_layers)
         out2 = horus_aggregate(updates2, state, cfg)
         if out2.detection.flagged == out1.detection.flagged:
             for lid in LayerId:
@@ -454,7 +482,7 @@ class TestHorusAggregate:
 
     def test_homogeneous_uniform_weights_equal_fedavg(self):
         rng = np.random.default_rng(20)
-        updates = {c: make_update(rng, c) for c in range(5)}
+        updates = {c: make_update(rng) for c in range(5)}
         state = GlobalState.zeros(DIMS, 4)
         out = horus_aggregate(updates, state, HorusConfig(mode=TopM(0)))
         fedavg = baseline_aggregate(AggregatorKind("fedavg"), updates, state).state
@@ -464,7 +492,7 @@ class TestHorusAggregate:
 
     def test_all_flagged_skips_round(self):
         rng = np.random.default_rng(21)
-        updates = {c: make_update(rng, c) for c in range(3)}
+        updates = {c: make_update(rng) for c in range(3)}
         state = GlobalState.zeros(DIMS, 4)
         before = {lid: state.layers[lid].a.copy() for lid in LayerId}
         out = horus_aggregate(updates, state, HorusConfig(mode=TopM(3)))
@@ -474,7 +502,7 @@ class TestHorusAggregate:
 
     def test_client_permutation_invariance(self):
         rng = np.random.default_rng(22)
-        updates = {c: make_update(rng, c) for c in range(6)}
+        updates = {c: make_update(rng) for c in range(6)}
         state = GlobalState.zeros(DIMS, 4)
         out1 = horus_aggregate(updates, state, HorusConfig(mode=TopM(1)))
         reordered = dict(reversed(list(updates.items())))
@@ -499,12 +527,11 @@ class TestHorusRelabellingProperty:
         updates = {}
         for c in range(n):
             ff, cl = widths[int(rng.integers(2))]
-            updates[c] = make_update(rng, c, ff=ff, cl=cl)
+            updates[c] = make_update(rng, ff=ff, cl=cl)
         state = state_with_directions(rng) if tracked else GlobalState.zeros(DIMS, 4)
         ids = data.draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
                                  unique=True))
-        relabelled = {ids[c]: ClientUpdate(ids[c], 0, u.layers)
-                      for c, u in updates.items()}
+        relabelled = {ids[c]: u for c, u in updates.items()}
         cfg = HorusConfig(lam=0.3, k=2, mode=mode)
         base = horus_aggregate(updates, state, cfg)
         # equal scores are ranked by client id, which relabelling changes; a
@@ -544,9 +571,9 @@ class TestPlainMeanReduction:
         rng = np.random.default_rng(seed)
         updates = {}
         for cid in range(n):
-            u = make_update(rng, cid, rank=rank, ff=(d, h), cl=(h, c))
-            updates[cid] = ClientUpdate(cid, 0, {
-                lid: LoraPair(scale * p.a, scale * p.b, rank)
+            u = make_update(rng, rank=rank, ff=(d, h), cl=(h, c))
+            updates[cid] = ClientUpdate({
+                lid: LoraPair(scale * p.a, scale * p.b)
                 for lid, p in u.layers.items()
             })
         state = GlobalState.zeros(dims, rank)
@@ -572,10 +599,10 @@ def mixed_width_round(seed, n, rank):
     updates = {}
     for cid in range(n):
         h = int(rng.integers(1, h_max + 1))
-        u = make_update(rng, cid, rank=rank, ff=(d, h), cl=(h, c))
+        u = make_update(rng, rank=rank, ff=(d, h), cl=(h, c))
         scale = 10.0 ** rng.uniform(-3, 3)
-        updates[cid] = ClientUpdate(cid, 0, {
-            lid: LoraPair(scale * p.a, scale * p.b, rank) for lid, p in u.layers.items()
+        updates[cid] = ClientUpdate({
+            lid: LoraPair(scale * p.a, scale * p.b) for lid, p in u.layers.items()
         })
     state = GlobalState.zeros(dims, rank)
     for lid, layer in state.layers.items():
@@ -591,10 +618,10 @@ def mixed_width_round(seed, n, rank):
 def per_entry_weights(decompositions, g):
     """Consistency weights entry by entry: each vector zero-extended on its
     own, one dot product, clipped to [0, 1]."""
-    layout = round_layout(g.dims(), g.rank)
+    layout = round_layout(g)
     out = np.empty((len(decompositions), len(layout)))
     for i, d in enumerate(decompositions):
-        for j, (lid, factor, _) in enumerate(layout):
+        for j, (lid, factor, _, _) in enumerate(layout):
             _, v = d[lid, factor]
             g_v = getattr(g.layers[lid], "v_" + factor)
             v_global = np.zeros(len(g_v))
@@ -628,12 +655,10 @@ class TestServerStepBitOracles:
         out = horus_aggregate(updates, state, HorusConfig(mode=TopM(0)))
         assert not out.detection.flagged
         cids = sorted(updates)
-        dims = state.dims()
-        values, masks = pad_round([updates[c] for c in cids], dims, rank)
+        values, masks = pad_round([updates[c] for c in cids], state)
         decompositions = decompose_round(updates)
         alphas = projection_weights([decompositions[c] for c in cids], state)
-        sizes = [r * c for _, _, (r, c) in round_layout(dims, rank)]
-        want = masked_mean(values, masks, np.repeat(alphas, sizes, axis=1),
+        want = masked_mean(values, masks, np.repeat(alphas, block_sizes(state), axis=1),
                            state.flat())
         assert out.state.flat().tobytes() == want.tobytes()
 
@@ -758,7 +783,7 @@ class TestBaselines:
     def _as_updates(self, values):
         # embed 1-D values as constant adapter pairs so shapes stay trivial
         return {
-            i: make_update(np.random.default_rng(i), i, fill=v)
+            i: make_update(np.random.default_rng(i), fill=v)
             for i, v in enumerate(values)
         }
 
@@ -779,6 +804,18 @@ class TestBaselines:
             winners, _ = krum_select(vectors, masks, f=1)
             oracle_winner, _ = brute_force_krum(vectors, masks, 1)
             assert winners[0] == oracle_winner
+
+    def test_krum_rows_past_float_range_score_inf_without_warnings(self):
+        rng = np.random.default_rng(30)
+        vectors = rng.normal(size=(8, 10))
+        vectors[6:] = 1e200  # two equal rows whose Gram products overflow
+        masks = np.ones_like(vectors)
+        winners, scores = krum_select(vectors, masks, f=2, m=3)
+        with np.errstate(over="ignore"):
+            _, oracle_scores = brute_force_krum(vectors, masks, 2)
+        assert winners == np.argsort(oracle_scores, kind="stable")[:3].tolist()
+        np.testing.assert_allclose(scores, oracle_scores)
+        np.testing.assert_array_equal(scores[6:], np.inf)
 
     def test_krum_infeasible_population(self):
         vectors = np.zeros((3, 2))
@@ -815,11 +852,11 @@ class TestBaselines:
 
     def test_multi_krum_averages_selected(self):
         rng = np.random.default_rng(24)
-        updates = {c: make_update(rng, c) for c in range(5)}
+        updates = {c: make_update(rng) for c in range(5)}
         state = GlobalState.zeros(DIMS, 4)
         kind = AggregatorKind("multi_krum", f=1, m=2)
         result = baseline_aggregate(kind, updates, state).state
-        values, masks = pad_round([updates[c] for c in sorted(updates)], DIMS, 4)
+        values, masks = pad_round([updates[c] for c in sorted(updates)], state)
         winners, _ = krum_select(values, masks, f=1, m=2)
         chosen = {sorted(updates)[i] for i in winners}
         expected_a = np.mean([updates[c].layers[FF].a for c in chosen], axis=0)
@@ -836,8 +873,8 @@ class TestBaselines:
         rng = np.random.default_rng(25)
         # two architectures: hidden width 8 and 6, so the masks differ
         updates = {
-            c: make_update(rng, c, ff=(10, 8), cl=(8, 3)) if c % 2
-            else make_update(rng, c, ff=(10, 6), cl=(6, 3))
+            c: make_update(rng, ff=(10, 8), cl=(8, 3)) if c % 2
+            else make_update(rng, ff=(10, 6), cl=(6, 3))
             for c in range(7)
         }
         state = state_with_directions(rng)

@@ -1,6 +1,8 @@
 """Unit tests for the poisoning attack implementations."""
 
+import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from horus.attacks import (
+    _maximize_gamma,
     AttackConfig,
     AttackKind,
     PerturbationDirection,
@@ -16,6 +19,7 @@ from horus.attacks import (
     fang_trimmed_attack,
     flip_labels,
     lie_attack,
+    lie_z,
     min_max_attack,
     min_sum_attack,
 )
@@ -83,6 +87,18 @@ class TestLie:
     def test_requires_two_vectors(self):
         with pytest.raises(ValueError):
             lie_attack(np.zeros((1, 3)), 10, 2, z_override=1.0)
+
+    @pytest.mark.parametrize("n, m", [(10, 1), (10, 2), (10, 4), (7, 3), (300, 30)])
+    def test_z_is_the_normal_quantile_of_the_formula(self, n, m):
+        s = n // 2 + 1 - m
+        assert lie_z(n, m) == pytest.approx(
+            NormalDist().inv_cdf((n - m - s) / (n - m)), abs=1e-8
+        )
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (3, 2), (4, 3), (5, 5), (1, 1)])
+    def test_z_undefined(self, n, m):
+        with pytest.raises(ConfigurationError):
+            lie_z(n, m)
 
 
 def max_pairwise(benign):
@@ -164,6 +180,23 @@ class TestMinSum:
         p = -sigma / np.linalg.norm(sigma)
         gamma = float(np.dot(mal - mu, p))
         assert gamma >= 0
+
+
+class TestGammaSearch:
+    @pytest.mark.parametrize("attack, distance", [
+        (min_max_attack, lambda mal, benign: (
+            float(np.linalg.norm(mal - benign, axis=1).max()), max_pairwise(benign))),
+        (min_sum_attack, lambda mal, benign: (
+            float(((mal - benign) ** 2).sum()), worst_sum_sq(benign))),
+    ])
+    def test_a_bound_past_thirty_doublings_binds(self, attack, distance):
+        # gamma* is about 1e12, 40 doublings of GAMMA_INIT
+        benign = 1e12 * np.random.default_rng(9).normal(size=(6, 9))
+        value, bound = distance(attack(benign), benign)
+        assert bound * (1 - 1e-6) <= value <= bound * (1 + 1e-12)
+
+    def test_a_constraint_that_never_binds_gives_inf(self):
+        assert _maximize_gamma(lambda gamma: 0.0, 1.0) == math.inf
 
 
 @st.composite
@@ -264,6 +297,19 @@ class TestCrafting:
             self._cfg(AttackKind.LIE, z_override=1.5), knowledge, 10, [0, 5], {}
         )
         np.testing.assert_array_equal(out[0], out[5])
+
+    @pytest.mark.parametrize("kind, attack", [
+        (AttackKind.MIN_MAX, min_max_attack),
+        (AttackKind.MIN_SUM, min_sum_attack),
+    ])
+    def test_distance_attacks_give_every_attacker_the_one_vector(self, kind, attack):
+        rng = np.random.default_rng(16)
+        knowledge = rng.normal(size=(4, 20))
+        out = craft_malicious_vectors(self._cfg(kind), knowledge, 10, [0, 5], {})
+        want = attack(knowledge, PerturbationDirection.NEG_STD)
+        assert sorted(out) == [0, 5] and out[0] is not out[5]
+        for vec in out.values():
+            assert vec.tobytes() == want.tobytes()
 
     def test_fang_differs_across_attackers(self):
         rng = np.random.default_rng(15)

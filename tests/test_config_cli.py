@@ -100,6 +100,21 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="attacker_ids"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("count, attackers, knowledge", [
+        (2, [0], "all"),  # s = 1, q = 0
+        (3, [0, 1], "own"),  # s = 0
+        (4, [0, 1, 2], "all"),  # s = 0
+    ])
+    def test_undefined_lie_z_rejected_at_parse(self, count, attackers, knowledge):
+        data = dict(BASE, clients=[{"count": count, "hidden_width": 6}],
+                    aggregator="fedavg")
+        data["attack"] = {"kind": "lie", "attacker_ids": attackers,
+                          "knowledge": knowledge}
+        with pytest.raises(ConfigurationError, match="attack: z undefined"):
+            parse_config(data)
+        data["attack"]["z_override"] = 1.0
+        assert parse_config(data).attack.z_override == 1.0
+
     def test_krum_feasibility_checked_at_parse(self):
         bad = dict(BASE, aggregator={"kind": "krum", "f": 3})
         with pytest.raises(ConfigurationError, match="krum"):

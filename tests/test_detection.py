@@ -25,17 +25,17 @@ from horus.spectral import percentile
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 
 
-def make_update(rng, client_id=0, rank=8, ff=(16, 12), cl=(12, 4), a_maps=None):
+def make_update(rng, rank=8, ff=(16, 12), cl=(12, 4), a_maps=None):
     layers = {}
     for lid, (d_in, d_out) in ((FF, ff), (CL, cl)):
         a = a_maps[lid] if a_maps else rng.normal(size=(rank, d_in))
-        layers[lid] = LoraPair(a=a, b=rng.normal(size=(d_out, rank)), rank=rank)
-    return ClientUpdate(client_id=client_id, arch_id=0, layers=layers)
+        layers[lid] = LoraPair(a=a, b=rng.normal(size=(d_out, rank)))
+    return ClientUpdate(layers)
 
 
 def features_of(u, k=5, source=MatrixSource.A):
     """client_features of an update decomposed as the server step does it."""
-    return client_features(decompose_round({u.client_id: u})[u.client_id], k, source)
+    return client_features(decompose_round({0: u})[0], k, source)
 
 
 def features_from(ratios, entropies):
@@ -63,10 +63,10 @@ class TestClientFeatures:
         rng = np.random.default_rng(1)
         u = make_update(rng)
         scaled_layers = {
-            lid: LoraPair(10.0 * pair.a, pair.b, pair.rank)
+            lid: LoraPair(10.0 * pair.a, pair.b)
             for lid, pair in u.layers.items()
         }
-        scaled = ClientUpdate(0, 0, scaled_layers)
+        scaled = ClientUpdate(scaled_layers)
         f1, f2 = features_of(u), features_of(scaled)
         for lid in LayerId:
             assert f1[lid].entropy_h == pytest.approx(
@@ -92,7 +92,7 @@ class TestClientFeatures:
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
         u = make_update(rng)
-        decomposed = decompose_round({u.client_id: u})[u.client_id]
+        decomposed = decompose_round({0: u})[0]
         before = client_features(decomposed, 5)
         a_only = {key: d for key, d in decomposed.items() if key[1] == "a"}
         after = client_features(a_only, 5)  # a B lookup would raise KeyError
@@ -258,7 +258,7 @@ class TestTopMProperty:
 class TestDetectionInvariances:
     def _updates(self, rng, n=6):
         return {
-            cid: make_update(rng, client_id=cid, ff=(16, 12), cl=(12, 4))
+            cid: make_update(rng, ff=(16, 12), cl=(12, 4))
             for cid in range(n)
         }
 
@@ -271,10 +271,10 @@ class TestDetectionInvariances:
         scaled_feats = {}
         for c, u in updates.items():
             layers = {
-                lid: LoraPair(scales[c] * p.a, p.b, p.rank)
+                lid: LoraPair(scales[c] * p.a, p.b)
                 for lid, p in u.layers.items()
             }
-            scaled_feats[c] = features_of(ClientUpdate(c, 0, layers))
+            scaled_feats[c] = features_of(ClientUpdate(layers))
         scaled = detect_round(scaled_feats, 0.5, TopM(2))
         assert scaled.flagged == base.flagged
         for c in updates:
@@ -293,8 +293,8 @@ class TestDetectionInvariances:
             for lid, p in u.layers.items():
                 a_pad = np.zeros((p.rank, p.a.shape[1] + 7))
                 a_pad[:, : p.a.shape[1]] = p.a
-                layers[lid] = LoraPair(a_pad, p.b, p.rank)
-            padded_feats[c] = features_of(ClientUpdate(c, 0, layers))
+                layers[lid] = LoraPair(a_pad, p.b)
+            padded_feats[c] = features_of(ClientUpdate(layers))
         padded = detect_round(padded_feats, 0.5, TopM(2))
         assert padded.flagged == base.flagged
         for c in updates:

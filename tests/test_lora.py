@@ -12,23 +12,22 @@ from horus.lora import (
     LoraPair,
     pad_round,
     payload_bytes,
+    round_layout,
     trim_to_local,
-    unflatten_padded,
 )
 from horus.spectral import decompose_many, spectral_entropy, topk_energy_ratio
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 
 
-def make_update(rng, client_id=0, arch_id=0, rank=4, ff=(16, 8), cl=(8, 3)):
+def make_update(rng, rank=4, ff=(16, 8), cl=(8, 3)):
     layers = {}
     for lid, (d_in, d_out) in ((FF, ff), (CL, cl)):
         layers[lid] = LoraPair(
             a=rng.normal(size=(rank, d_in)),
             b=rng.normal(size=(d_out, rank)),
-            rank=rank,
         )
-    return ClientUpdate(client_id=client_id, arch_id=arch_id, layers=layers)
+    return ClientUpdate(layers)
 
 
 GLOBAL_DIMS = {FF: LayerDims(16, 12), CL: LayerDims(12, 3)}
@@ -37,15 +36,23 @@ GLOBAL_DIMS = {FF: LayerDims(16, 12), CL: LayerDims(12, 3)}
 class TestTypes:
     def test_lora_pair_shape_checks(self):
         with pytest.raises(ValueError):
-            LoraPair(a=np.zeros((3, 5)), b=np.zeros((4, 4)), rank=4)
+            LoraPair(a=np.zeros((3, 5)), b=np.zeros((4, 4)))
         with pytest.raises(ValueError):
-            LoraPair(a=np.zeros((4, 5)), b=np.zeros((4, 3)), rank=4)
+            LoraPair(a=np.zeros((4, 5)), b=np.zeros((4, 3)))
+        with pytest.raises(ValueError, match="positive rank"):
+            LoraPair(a=np.zeros((0, 5)), b=np.zeros((4, 0)))
+
+    def test_rank_is_read_off_the_arrays(self):
+        pair = LoraPair(a=np.zeros((3, 5)), b=np.zeros((4, 3)))
+        assert pair.rank == 3
+        with pytest.raises(AttributeError):
+            pair.rank = 2
 
     def test_lora_pair_rejects_non_finite(self):
         a = np.zeros((2, 3))
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
-            LoraPair(a=a, b=np.zeros((4, 2)), rank=2)
+            LoraPair(a=a, b=np.zeros((4, 2)))
 
     @pytest.mark.parametrize("a, b", [
         pytest.param(np.full((2, 3), np.inf), np.zeros((4, 2)), id="inf-a"),
@@ -57,27 +64,26 @@ class TestTypes:
     def test_public_constructor_keeps_every_check(self, a, b):
         # training results skip these checks; the public constructor must not
         with pytest.raises(ValueError, match="non-finite|2-D"):
-            LoraPair(a=a, b=b, rank=2)
+            LoraPair(a=a, b=b)
 
     def test_client_update_requires_both_layers(self):
-        pair = LoraPair(np.zeros((2, 4)), np.zeros((3, 2)), 2)
+        pair = LoraPair(np.zeros((2, 4)), np.zeros((3, 2)))
         with pytest.raises(ValueError):
-            ClientUpdate(client_id=0, arch_id=0, layers={FF: pair})
+            ClientUpdate(layers={FF: pair})
 
     def test_client_update_rejects_mixed_ranks(self):
-        p2 = LoraPair(np.zeros((2, 4)), np.zeros((3, 2)), 2)
-        p3 = LoraPair(np.zeros((3, 4)), np.zeros((3, 3)), 3)
+        p2 = LoraPair(np.zeros((2, 4)), np.zeros((3, 2)))
+        p3 = LoraPair(np.zeros((3, 4)), np.zeros((3, 3)))
         with pytest.raises(ValueError):
-            ClientUpdate(client_id=0, arch_id=0, layers={FF: p2, CL: p3})
+            ClientUpdate(layers={FF: p2, CL: p3})
 
 
 def padded_pairs(u, dims):
     """One update padded alone, as {layer: (A, B, mask A, mask B)} at global shapes."""
-    rank = u.layers[FF].rank
-    values, masks = pad_round([u], dims, rank)
-    vals = unflatten_padded(values[0], dims, rank)
-    cover = unflatten_padded(masks[0], dims, rank)
-    return {lid: vals[lid] + cover[lid] for lid in LayerId}
+    g = GlobalState.zeros(dims, u.layers[FF].rank)
+    values, masks = pad_round([u], g)
+    vals, cover = g.with_flat(values[0]).layers, g.with_flat(masks[0]).layers
+    return {lid: (vals[lid].a, vals[lid].b, cover[lid].a, cover[lid].b) for lid in LayerId}
 
 
 class TestPadToGlobal:
@@ -122,7 +128,7 @@ class TestPadToGlobal:
         rng = np.random.default_rng(3)
         u = make_update(rng, ff=(20, 8), cl=(8, 3))
         with pytest.raises(ConfigurationError, match="exceeds global maxima"):
-            pad_round([u], GLOBAL_DIMS, u.layers[FF].rank)
+            pad_round([u], GlobalState.zeros(GLOBAL_DIMS, u.layers[FF].rank))
 
 
 class TestTrimToLocal:
@@ -206,7 +212,8 @@ class TestFlatten:
     def test_round_trip(self):
         rng = np.random.default_rng(12)
         u = make_update(rng, ff=(16, 8), cl=(8, 3))
-        values, masks = pad_round([u], GLOBAL_DIMS, u.layers[FF].rank)
+        state = GlobalState.zeros(GLOBAL_DIMS, u.layers[FF].rank)
+        values, masks = pad_round([u], state)
         assert values.shape == masks.shape
         # padded by hand: top-left placement at the global shapes
         by_hand = {}
@@ -216,10 +223,10 @@ class TestFlatten:
             b = np.zeros((GLOBAL_DIMS[lid].d_out, u.layers[FF].rank))
             b[: pair.b.shape[0], :] = pair.b
             by_hand[lid] = (a, b)
-        rebuilt = unflatten_padded(values[0], GLOBAL_DIMS, u.layers[FF].rank)
+        rebuilt = state.with_flat(values[0])
         for lid in LayerId:
-            np.testing.assert_array_equal(rebuilt[lid][0], by_hand[lid][0])
-            np.testing.assert_array_equal(rebuilt[lid][1], by_hand[lid][1])
+            np.testing.assert_array_equal(rebuilt.layers[lid].a, by_hand[lid][0])
+            np.testing.assert_array_equal(rebuilt.layers[lid].b, by_hand[lid][1])
         # the layout: every layer's A, then every layer's B
         expected = np.concatenate(
             [by_hand[lid][0].ravel() for lid in LayerId]
@@ -230,10 +237,10 @@ class TestFlatten:
     def test_mask_sum_counts_coverage(self):
         rng = np.random.default_rng(13)
         updates = [
-            make_update(rng, client_id=0, ff=(16, 8), cl=(8, 3)),
-            make_update(rng, client_id=1, ff=(16, 12), cl=(12, 3)),
+            make_update(rng, ff=(16, 8), cl=(8, 3)),
+            make_update(rng, ff=(16, 12), cl=(12, 3)),
         ]
-        _, masks = pad_round(updates, GLOBAL_DIMS, 4)
+        _, masks = pad_round(updates, GlobalState.zeros(GLOBAL_DIMS, 4))
         total = masks.sum(axis=0)
         assert set(np.unique(total)) <= {0.0, 1.0, 2.0}
         # entries inside every client's support are covered by both
@@ -243,11 +250,12 @@ class TestFlatten:
 
     def test_rows_follow_update_order(self):
         rng = np.random.default_rng(14)
-        updates = [make_update(rng, client_id=c, ff=(16, 8 + 4 * (c % 2)),
-                               cl=(8 + 4 * (c % 2), 3)) for c in range(3)]
-        values, masks = pad_round(updates, GLOBAL_DIMS, 4)
+        updates = [make_update(rng, ff=(16, 8 + 4 * (c % 2)), cl=(8 + 4 * (c % 2), 3))
+                   for c in range(3)]
+        state = GlobalState.zeros(GLOBAL_DIMS, 4)
+        values, masks = pad_round(updates, state)
         for i, u in enumerate(updates):
-            alone_v, alone_m = pad_round([u], GLOBAL_DIMS, 4)
+            alone_v, alone_m = pad_round([u], state)
             np.testing.assert_array_equal(values[i], alone_v[0])
             np.testing.assert_array_equal(masks[i], alone_m[0])
 
@@ -257,7 +265,28 @@ class TestFlatten:
         for lid in LayerId:
             state.layers[lid].a = rng.normal(size=state.layers[lid].a.shape)
             state.layers[lid].b = rng.normal(size=state.layers[lid].b.shape)
-        rebuilt = unflatten_padded(state.flat(), GLOBAL_DIMS, 4)
+            state.layers[lid].v_a = rng.normal(size=GLOBAL_DIMS[lid].d_in)
+        row = state.flat()
+        rebuilt = state.with_flat(row)
         for lid in LayerId:
-            np.testing.assert_array_equal(rebuilt[lid][0], state.layers[lid].a)
-            np.testing.assert_array_equal(rebuilt[lid][1], state.layers[lid].b)
+            np.testing.assert_array_equal(rebuilt.layers[lid].a, state.layers[lid].a)
+            np.testing.assert_array_equal(rebuilt.layers[lid].b, state.layers[lid].b)
+            # copies of the row's blocks, with the state's directions
+            assert not np.shares_memory(rebuilt.layers[lid].a, row)
+            assert rebuilt.layers[lid].v_a is state.layers[lid].v_a
+            assert rebuilt.layers[lid].v_b is None
+        with pytest.raises(ValueError, match="round layout"):
+            state.with_flat(row[:-1])
+
+    def test_layout_blocks_tile_the_row(self):
+        state = GlobalState.zeros(GLOBAL_DIMS, 3)
+        layout = round_layout(state)
+        assert [(b.layer, b.factor) for b in layout] == [
+            (FF, "a"), (CL, "a"), (FF, "b"), (CL, "b")]
+        assert layout[0].cols.start == 0
+        for block, nxt in zip(layout, layout[1:]):
+            assert block.cols.stop == nxt.cols.start
+        for block in layout:
+            assert block.shape == getattr(state.layers[block.layer], block.factor).shape
+            assert block.cols.stop - block.cols.start == block.shape[0] * block.shape[1]
+        assert layout[-1].cols.stop == state.flat().size

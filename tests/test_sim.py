@@ -229,9 +229,9 @@ def finite_difference_grads(model, lora, x, y, eps=1e-5):
             base = getattr(lora[lid], name)
             g = np.zeros_like(base)
             for idx in np.ndindex(*base.shape):
-                bumped_plus = {k: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+                bumped_plus = {k: LoraPair(p.a.copy(), p.b.copy())
                                for k, p in lora.items()}
-                bumped_minus = {k: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+                bumped_minus = {k: LoraPair(p.a.copy(), p.b.copy())
                                 for k, p in lora.items()}
                 getattr(bumped_plus[lid], name)[idx] += eps
                 getattr(bumped_minus[lid], name)[idx] -= eps
@@ -365,9 +365,9 @@ class TestTraining:
         model = new_model(0, 0, d, c, h, rng)
         model.lora = {
             FF: LoraPair(0.3 * rng.normal(size=(rank, d)),
-                         0.3 * rng.normal(size=(h, rank)), rank),
+                         0.3 * rng.normal(size=(h, rank))),
             CL: LoraPair(0.3 * rng.normal(size=(rank, h)),
-                         0.3 * rng.normal(size=(c, rank)), rank),
+                         0.3 * rng.normal(size=(c, rank))),
         }
         x = rng.normal(size=(n, d))
         y = rng.integers(0, c, size=n)
@@ -456,7 +456,7 @@ def oracle_local_train(model, shard, epochs, lr, batch, rng):
     loop, including the full softmax with its loss. Returns the last finite
     pairs and the number of steps taken before the first non-finite one.
     """
-    lora = {lid: LoraPair(p.a.copy(), p.b.copy(), p.rank)
+    lora = {lid: LoraPair(p.a.copy(), p.b.copy())
             for lid, p in model.lora.items()}
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
@@ -494,7 +494,7 @@ def oracle_local_train(model, shard, epochs, lr, batch, rng):
                 if not all(np.all(np.isfinite(m)) for pair in stepped.values()
                            for m in pair):
                     return lora, steps
-                lora = {lid: LoraPair(*stepped[lid], lora[lid].rank) for lid in lora}
+                lora = {lid: LoraPair(*stepped[lid]) for lid in lora}
                 steps += 1
     return lora, steps
 
@@ -510,9 +510,9 @@ class TestTrainingLoopOracle:
         model = new_model(0, 0, d, c, h, rng)
         model.lora = {
             FF: LoraPair(scale * rng.normal(size=(rank, d)),
-                         scale * rng.normal(size=(h, rank)), rank),
+                         scale * rng.normal(size=(h, rank))),
             CL: LoraPair(scale * rng.normal(size=(rank, h)),
-                         scale * rng.normal(size=(c, rank)), rank),
+                         scale * rng.normal(size=(c, rank))),
         }
         return model, Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
 
@@ -598,8 +598,8 @@ class TestWarmup:
         train, test = generate_task(task)
         model = new_model(0, 0, 8, 3, 6, rng)
         init = {
-            FF: LoraPair(0.01 * rng.normal(size=(2, 8)), np.zeros((6, 2)), 2),
-            CL: LoraPair(0.01 * rng.normal(size=(2, 6)), np.zeros((3, 2)), 2),
+            FF: LoraPair(0.01 * rng.normal(size=(2, 8)), np.zeros((6, 2))),
+            CL: LoraPair(0.01 * rng.normal(size=(2, 6)), np.zeros((3, 2))),
         }
         return model, train, test, init, rng
 
@@ -631,8 +631,8 @@ class TestWarmup:
         model = new_model(0, 0, 8, 10, h, rng)
         # 53 samples in batches of 16: three full batches and a ragged one of 5
         shard = Dataset(rng.normal(size=(53, 8)), rng.integers(0, 10, size=53))
-        init = {FF: LoraPair(np.zeros((2, 8)), np.zeros((h, 2)), 2),
-                CL: LoraPair(np.zeros((2, h)), np.zeros((10, 2)), 2)}
+        init = {FF: LoraPair(np.zeros((2, 8)), np.zeros((h, 2))),
+                CL: LoraPair(np.zeros((2, h)), np.zeros((10, 2)))}
         rng_oracle = np.random.default_rng(seed)
         w1, w2 = oracle_warmup(model.w1, model.w2, shard, 3, 0.2, 16, rng_oracle)
         rng = np.random.default_rng(seed)
@@ -702,8 +702,8 @@ class TestEvaluate:
         rng = np.random.default_rng(2)
         model = LocalModel(0, 0, rng.normal(size=(4, 6)), rng.normal(size=(3, 4)))
         model.lora = {
-            FF: LoraPair(np.full((2, 6), 1e200), np.full((4, 2), 1e200), 2),
-            CL: LoraPair(np.full((2, 4), 1e200), np.full((3, 2), -1e200), 2),
+            FF: LoraPair(np.full((2, 6), 1e200), np.full((4, 2), 1e200)),
+            CL: LoraPair(np.full((2, 4), 1e200), np.full((3, 2), -1e200)),
         }
         data = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20))
         with warnings.catch_warnings():
@@ -992,24 +992,13 @@ class TestSimulation:
             "z_override": 1.5,
         })
         benign = Simulation(tiny_config(rounds=1)).run()[0].metrics.to_record()
-        trained, submitted = {}, {}
 
         def non_finite(attack, knowledge, n_total, attacker_ids, rngs):
             bad = {0: np.nan, 2: np.inf}
             return {a: np.full(knowledge.shape[1], bad[a]) for a in attacker_ids}
 
-        def spying_train(model, *args, **kwargs):
-            trained[model.client_id] = real_train(model, *args, **kwargs)
-            return trained[model.client_id]
-
-        def spying_aggregate(submissions, *args, **kwargs):
-            submitted.update(submissions)
-            return real_aggregate(submissions, *args, **kwargs)
-
-        real_train, real_aggregate = horus.sim.local_train, horus.sim.horus_aggregate
+        trained, submitted, _, _ = self.spy_round(monkeypatch)
         monkeypatch.setattr(horus.attacks, "craft_malicious_vectors", non_finite)
-        monkeypatch.setattr(horus.sim, "local_train", spying_train)
-        monkeypatch.setattr(horus.sim, "horus_aggregate", spying_aggregate)
         sim = Simulation(cfg)
         with caplog.at_level(logging.WARNING, logger="horus.sim"):
             rec = sim.run()[0].metrics.to_record()
@@ -1021,6 +1010,90 @@ class TestSimulation:
             assert np.isfinite(layer.a).all() and np.isfinite(layer.b).all()
         assert rec.keys() == benign.keys()
         assert rec["positives"] == [0, 2]
+
+    @staticmethod
+    def spy_round(monkeypatch):
+        """(trained, submitted, crafted, states): every ``local_train`` result,
+        the submissions and state the server step gets, and every crafted
+        vector of the round."""
+        trained, submitted, crafted, states = {}, {}, {}, []
+        real_train, real_aggregate = horus.sim.local_train, horus.sim.horus_aggregate
+        real_craft = horus.attacks.craft_malicious_vectors
+
+        def spying_train(model, *args, **kwargs):
+            trained[model.client_id] = real_train(model, *args, **kwargs)
+            return trained[model.client_id]
+
+        def spying_aggregate(submissions, g, *args, **kwargs):
+            submitted.update(submissions)
+            states.append(g)
+            return real_aggregate(submissions, g, *args, **kwargs)
+
+        def spying_craft(*args, **kwargs):
+            crafted.update(real_craft(*args, **kwargs))
+            return crafted
+
+        monkeypatch.setattr(horus.sim, "local_train", spying_train)
+        monkeypatch.setattr(horus.sim, "horus_aggregate", spying_aggregate)
+        monkeypatch.setattr(horus.attacks, "craft_malicious_vectors", spying_craft)
+        return trained, submitted, crafted, states
+
+    @pytest.mark.parametrize("attackers, knowledge", [
+        pytest.param([0], "all", id="no-attacker-present"),
+        pytest.param([0, 1], "own", id="one-knowledge-vector"),
+    ])
+    def test_a_skipped_attack_submits_the_trained_updates(
+        self, monkeypatch, caplog, attackers, knowledge
+    ):
+        cfg = tiny_config(rounds=1, attack={
+            "kind": "min_max", "attacker_ids": attackers, "knowledge": knowledge,
+        })
+        trained, submitted, crafted, _ = self.spy_round(monkeypatch)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        # client 1 sits out: attacker 0 is absent, or alone in its cohort
+        participants = [1, 2, 3] if attackers == [0] else [0, 2, 3]
+        sim._sample_participants = lambda: participants
+        with caplog.at_level(logging.WARNING, logger="horus"):
+            sim.run_round()
+        assert not crafted
+        assert sorted(submitted) == participants
+        assert all(submitted[c] is trained[c] for c in participants)
+        warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warned) == 1 and "attack skipped" in warned[0]
+
+    def test_attackers_of_two_widths_submit_their_block_of_the_crafted_row(
+        self, monkeypatch
+    ):
+        # widths 6 and 8; fang draws a different row for each attacker
+        cfg = tiny_config(rounds=2, attack={
+            "kind": "fang_trimmed", "attacker_ids": [0, 2], "knowledge": "all",
+        })
+        _, submitted, crafted, states = self.spy_round(monkeypatch)
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            crafted.clear()
+            sim.run_round()
+            assert sorted(crafted) == [0, 2]
+            g = states[-1]
+            for a, row in crafted.items():
+                # the row by hand: every layer's A, then every B, at g's shapes
+                blocks, offset = {}, 0
+                for factor in ("a", "b"):
+                    for lid in LayerId:
+                        rows, cols = getattr(g.layers[lid], factor).shape
+                        block = row[offset : offset + rows * cols].reshape(rows, cols)
+                        blocks[lid, factor] = block
+                        offset += rows * cols
+                assert offset == row.size
+                for lid, dims in sim.models[a].layer_dims().items():
+                    pair = submitted[a].layers[lid]
+                    want_a = blocks[lid, "a"][:, : dims.d_in]
+                    want_b = blocks[lid, "b"][: dims.d_out, :]
+                    assert pair.a.shape == want_a.shape and pair.b.shape == want_b.shape
+                    assert pair.a.tobytes() == want_a.tobytes()
+                    assert pair.b.tobytes() == want_b.tobytes()
 
     def test_frob_of_a_huge_finite_state_is_finite_and_json_safe(self):
         sim = Simulation(tiny_config(aggregator="fedavg", rounds=1))
@@ -1197,7 +1270,7 @@ class TestDegenerateRounds:
                     values, _ = decomposition[lid, "a"]
                     assert len(values) == dims[lid].d_in < cfg.rank
             for lid, layer in sim.state.layers.items():
-                assert layer.a.shape == (cfg.rank, sim.state.dims()[lid].d_in)
+                assert layer.a.shape[0] == layer.b.shape[1] == cfg.rank
                 assert np.isfinite(layer.a).all() and np.isfinite(layer.b).all()
             json.dumps(rec, allow_nan=False)
 
@@ -1227,9 +1300,9 @@ class TestDegenerateRounds:
 
     def test_all_zero_updates_aggregate_to_zero_and_keep_directions(self, monkeypatch):
         def zero_train(model, *args, **kwargs):
-            layers = {lid: LoraPair(np.zeros_like(p.a), np.zeros_like(p.b), p.rank)
+            layers = {lid: LoraPair(np.zeros_like(p.a), np.zeros_like(p.b))
                       for lid, p in model.lora.items()}
-            return horus.sim.ClientUpdate(model.client_id, model.arch_id, layers)
+            return horus.sim.ClientUpdate(layers)
 
         monkeypatch.setattr(horus.sim, "local_train", zero_train)
         cfg = tiny_config(detection=self.PERCENTILE, rounds=2)
@@ -1333,3 +1406,88 @@ class TestClientTemplates:
         tpl = (ClientTemplate(2, 6, 1.0), ClientTemplate(1, 8, 0.5))
         cfg = dataclasses.replace(tiny_config(), clients=tpl)
         assert cfg.expand_clients() == [(0, 6, 1.0), (0, 6, 1.0), (1, 8, 0.5)]
+
+
+AGGREGATORS = ("horus", "fedavg", "krum", "multi_krum", "median", "trimmed_mean")
+ATTACKS = ("none", "label_flip", "lie", "min_max", "min_sum", "fang_trimmed")
+
+
+@st.composite
+def small_configs(draw):
+    """Config mappings of 1-18 clients of widths 1-12, ranks 1-8, every
+    aggregator and attack kind, lr up to 50 and 4 rounds; some are invalid."""
+    clients = [
+        {"count": draw(st.integers(1, 6)), "hidden_width": draw(st.integers(1, 12)),
+         "participation_rate": draw(st.sampled_from([None, 1.0, 0.5]))}
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    n = sum(c["count"] for c in clients)
+    attack = {"kind": draw(st.sampled_from(ATTACKS))}
+    if attack["kind"] != "none":
+        attack.update(
+            start_round=draw(st.integers(1, 4)),
+            attacker_ids=draw(st.lists(st.integers(0, n - 1), min_size=1, unique=True)),
+            knowledge=draw(st.sampled_from(["own", "all"])),
+            direction=draw(st.sampled_from(["neg_std", "inverse_unit"])),
+        )
+        if draw(st.booleans()):
+            attack["z_override"] = draw(st.floats(-3.0, 3.0))
+    mode = draw(st.sampled_from([{"top_m": m} for m in range(4)]
+                                + [{"percentile": 50.0}, {"percentile": 95.0}]))
+    return {
+        "task": {"feature_dim": 6, "num_classes": 3,
+                 "samples_per_class": draw(st.integers(4, 50)), "signal_dim": 3,
+                 "seed": draw(st.integers(0, 3))},
+        "clients": clients,
+        "aggregator": {"kind": draw(st.sampled_from(AGGREGATORS)),
+                       "f": draw(st.integers(0, 3)), "m": draw(st.integers(1, 4)),
+                       "beta": draw(st.sampled_from([0.0, 0.2, 0.4]))},
+        "detection": {"lambda": draw(st.sampled_from([0.0, 0.3, 1.0])),
+                      "k": draw(st.integers(1, 6)), "mode": mode,
+                      "source": draw(st.sampled_from(["a", "b"]))},
+        "attack": attack,
+        "rounds": 4,
+        "lr": draw(st.sampled_from([0.0, 0.1, 0.3, 1.0, 5.0, 20.0, 50.0])),
+        "epochs": 1,
+        "batch": 16,
+        "rank": draw(st.integers(1, 8)),
+        "warmup_epochs": 1,
+        "master_seed": draw(st.integers(0, 3)),
+    }
+
+
+# two configs that parsed and then aborted mid-run: a LIE z the n/m formula
+# leaves undefined, and a min-max search whose distance bound outgrew 2**30
+LIE_Z_UNDEFINED = {
+    "task": {"feature_dim": 6, "num_classes": 3, "samples_per_class": 20},
+    "clients": [{"count": 2, "hidden_width": 4}], "aggregator": "fedavg",
+    "attack": {"kind": "lie", "attacker_ids": [0], "knowledge": "all"},
+    "rounds": 4, "batch": 16, "rank": 2, "warmup_epochs": 1,
+}
+MIN_MAX_UNBOUND = {
+    "task": {"feature_dim": 6, "num_classes": 3, "samples_per_class": 50},
+    "clients": [{"count": 8, "hidden_width": 6, "participation_rate": 1.0}],
+    "aggregator": "median",
+    "attack": {"kind": "min_max", "attacker_ids": [0, 1], "knowledge": "all"},
+    "rounds": 4, "lr": 50.0, "batch": 16, "rank": 4, "warmup_epochs": 1,
+}
+
+
+class TestConfigFuzz:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(small_configs())
+    @example(LIE_Z_UNDEFINED)
+    @example(MIN_MAX_UNBOUND)
+    def test_a_config_is_rejected_at_parse_or_runs_to_the_end(self, data):
+        try:
+            cfg = parse_config(data)
+        except ConfigurationError:
+            return
+        traces = []
+        for workers in (0, 3):
+            results = Simulation(dataclasses.replace(cfg, workers=workers)).run()
+            traces.append([r.metrics.to_record() for r in results])
+        assert traces[0] == traces[1]
+        for rec in traces[0]:
+            json.dumps(rec, allow_nan=False)  # every float finite or null
+            assert set(rec["flagged"]) <= set(rec["participants"])
