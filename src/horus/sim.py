@@ -14,6 +14,7 @@ client-level thread pool.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import math
@@ -429,7 +430,7 @@ def local_train(
     return ClientUpdate(dict(model.lora))
 
 
-# unit roundoffs, and the ranges within which evaluate's float32 error bound
+# unit roundoffs, and the ranges within which certify's float32 error bound
 # holds (see its docstring)
 U32, U64 = 2.0**-24, 2.0**-53
 NORM_RANGE = (1e-30, 1e30)
@@ -438,7 +439,7 @@ ROW_NORM_RANGE = (2.0**-64, 2.0**64)
 
 
 class Float32Copy(NamedTuple):
-    """A dataset's features cast once to float32 for :func:`evaluate`."""
+    """A dataset's features cast once to float32 for :func:`certify`."""
 
     xt: np.ndarray  # (d, n) float32, feature-major
     norms: np.ndarray  # (n,) float32 Euclidean norms of the float64 rows
@@ -446,7 +447,7 @@ class Float32Copy(NamedTuple):
 
 
 def float32_copy(dataset: Dataset) -> Float32Copy | None:
-    """``dataset`` cast for :func:`evaluate`, or None if a row's norm is not
+    """``dataset`` cast for :func:`certify`, or None if a row's norm is not
     finite or lies outside ``ROW_NORM_RANGE``, or the rows are wider than
     ``MAX_WIDTH``: there the float32 error bound would not hold."""
     x = dataset.x
@@ -465,15 +466,16 @@ def _gamma(n: int, u: float) -> float:
     return n * u / (1 - n * u)
 
 
+@functools.cache
 def _bound_factors(d: int, h: int) -> tuple[float, float]:
-    """K / (max_c ||W2,c|| ||W1||_F) for float32 logits and for float64
-    logits recomputed by row, each against the logits of the plain float64
-    path and with the safety factor 2 (see :func:`evaluate`)."""
+    """K / (max_c ||W2,c|| ||W1||_F) for the margins of float32 logits and
+    of float64 logits recomputed by row, each against the margins of the
+    plain float64 path and with the safety factor 2 (see :func:`certify`)."""
     c32 = 2 * U32 + U32**2 + _gamma(d, U32) * (1 + U32) ** 2
     c64 = _gamma(d, U64)
     from32 = (_gamma(h, U32) * (1 + U32) + U32) * (1 + c32) + c32  # |L32 - L|
     from64 = _gamma(h, U64) * (1 + c64) + c64  # |L64 - L|
-    return 2 * (from32 + from64), 2 * (from64 + from64)
+    return 4 * (from32 + from64), 4 * (from64 + from64)
 
 
 def _margins(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -486,66 +488,126 @@ def _margins(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return true
 
 
-def _certified_hits(w1: np.ndarray, w2: np.ndarray, dataset: Dataset,
-                    cast: Float32Copy) -> int | None:
-    """The hit count of the plain float64 path, decided from float32 logits
-    and float64 row recomputes; None where that cannot decide every row."""
-    h, d = w1.shape
+def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> tuple[float, float] | None:
+    """``||W1||_F`` and ``max_c ||W2,c||``, or None where either leaves
+    ``NORM_RANGE`` (or is not finite) or the layer is wider than
+    ``MAX_WIDTH``: there the error bounds of :func:`certify` do not hold."""
     f = float(np.linalg.norm(w1))
     m = float(np.linalg.norm(w2, axis=1).max())
     lo, hi = NORM_RANGE
-    if not (lo <= f <= hi and lo <= m <= hi and h <= MAX_WIDTH):
+    if lo <= f <= hi and lo <= m <= hi and w1.shape[0] <= MAX_WIDTH:
+        return f, m
+    return None
+
+
+def _recomputed_slack(w1: np.ndarray, w2: np.ndarray, fm: float, dataset: Dataset,
+                      cast: Float32Copy, rows: np.ndarray) -> np.ndarray | None:
+    """Signed slack (see :func:`_certified_hits`) of ``rows`` from float64
+    logits of the layers ``w1``, ``w2``, whose norms f, m multiply to ``fm``;
+    None if one of the rows is undecided."""
+    hidden = w1 @ dataset.x[rows].T
+    np.maximum(hidden, 0.0, out=hidden)
+    truth = dataset.y[rows] * rows.size + np.arange(rows.size)
+    margin = _margins(w2 @ hidden, truth)
+    _, k64 = _bound_factors(w1.shape[1], w1.shape[0])
+    scale = np.float64(fm) * cast.norms[rows]
+    slack = np.abs(margin) - k64 * scale
+    if not (slack > 0).all():  # NaN decides nothing
         return None
+    slack /= scale
+    return np.copysign(slack, margin, out=slack)
+
+
+def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
+                    dataset: Dataset, cast: Float32Copy) -> np.ndarray | None:
+    """Each row's signed slack under the plain float64 path, decided from
+    float32 logits and float64 row recomputes; None where that cannot decide
+    every row. ``norms`` are the layers' :func:`_layer_norms`.
+
+    A row's slack is a float64 lower bound on ``|margin_i| / (||x_i|| f m)``,
+    the plain float64 path's true-class margin over the row's norm (as
+    ``cast`` holds it) and the layer norms f, m; it is positive for a hit and
+    negative for a miss, and never 0."""
     # scale both layers by powers of two, exactly, to norms in [1/2, 1)
-    f, e1 = math.frexp(f)
-    m, e2 = math.frexp(m)
+    (f, e1), (m, e2) = map(math.frexp, norms)
     w1, w2 = np.ldexp(w1, -e1), np.ldexp(w2, -e2)
-    k32, k64 = _bound_factors(d, h)
+    k32, _ = _bound_factors(w1.shape[1], w1.shape[0])
     hidden = w1.astype(np.float32) @ cast.xt
     np.maximum(hidden, 0.0, out=hidden)
     margin = _margins(w2.astype(np.float32) @ hidden, cast.truth)
     bound = cast.norms * np.float32(k32 * f * m)
-    hits = np.count_nonzero(margin > bound)
-    rows = np.flatnonzero(~(np.abs(margin) > bound))  # NaN decides nothing
+    slack = np.abs(margin) - bound  # a float32 difference never underflows to 0
+    rows = np.flatnonzero(~(slack > 0))  # NaN decides nothing
+    slack = slack.astype(np.float64)
+    slack /= np.float64(f * m) * cast.norms
+    np.copysign(slack, margin, out=slack)
     if rows.size:
-        hidden = w1 @ dataset.x[rows].T
-        np.maximum(hidden, 0.0, out=hidden)
-        truth = dataset.y[rows] * rows.size + np.arange(rows.size)
-        margin = _margins(w2 @ hidden, truth)
-        bound = cast.norms[rows] * (k64 * f * m)
-        if not (np.abs(margin) > bound).all():
+        recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
+        if recomputed is None:
             return None
-        hits += np.count_nonzero(margin > bound)
-    return hits
+        slack[rows] = recomputed
+    return slack
 
 
-def evaluate(model: LocalModel, dataset: Dataset,
-             weights: tuple[np.ndarray, np.ndarray] | None = None,
-             cast: Float32Copy | None = None) -> float:
-    """Fraction of argmax-correct predictions (ties go to the lowest class).
+def _toward_zero16(slack: np.ndarray) -> np.ndarray:
+    """Float16 lower bounds on the magnitudes of ``slack``, with its signs.
 
-    ``weights`` are the model's effective weights, if the caller has them.
+    Rounding to float16 moves a normal value by at most 2^-11 of itself, so
+    each entry is first shrunk by 2^-10 of itself, which also covers the
+    float32 or float64 rounding of its making; entries below float16's
+    normal range become 0. No slack comes near float16's largest value: a
+    margin is at most about 2 f m ||x_i||.
+    """
+    shrunk = slack * (1 - 2.0**-10)
+    shrunk[np.abs(shrunk) < 2.0**-14] = 0
+    return shrunk.astype(np.float16)
 
-    ``cast``, the :func:`float32_copy` of ``dataset``, lets the count be
-    certified from float32 logits; it is the float64 count exactly. With
-    u32 = 2^-24, u64 = 2^-53, g(n, u) = nu / (1 - nu) (the dot-product error
-    bound of Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    2002, section 3.1), d the input and h the hidden width, let
+
+# the largest share of the rows recertify recomputes in float64; past it, a
+# full evaluation is cheaper
+RECOMPUTE_SHARE = 1 / 8
+
+
+class Certificate(NamedTuple):
+    """What a certified evaluation on the global test set proved about one
+    model, for :func:`recertify` to carry to the model's next adapters."""
+
+    pairs: tuple[LoraPair, ...]  # the adapters evaluated, in LayerId order
+    f: float  # ||W1||_F of the effective weights
+    m: float  # max_c ||W2,c||
+    # (n,) float16 lower bounds on |margin_i| / (||x_i|| f m), signed as the
+    # margins; 0 where too small to keep
+    slack: np.ndarray
+    hits: int
+
+
+def certify(pairs: tuple[LoraPair, ...], weights: tuple[np.ndarray, np.ndarray],
+            dataset: Dataset, cast: Float32Copy) -> Certificate | None:
+    """The hit count of :func:`evaluate` on ``dataset``, certified from
+    float32 logits, as a certificate of the adapters ``pairs`` whose
+    effective weights are ``weights``; None where only the plain float64
+    path can count. ``cast`` is the :func:`float32_copy` of ``dataset``.
+
+    The count is the float64 count exactly. With u32 = 2^-24, u64 = 2^-53,
+    g(n, u) = nu / (1 - nu) (the dot-product error bound of Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1), d
+    the input and h the hidden width, let
 
         c32 = 2 u32 + u32^2 + g(d, u32) (1 + u32)^2,    c64 = g(d, u64),
-        K = 2 max_c ||W2,c|| ||W1||_F [(g(h, u32) (1 + u32) + u32) (1 + c32)
+        K = 4 max_c ||W2,c|| ||W1||_F [(g(h, u32) (1 + u32) + u32) (1 + c32)
                                        + g(h, u64) (1 + c64) + c32 + c64].
 
-    Every float32 logit of row i lies within E_i / 2 = K ||x_i|| / 2 of the
+    Every float32 logit of row i lies within E_i / 4 = K ||x_i|| / 4 of the
     logit the plain float64 path computes, in any summation order: casting
     costs u32 per factor, a relu moves a value no further than its input
-    error, and |W2,c| |W1| |x_i| <= ||W2,c|| ||W1||_F ||x_i||. The factor 2
+    error, and |W2,c| |W1| |x_i| <= ||W2,c|| ||W1||_F ||x_i||. So a margin,
+    one logit less another, lies within E_i / 2, and the safety factor 2
     more than covers the rounding of K, of the norms and of the margins. A
-    row whose true-class margin exceeds 2 E_i is a hit and one whose margin
-    is below -2 E_i a miss; a NaN margin decides neither. Rows left are
+    row whose true-class margin exceeds E_i is a hit and one whose margin
+    is below -E_i a miss; a NaN margin decides neither. Rows left are
     recomputed in float64, against K with both float32 terms replaced by
     their float64 ones, and if any is still undecided (an exact tie, a dead
-    relu layer) the plain path counts them all.
+    relu layer) the plain path must count them all.
 
     The plain path also takes models whose ``||W1||_F`` or ``max ||W2,c||``
     lies outside ``NORM_RANGE`` (or is not finite), where its own logits
@@ -554,15 +616,111 @@ def evaluate(model: LocalModel, dataset: Dataset,
     which changes no argmax and keeps every float32 value within about
     ||x_i|| <= 2^64 and the subnormal rounding far below E_i.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _layer_norms(*weights)
+        slack = None if norms is None else _certified_hits(*weights, norms, dataset, cast)
+    if slack is None:
+        return None
+    return Certificate(pairs, *norms, _toward_zero16(slack), np.count_nonzero(slack > 0))
+
+
+def _drift_bound(d: int, h: int, old: tuple[float, float], new: tuple[float, float],
+                 moved: tuple[float, float]) -> float:
+    """delta of :func:`recertify`: the plain float64 margin of a row x moves
+    by at most delta ||x|| when the layer norms (f, m) go from ``old`` to
+    ``new`` and the deltas move by ``moved``, (||D1' - D1||_F,
+    max_c ||D2,c' - D2,c||)."""
+    (f, m), (f1, m1) = old, new
+    dw1 = moved[0] + U64 * (f1 + f)
+    dw2 = moved[1] + U64 * (m1 + m)
+    _, k64 = _bound_factors(d, h)
+    return 4 * (dw2 * f1 + m * dw1) + k64 / 2 * (f1 * m1 + f * m)
+
+
+def delta_moves(old: tuple[LoraPair, ...], new: tuple[LoraPair, ...],
+                delta: Callable[[LoraPair], np.ndarray] = LoraPair.delta,
+                ) -> tuple[float, float]:
+    """(||D1' - D1||_F, max_c ||D2,c' - D2,c||) from the deltas of the pairs
+    ``old`` to those of ``new``; ``delta`` gives a pair's ``B @ A``."""
+    (old1, old2), (new1, new2) = old, new
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (float(np.linalg.norm(delta(new1) - delta(old1))),
+                float(np.linalg.norm(delta(new2) - delta(old2), axis=1).max()))
+
+
+def recertify(cert: Certificate, pairs: tuple[LoraPair, ...],
+              weights: tuple[np.ndarray, np.ndarray], dataset: Dataset,
+              cast: Float32Copy, moved: tuple[float, float],
+              ) -> tuple[Certificate, int] | None:
+    """``cert`` carried to the same backbone's new adapters ``pairs``, whose
+    effective weights are ``weights``, and the number of rows recomputed; None
+    where a full evaluation must decide (see below). ``moved`` is
+    :func:`delta_moves` from the certificate's pairs to ``pairs``, taken
+    with the deltas the effective weights were made with.
+
+    With the backbone frozen, the effective weights W = W0 + D move only
+    with the adapters' deltas D = B A. Write f, m for ``||W1||_F`` and
+    ``max_c ||W2,c||`` of the certificate's weights and f', m' for the new
+    ones. For every row i the plain float64 margin moves by at most
+
+        delta ||x_i||,   delta = 4 (dW2 f' + m dW1) + k64 (f' m' + f m) / 2,
+
+    where dW1 = ||D1' - D1||_F + u64 (f' + f) and dW2 = max_c ||D2,c' -
+    D2,c|| + u64 (m' + m) bound the change of the rounded sums W0 + D, and
+    k64 is the float64 factor of :func:`_bound_factors`. Proof sketch: logit
+    c of the exact path moves by W2,c' relu(W1' x) - W2,c relu(W1 x) =
+    (W2,c' - W2,c) relu(W1' x) + W2,c (relu(W1' x) - relu(W1 x)); relu is
+    1-Lipschitz, so that is at most (dW2 f' + m dW1) ||x_i||, and a margin,
+    one logit less another, moves at most twice that. At either end the
+    plain path's margin lies within k64 f m ||x_i|| / 4 of the exact one
+    (k64 bounds two float64 margins against each other, with the safety
+    factor 2). The whole is doubled, the safety factor of :func:`certify`.
+
+    So a row whose slack (in units of ||x_i|| f m) exceeds delta / (f m)
+    keeps its hit or miss, and its slack shrinks by that much (then is
+    rescaled to f' m'). The other rows are recomputed in float64 against
+    the float64 bound. The caller must evaluate in full when more than
+    ``RECOMPUTE_SHARE`` of the rows are undecided, a recomputed row is still
+    undecided, or a new norm is not finite or leaves ``NORM_RANGE``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _layer_norms(*weights)
+        if norms is None:
+            return None
+        f, m = norms
+        w1, w2 = weights
+        drift = _drift_bound(w1.shape[1], w1.shape[0], (cert.f, cert.m), norms, moved)
+        limit = drift / (cert.f * cert.m)
+        if not limit < math.inf:  # NaN or inf decides nothing
+            return None
+        slack = cert.slack.astype(np.float64)
+        rows = np.flatnonzero(np.abs(slack) <= limit)
+        if rows.size > RECOMPUTE_SHARE * dataset.n:
+            return None
+        hits = np.count_nonzero(slack > limit)
+        slack -= np.copysign(limit, slack)
+        slack *= cert.f * cert.m / (f * m)
+        if rows.size:
+            recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
+            if recomputed is None:
+                return None
+            slack[rows] = recomputed
+            hits += np.count_nonzero(recomputed > 0)
+    return Certificate(pairs, f, m, _toward_zero16(slack), hits), rows.size
+
+
+def evaluate(model: LocalModel, dataset: Dataset,
+             weights: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Fraction of argmax-correct predictions of the plain float64 path (ties
+    go to the lowest class). ``weights`` are the model's effective weights,
+    if the caller has them."""
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
         w1_eff, w2_eff = model.effective_weights() if weights is None else weights
-        hits = None if cast is None else _certified_hits(w1_eff, w2_eff, dataset, cast)
-        if hits is None:
-            hact = dataset.x @ w1_eff.T
-            np.maximum(hact, 0.0, out=hact)
-            hits = np.count_nonzero(np.argmax(hact @ w2_eff.T, axis=1) == dataset.y)
+        hact = dataset.x @ w1_eff.T
+        np.maximum(hact, 0.0, out=hact)
+        hits = np.count_nonzero(np.argmax(hact @ w2_eff.T, axis=1) == dataset.y)
     return hits / dataset.n
 
 
@@ -697,7 +855,9 @@ class Simulation:
         # (global, local) accuracy of each client's model since its adapters
         # last changed; local is None for an empty test shard
         self._accuracy: dict[int, tuple[float, float | None]] = {}
-        # the global test set cast for evaluate, made by warm_up, after the
+        # what each client's last global-test evaluation proved, if certified
+        self._certificates: dict[int, Certificate] = {}
+        # the global test set cast for certify, made by warm_up, after the
         # set-up's memory peak
         self._global_cast: Float32Copy | None = None
 
@@ -885,28 +1045,66 @@ class Simulation:
         metrics = self._measure(participants, outcome, payload)
         return RoundResult(metrics=metrics, outcome=outcome, diagnostics=diagnostics)
 
+    def _global_accuracy(
+        self, model: LocalModel, weights: tuple[np.ndarray, np.ndarray],
+        moves: Callable[[tuple[LoraPair, ...], tuple[LoraPair, ...]], tuple[float, float]],
+    ) -> tuple[float, int | None]:
+        """``model``'s accuracy on the global test set, and the rows it
+        recomputed, or None for a full evaluation. It is re-certified from
+        the model's last certificate where that decides; the certified and
+        plain paths are the fallbacks, in that order. ``moves`` gives
+        :func:`delta_moves`."""
+        cid, test, cast = model.client_id, self.global_test, self._global_cast
+        pairs = tuple(model.lora[lid] for lid in LayerId)
+        cert = self._certificates.pop(cid, None)  # there is one only if cast is
+        carried = (None if cert is None
+                   else recertify(cert, pairs, weights, test, cast, moves(cert.pairs, pairs)))
+        cert, recomputed = carried if carried is not None else (None, None)
+        if cert is None and cast is not None:
+            cert = certify(pairs, weights, test, cast)
+        if cert is None:
+            return evaluate(model, test, weights), None
+        self._certificates[cid] = cert
+        return cert.hits / test.n, recomputed
+
     def _measure(
         self, participants: list[int], outcome: AggregationOutcome | None, payload: int
     ) -> RoundMetrics:
         cfg = self.cfg
         # only models broadcast to since their last evaluation have changed;
         # each is evaluated on both test sets with one set of effective
-        # weights, and clients of one shape share their pairs' deltas
-        deltas: dict[int, np.ndarray] = {}  # by id: the models keep the pairs
+        # weights; clients of one shape share their pairs' deltas, and those
+        # last evaluated in the same round share how far the deltas moved
+        # by id: each entry holds its pair, so no id is reused while cached
+        deltas: dict[int, tuple[LoraPair, np.ndarray]] = {}
+        moves: dict[tuple[int, ...], tuple[float, float]] = {}  # by four cached ids
 
         def shared_delta(pair: LoraPair) -> np.ndarray:
             if id(pair) not in deltas:
-                deltas[id(pair)] = pair.delta()
-            return deltas[id(pair)]
+                deltas[id(pair)] = pair, pair.delta()
+            return deltas[id(pair)][1]
 
+        def shared_moves(old, new) -> tuple[float, float]:
+            key = tuple(map(id, old + new))
+            if key not in moves:
+                moves[key] = delta_moves(old, new, shared_delta)
+            return moves[key]
+
+        recomputed: list[int | None] = []  # rows per evaluated model, None if in full
         for m, p in zip(self.models, self.profiles):
             if m.client_id not in self._accuracy:
                 with np.errstate(over="ignore", invalid="ignore"):
                     weights = m.effective_weights(shared_delta)
+                on_global, rows = self._global_accuracy(m, weights, shared_moves)
+                recomputed.append(rows)
                 self._accuracy[m.client_id] = (
-                    evaluate(m, self.global_test, weights, self._global_cast),
+                    on_global,
                     evaluate(m, p.test, weights) if p.test.n > 0 else None,
                 )
+        carried = [rows for rows in recomputed if rows is not None]
+        log.debug("round %d: %d model(s) re-certified, %d row(s) recomputed, "
+                  "%d full evaluation(s)", self.round_index, len(carried), sum(carried),
+                  len(recomputed) - len(carried))
         accuracy = [self._accuracy[m.client_id] for m in self.models]
         global_acc = float(np.mean([g for g, _ in accuracy]))
         local_accs = [local for _, local in accuracy if local is not None]

@@ -6,6 +6,7 @@ import hashlib
 import json
 import logging
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -728,6 +729,28 @@ def float64_hits(x, y, w1, w2):
         return np.count_nonzero(np.argmax(np.maximum(x @ w1.T, 0) @ w2.T, axis=1) == y)
 
 
+def plain_margins(x, y, w1, w2):
+    """Each row's true-class logit less the best other one, from the plain
+    float64 logits, taken in extended precision."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = (np.maximum(x @ w1.T, 0) @ w2.T).astype(np.longdouble)
+    rows = np.arange(len(y))
+    true = logits[rows, y]
+    logits[rows, y] = -np.inf
+    return true - logits.max(axis=1)
+
+
+def assert_slack_bounds_margins(cert, x, y, weights, cast):
+    """Every stored slack, in its units ||x_i|| f m, is at most the row's
+    |plain float64 margin|, and a nonzero one has the margin's sign."""
+    margin = plain_margins(x, y, *weights)
+    slack = cert.slack.astype(np.longdouble)
+    scale = cast.norms.astype(np.longdouble) * np.longdouble(cert.f) * np.longdouble(cert.m)
+    assert (np.abs(slack) * scale <= np.abs(margin)).all()
+    assert ((slack > 0) <= (margin > 0)).all()
+    assert ((slack < 0) <= (margin < 0)).all()
+
+
 WEIGHT_SCALES = [1e-200, 1e-25, 1e-3, 1.0, 1e3, 1e25, 1e200]
 
 
@@ -770,11 +793,12 @@ class TestCertifiedEvaluate:
         want = float64_hits(x, y, w1, w2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluate(LocalModel(0, 0, w1, w2), data, None, cast)
-            with np.errstate(over="ignore", invalid="ignore"):
-                hits = horus.sim._certified_hits(w1, w2, data, cast)
+            got = evaluate(LocalModel(0, 0, w1, w2), data)
+            cert = horus.sim.certify((), (w1, w2), data, cast)
         assert got == want / len(y)
-        assert hits is None or hits == want
+        if cert is not None:
+            assert cert.hits == want
+            assert_slack_bounds_margins(cert, x, y, (w1, w2), cast)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     # scales at which float32 neither overflows nor underflows unscaled
@@ -786,7 +810,8 @@ class TestCertifiedEvaluate:
         l32 = l32 @ w2.T.astype(np.float32)
         l64 = np.maximum(x @ w1.T, 0) @ w2.T
         k32, _ = horus.sim._bound_factors(x.shape[1], w1.shape[0])
-        e = k32 * f * m * np.linalg.norm(x, axis=1)
+        # k32 bounds a margin, two logits, with the safety factor 2 on top
+        e = k32 / 4 * f * m * np.linalg.norm(x, axis=1)
         assert (np.abs(l32 - l64).max(axis=1) <= e).all()
 
     def test_rows_the_bound_cannot_cover_get_no_copy(self):
@@ -796,6 +821,132 @@ class TestCertifiedEvaluate:
         for bad in (0.0, 1e-30, 1e30, np.inf, np.nan):
             x[2] = bad
             assert horus.sim.float32_copy(Dataset(x, y)) is None
+
+
+DRIFTS = {"tiny": 1e-9, "small": 1e-4, "medium": 1e-2}
+STEPS = ("same", *DRIFTS, "jump", "zero", "nan", "inf")
+
+
+@st.composite
+def adapter_walks(draw):
+    """A backbone from certified_cases and a walk of adapter pairs on it,
+    from B = 0. Each step keeps the pairs (as new arrays), drifts B by one
+    of ``DRIFTS`` times the backbone's scale, jumps to a fresh B of that
+    scale, goes back to B = 0, or puts a NaN or an inf in B."""
+    x, y, w1, w2 = draw(certified_cases())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, 3))
+    steps = draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8))
+    walk, bs = [], []
+    for w in (w1, w2):
+        biggest = np.nanmax(np.abs(w))
+        bs.append((biggest if biggest > 0 else 1.0, np.zeros((w.shape[0], rank)),
+                   rng.normal(size=(rank, w.shape[1])) / np.sqrt(w.shape[1])))
+
+    def pairs(bs):
+        return tuple(LoraPair._trusted(a.copy(), b.copy()) for _, b, a in bs)
+
+    walk.append(pairs(bs))
+    for step in steps:
+        stepped = []
+        for scale, b, a in bs:
+            noise = scale * rng.normal(size=b.shape)
+            if step in DRIFTS:
+                b = b + DRIFTS[step] * noise
+            elif step == "jump":
+                b = noise
+            elif step == "zero":
+                b = np.zeros_like(b)
+            elif step in ("nan", "inf"):
+                b = b.copy()
+                b[rng.integers(b.shape[0]), rng.integers(rank)] = (
+                    np.nan if step == "nan" else np.inf)
+            stepped.append((scale, b, a))
+        bs = stepped
+        walk.append(pairs(bs))
+    return x, y, w1, w2, walk
+
+
+def weights_of(w1, w2, pairs):
+    model = LocalModel(0, 0, w1, w2, dict(zip(LayerId, pairs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.effective_weights()
+
+
+class TestRecertify:
+    """A certificate carried across adapter steps counts what float64
+    counts, and its slacks stay lower bounds on the plain margins."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(adapter_walks())
+    def test_every_step_counts_the_float64_hits(self, walk):
+        x, y, w1, w2, steps = walk
+        data = Dataset(x, y)
+        cast = horus.sim.float32_copy(data)
+        cert = None
+        for pairs in steps:
+            weights = weights_of(w1, w2, pairs)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                carried = None if cert is None else horus.sim.recertify(
+                    cert, pairs, weights, data, cast, horus.sim.delta_moves(cert.pairs, pairs))
+                cert = (carried[0] if carried is not None
+                        else horus.sim.certify(pairs, weights, data, cast))
+            if cert is not None:
+                assert cert.pairs is pairs
+                assert cert.hits == float64_hits(x, y, *weights)
+                assert_slack_bounds_margins(cert, x, y, weights, cast)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(certified_cases(cases=("random", "tied", "near_tie", "dead"),
+                           scales=[1e-25, 1e-3, 1.0, 1e3, 1e25]),
+           st.integers(0, 2**32 - 1), st.sampled_from([1e-12, 1e-6, 1e-2, 1.0]))
+    def test_plain_margins_move_within_the_drift_bound(self, case, seed, size):
+        x, y, w1, w2 = case
+        rng = np.random.default_rng(seed)
+        ends = []
+        for _ in range(2):
+            pairs = tuple(
+                LoraPair(rng.normal(size=(2, w.shape[1])),
+                         size * np.abs(w).max() * rng.normal(size=(w.shape[0], 2)))
+                for w in (w1, w2))
+            weights = weights_of(w1, w2, pairs)
+            norms = horus.sim._layer_norms(*weights)
+            assume(norms is not None)
+            ends.append((pairs, weights, norms))
+        (old, old_weights, old_norms), (new, new_weights, new_norms) = ends
+        moved = horus.sim.delta_moves(old, new)
+        delta = horus.sim._drift_bound(x.shape[1], w1.shape[0], old_norms, new_norms, moved)
+        change = np.abs(plain_margins(x, y, *new_weights)
+                        - plain_margins(x, y, *old_weights))
+        row_norms = np.sqrt((x.astype(np.longdouble) ** 2).sum(axis=1))
+        assert (change <= np.longdouble(delta) * row_norms).all()
+
+    def test_a_small_drift_is_carried_and_a_jump_is_not(self):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(500, 8))
+        y = rng.integers(0, 4, size=500)
+        # wide enough that no row's relu layer is dead, which would tie it
+        w1, w2 = rng.normal(size=(32, 8)), rng.normal(size=(4, 32))
+        data = Dataset(x, y)
+        cast = horus.sim.float32_copy(data)
+        a1, a2 = rng.normal(size=(2, 8)), rng.normal(size=(2, 32))
+        b1, b2 = rng.normal(size=(32, 2)), rng.normal(size=(4, 2))
+
+        def step(scale):
+            pairs = (LoraPair(a1, scale * b1), LoraPair(a2, scale * b2))
+            return pairs, weights_of(w1, w2, pairs)
+
+        def recertify(cert, pairs, weights):
+            moved = horus.sim.delta_moves(cert.pairs, pairs)
+            return horus.sim.recertify(cert, pairs, weights, data, cast, moved)
+
+        cert = horus.sim.certify(*step(1e-3), data, cast)
+        pairs, weights = step(1.001e-3)
+        carried, rows = recertify(cert, pairs, weights)
+        assert carried.hits == float64_hits(x, y, *weights)
+        assert rows <= horus.sim.RECOMPUTE_SHARE * len(y)
+        assert recertify(carried, *step(1.0)) is None
 
 
 class TestSimulation:
@@ -1139,12 +1290,19 @@ class TestRoundWork:
         assert sim._global_cast is not None  # global accuracies take float32
         assert all(p.test.n > 0 for p in sim.profiles)
         calls = []
+        global_accuracy = Simulation._global_accuracy
 
         def counting(model, dataset, *weights):
-            calls.append(model.client_id)
+            if dataset is not sim.global_test:
+                calls.append(model.client_id)
             return evaluate(model, dataset, *weights)
 
+        def counting_global(self, model, *args):
+            calls.append(model.client_id)
+            return global_accuracy(self, model, *args)
+
         monkeypatch.setattr(horus.sim, "evaluate", counting)
+        monkeypatch.setattr(Simulation, "_global_accuracy", counting_global)
         x, y = sim.global_test
         partial = 0
         for _ in range(sim.cfg.rounds):
@@ -1196,6 +1354,78 @@ class TestRoundWork:
                 returning += len(set(m.participants) - previous)
             previous = set(m.participants)
         assert returning > 0
+
+    def spy_certificates(self, monkeypatch):
+        """The outcome of every recertify call (carried or not) and the
+        pairs of every full certify call."""
+        carried, full = [], []
+        recertify, certify = horus.sim.recertify, horus.sim.certify
+
+        def spying_recertify(*args, **kwargs):
+            result = recertify(*args, **kwargs)
+            carried.append(result is not None)
+            return result
+
+        def spying_certify(*args, **kwargs):
+            full.append(args[0])
+            return certify(*args, **kwargs)
+
+        monkeypatch.setattr(horus.sim, "recertify", spying_recertify)
+        monkeypatch.setattr(horus.sim, "certify", spying_certify)
+        return carried, full
+
+    def assert_oracle_accuracies(self, sim, metrics):
+        x, y = sim.global_test
+        on_global, on_local = [], []
+        for mod, p in zip(sim.models, sim.profiles):
+            weights = mod.effective_weights()
+            on_global.append(float64_hits(x, y, *weights) / len(y))
+            on_local.append(float64_hits(*p.test, *weights) / p.test.n)
+        assert metrics.global_accuracy == float(np.mean(on_global))
+        assert metrics.mean_local_accuracy == float(np.mean(on_local))
+
+    def test_recertified_accuracies_follow_a_state_edited_in_place(self, monkeypatch,
+                                                                   caplog):
+        sim = Simulation(self.pool_config(rounds=8))
+        sim.warm_up()
+        carried, _ = self.spy_certificates(monkeypatch)
+        returning = 0
+        for _ in range(sim.cfg.rounds):
+            if sim.round_index > 0:  # the state may be edited in place between rounds
+                sim.state.layers[FF].a *= 0.5
+            carried.clear()
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="horus.sim"):
+                m = sim.run_round().metrics
+            self.assert_oracle_accuracies(sim, m)
+            # one line a round: the models carried, and those evaluated in full
+            evaluated = len(sim.models) if m.round == 1 else len(m.participants)
+            want = (f"round {m.round}: {sum(carried)} model(s) re-certified, "
+                    f"{evaluated - sum(carried)} full evaluation(s)")
+            lines = [r.getMessage() for r in caplog.records if "re-certified" in r.getMessage()]
+            assert len(lines) == 1
+            assert re.sub(r" \d+ row\(s\) recomputed,", "", lines[0]) == want
+            returning += any(carried)
+        assert returning > 0
+
+    def test_a_jump_takes_the_full_path(self, monkeypatch):
+        sim = Simulation(self.pool_config(rounds=3))
+        sim.warm_up()
+        carried, full = self.spy_certificates(monkeypatch)
+        for _ in range(sim.cfg.rounds):
+            if sim.round_index == 2:  # every delta grows a hundredfold
+                for layer in sim.state.layers.values():
+                    layer.b *= 100.0
+            carried.clear()
+            full.clear()
+            m = sim.run_round().metrics
+            self.assert_oracle_accuracies(sim, m)
+            if m.round == 2:
+                assert carried and all(carried)
+        # a model the float32 path could not certify last round has no
+        # certificate to carry
+        assert len(full) == len(m.participants) >= len(carried) > 0
+        assert not any(carried)
 
     def test_two_participant_horus_round_skips_detection(self, caplog):
         cfg = tiny_config(
