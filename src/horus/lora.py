@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -54,9 +55,13 @@ def _as_float_matrix(x, name: str) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoraPair:
-    """One layer's adapter pair: ``a`` (rank x d_in) and ``b`` (d_out x rank)."""
+    """One layer's adapter pair: ``a`` (rank x d_in) and ``b`` (d_out x rank).
+
+    A pair is a value: nothing writes its arrays after construction, so its
+    delta is computed once. Pairs compare and hash by identity.
+    """
 
     a: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
@@ -80,9 +85,12 @@ class LoraPair:
         pair.__dict__.update(a=a, b=b)
         return pair
 
+    @cached_property
     def delta(self) -> np.ndarray:
-        """The dense update ``B @ A`` this pair represents."""
-        return self.b @ self.a
+        """The dense update ``B @ A`` this pair represents, read-only."""
+        delta = self.b @ self.a
+        delta.flags.writeable = False
+        return delta
 
 
 @dataclass(frozen=True)

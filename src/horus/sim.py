@@ -21,7 +21,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -263,15 +263,13 @@ class LocalModel:
             LayerId.CLASSIFIER: LayerDims(d_in=h, d_out=c),
         }
 
-    def effective_weights(
-        self, delta: Callable[[LoraPair], np.ndarray] = LoraPair.delta
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Backbone plus adapter update; ``delta`` gives a pair's ``B @ A``."""
+    def effective_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Backbone plus adapter update."""
         if self.lora is None:
             return self.w1, self.w2
         return (
-            self.w1 + delta(self.lora[LayerId.FEATURE_FIRST]),
-            self.w2 + delta(self.lora[LayerId.CLASSIFIER]),
+            self.w1 + self.lora[LayerId.FEATURE_FIRST].delta,
+            self.w2 + self.lora[LayerId.CLASSIFIER].delta,
         )
 
     def backbone_hash(self) -> str:
@@ -563,30 +561,34 @@ def _toward_zero16(slack: np.ndarray) -> np.ndarray:
     return shrunk.astype(np.float16)
 
 
-# the largest share of the rows recertify recomputes in float64; past it, a
-# full evaluation is cheaper
+# the largest share of the rows a carried certificate recomputes in float64;
+# past it, the full float32 pass is cheaper
 RECOMPUTE_SHARE = 1 / 8
 
 
 class Certificate(NamedTuple):
     """What a certified evaluation on the global test set proved about one
-    model, for :func:`recertify` to carry to the model's next adapters."""
+    model's effective weights, for :func:`certify` to carry to its next ones."""
 
-    pairs: tuple[LoraPair, ...]  # the adapters evaluated, in LayerId order
     f: float  # ||W1||_F of the effective weights
     m: float  # max_c ||W2,c||
     # (n,) float16 lower bounds on |margin_i| / (||x_i|| f m), signed as the
     # margins; 0 where too small to keep
     slack: np.ndarray
     hits: int
+    recomputed: int | None  # rows a carry recomputed; None after a full pass
 
 
-def certify(pairs: tuple[LoraPair, ...], weights: tuple[np.ndarray, np.ndarray],
-            dataset: Dataset, cast: Float32Copy) -> Certificate | None:
-    """The hit count of :func:`evaluate` on ``dataset``, certified from
-    float32 logits, as a certificate of the adapters ``pairs`` whose
-    effective weights are ``weights``; None where only the plain float64
-    path can count. ``cast`` is the :func:`float32_copy` of ``dataset``.
+def certify(weights: tuple[np.ndarray, np.ndarray], dataset: Dataset, cast: Float32Copy,
+            prior: Certificate | None = None, moved: tuple[float, float] | None = None,
+            ) -> Certificate | None:
+    """The hit count of :func:`evaluate` on ``dataset`` for the effective
+    weights ``weights``, as a certificate; None where only the plain float64
+    path can count. ``cast`` is the :func:`float32_copy` of ``dataset``. A
+    ``prior`` certificate of the same backbone is carried first (see
+    :func:`_carried`; ``moved`` is :func:`delta_moves` from its adapters to
+    those of ``weights``); where the carry cannot decide, the full float32
+    pass below counts.
 
     The count is the float64 count exactly. With u32 = 2^-24, u64 = 2^-53,
     g(n, u) = nu / (1 - nu) (the dot-product error bound of Higham, Accuracy
@@ -618,15 +620,21 @@ def certify(pairs: tuple[LoraPair, ...], weights: tuple[np.ndarray, np.ndarray],
     """
     with np.errstate(over="ignore", invalid="ignore"):
         norms = _layer_norms(*weights)
-        slack = None if norms is None else _certified_hits(*weights, norms, dataset, cast)
+        if norms is None:
+            return None
+        if prior is not None:
+            carried = _carried(prior, weights, norms, dataset, cast, moved)
+            if carried is not None:
+                return carried
+        slack = _certified_hits(*weights, norms, dataset, cast)
     if slack is None:
         return None
-    return Certificate(pairs, *norms, _toward_zero16(slack), np.count_nonzero(slack > 0))
+    return Certificate(*norms, _toward_zero16(slack), np.count_nonzero(slack > 0), None)
 
 
 def _drift_bound(d: int, h: int, old: tuple[float, float], new: tuple[float, float],
                  moved: tuple[float, float]) -> float:
-    """delta of :func:`recertify`: the plain float64 margin of a row x moves
+    """delta of :func:`_carried`: the plain float64 margin of a row x moves
     by at most delta ||x|| when the layer norms (f, m) go from ``old`` to
     ``new`` and the deltas move by ``moved``, (||D1' - D1||_F,
     max_c ||D2,c' - D2,c||)."""
@@ -637,31 +645,27 @@ def _drift_bound(d: int, h: int, old: tuple[float, float], new: tuple[float, flo
     return 4 * (dw2 * f1 + m * dw1) + k64 / 2 * (f1 * m1 + f * m)
 
 
-def delta_moves(old: tuple[LoraPair, ...], new: tuple[LoraPair, ...],
-                delta: Callable[[LoraPair], np.ndarray] = LoraPair.delta,
-                ) -> tuple[float, float]:
+def delta_moves(old: tuple[LoraPair, ...], new: tuple[LoraPair, ...]) -> tuple[float, float]:
     """(||D1' - D1||_F, max_c ||D2,c' - D2,c||) from the deltas of the pairs
-    ``old`` to those of ``new``; ``delta`` gives a pair's ``B @ A``."""
+    ``old`` to those of ``new``."""
     (old1, old2), (new1, new2) = old, new
     with np.errstate(over="ignore", invalid="ignore"):
-        return (float(np.linalg.norm(delta(new1) - delta(old1))),
-                float(np.linalg.norm(delta(new2) - delta(old2), axis=1).max()))
+        return (float(np.linalg.norm(new1.delta - old1.delta)),
+                float(np.linalg.norm(new2.delta - old2.delta, axis=1).max()))
 
 
-def recertify(cert: Certificate, pairs: tuple[LoraPair, ...],
-              weights: tuple[np.ndarray, np.ndarray], dataset: Dataset,
-              cast: Float32Copy, moved: tuple[float, float],
-              ) -> tuple[Certificate, int] | None:
-    """``cert`` carried to the same backbone's new adapters ``pairs``, whose
-    effective weights are ``weights``, and the number of rows recomputed; None
-    where a full evaluation must decide (see below). ``moved`` is
-    :func:`delta_moves` from the certificate's pairs to ``pairs``, taken
-    with the deltas the effective weights were made with.
+def _carried(prior: Certificate, weights: tuple[np.ndarray, np.ndarray],
+             norms: tuple[float, float], dataset: Dataset, cast: Float32Copy,
+             moved: tuple[float, float]) -> Certificate | None:
+    """``prior`` carried to the same backbone's new effective weights
+    ``weights``, whose :func:`_layer_norms` are ``norms``; None where the
+    full pass of :func:`certify` must decide (see below). ``moved`` is
+    :func:`delta_moves` from the adapters of ``prior`` to the new ones.
 
     With the backbone frozen, the effective weights W = W0 + D move only
     with the adapters' deltas D = B A. Write f, m for ``||W1||_F`` and
-    ``max_c ||W2,c||`` of the certificate's weights and f', m' for the new
-    ones. For every row i the plain float64 margin moves by at most
+    ``max_c ||W2,c||`` of the prior's weights and f', m' for the new ones.
+    For every row i the plain float64 margin moves by at most
 
         delta ||x_i||,   delta = 4 (dW2 f' + m dW1) + k64 (f' m' + f m) / 2,
 
@@ -679,34 +683,30 @@ def recertify(cert: Certificate, pairs: tuple[LoraPair, ...],
     So a row whose slack (in units of ||x_i|| f m) exceeds delta / (f m)
     keeps its hit or miss, and its slack shrinks by that much (then is
     rescaled to f' m'). The other rows are recomputed in float64 against
-    the float64 bound. The caller must evaluate in full when more than
-    ``RECOMPUTE_SHARE`` of the rows are undecided, a recomputed row is still
-    undecided, or a new norm is not finite or leaves ``NORM_RANGE``.
+    the float64 bound. The full pass must decide when more than
+    ``RECOMPUTE_SHARE`` of the rows are undecided, or a recomputed row is
+    still undecided.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = _layer_norms(*weights)
-        if norms is None:
+    f, m = norms
+    w1, w2 = weights
+    drift = _drift_bound(w1.shape[1], w1.shape[0], (prior.f, prior.m), norms, moved)
+    limit = drift / (prior.f * prior.m)
+    if not limit < math.inf:  # NaN or inf decides nothing
+        return None
+    slack = prior.slack.astype(np.float64)
+    rows = np.flatnonzero(np.abs(slack) <= limit)
+    if rows.size > RECOMPUTE_SHARE * dataset.n:
+        return None
+    hits = np.count_nonzero(slack > limit)
+    slack -= np.copysign(limit, slack)
+    slack *= prior.f * prior.m / (f * m)
+    if rows.size:
+        recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
+        if recomputed is None:
             return None
-        f, m = norms
-        w1, w2 = weights
-        drift = _drift_bound(w1.shape[1], w1.shape[0], (cert.f, cert.m), norms, moved)
-        limit = drift / (cert.f * cert.m)
-        if not limit < math.inf:  # NaN or inf decides nothing
-            return None
-        slack = cert.slack.astype(np.float64)
-        rows = np.flatnonzero(np.abs(slack) <= limit)
-        if rows.size > RECOMPUTE_SHARE * dataset.n:
-            return None
-        hits = np.count_nonzero(slack > limit)
-        slack -= np.copysign(limit, slack)
-        slack *= cert.f * cert.m / (f * m)
-        if rows.size:
-            recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
-            if recomputed is None:
-                return None
-            slack[rows] = recomputed
-            hits += np.count_nonzero(recomputed > 0)
-    return Certificate(pairs, f, m, _toward_zero16(slack), hits), rows.size
+        slack[rows] = recomputed
+        hits += np.count_nonzero(recomputed > 0)
+    return Certificate(f, m, _toward_zero16(slack), hits, rows.size)
 
 
 def evaluate(model: LocalModel, dataset: Dataset,
@@ -794,6 +794,15 @@ class RoundResult:
     diagnostics: list[DiagnosticRow]
 
 
+class Measurement(NamedTuple):
+    """One client's accuracies, and the adapters they were measured with."""
+
+    pairs: tuple[LoraPair, ...]  # in LayerId order
+    global_accuracy: float
+    local_accuracy: float | None  # None for an empty test shard
+    certificate: Certificate | None  # of the global test set, if certified
+
+
 class Simulation:
     """Deterministic round-based federation over synthetic clients.
 
@@ -852,11 +861,8 @@ class Simulation:
         }
         self.round_index = 0
         self._backbone_hashes: list[str] | None = None
-        # (global, local) accuracy of each client's model since its adapters
-        # last changed; local is None for an empty test shard
-        self._accuracy: dict[int, tuple[float, float | None]] = {}
-        # what each client's last global-test evaluation proved, if certified
-        self._certificates: dict[int, Certificate] = {}
+        # each client's accuracies, from the adapters it was last measured with
+        self._measured: dict[int, Measurement] = {}
         # the global test set cast for certify, made by warm_up, after the
         # set-up's memory peak
         self._global_cast: Float32Copy | None = None
@@ -920,7 +926,6 @@ class Simulation:
     def _broadcast(self, client_ids: list[int]) -> None:
         for cid, pairs in self._local_states(client_ids).items():
             self.models[cid].lora = pairs
-            self._accuracy.pop(cid, None)
 
     def _train_participants(self, participants: list[int]) -> dict[int, ClientUpdate]:
         cfg = self.cfg
@@ -1045,69 +1050,50 @@ class Simulation:
         metrics = self._measure(participants, outcome, payload)
         return RoundResult(metrics=metrics, outcome=outcome, diagnostics=diagnostics)
 
-    def _global_accuracy(
-        self, model: LocalModel, weights: tuple[np.ndarray, np.ndarray],
-        moves: Callable[[tuple[LoraPair, ...], tuple[LoraPair, ...]], tuple[float, float]],
-    ) -> tuple[float, int | None]:
-        """``model``'s accuracy on the global test set, and the rows it
-        recomputed, or None for a full evaluation. It is re-certified from
-        the model's last certificate where that decides; the certified and
-        plain paths are the fallbacks, in that order. ``moves`` gives
-        :func:`delta_moves`."""
-        cid, test, cast = model.client_id, self.global_test, self._global_cast
-        pairs = tuple(model.lora[lid] for lid in LayerId)
-        cert = self._certificates.pop(cid, None)  # there is one only if cast is
-        carried = (None if cert is None
-                   else recertify(cert, pairs, weights, test, cast, moves(cert.pairs, pairs)))
-        cert, recomputed = carried if carried is not None else (None, None)
-        if cert is None and cast is not None:
-            cert = certify(pairs, weights, test, cast)
-        if cert is None:
-            return evaluate(model, test, weights), None
-        self._certificates[cid] = cert
-        return cert.hits / test.n, recomputed
-
     def _measure(
         self, participants: list[int], outcome: AggregationOutcome | None, payload: int
     ) -> RoundMetrics:
-        cfg = self.cfg
-        # only models broadcast to since their last evaluation have changed;
-        # each is evaluated on both test sets with one set of effective
-        # weights; clients of one shape share their pairs' deltas, and those
-        # last evaluated in the same round share how far the deltas moved
-        # by id: each entry holds its pair, so no id is reused while cached
-        deltas: dict[int, tuple[LoraPair, np.ndarray]] = {}
-        moves: dict[tuple[int, ...], tuple[float, float]] = {}  # by four cached ids
-
-        def shared_delta(pair: LoraPair) -> np.ndarray:
-            if id(pair) not in deltas:
-                deltas[id(pair)] = pair, pair.delta()
-            return deltas[id(pair)][1]
-
-        def shared_moves(old, new) -> tuple[float, float]:
-            key = tuple(map(id, old + new))
-            if key not in moves:
-                moves[key] = delta_moves(old, new, shared_delta)
-            return moves[key]
-
-        recomputed: list[int | None] = []  # rows per evaluated model, None if in full
+        cfg, test, cast = self.cfg, self.global_test, self._global_cast
+        # a model is measured again exactly when its adapters are not the
+        # pairs of its record, on both test sets with one set of effective
+        # weights; models last measured with the same pairs share how far
+        # the deltas moved, keyed by the old and new pairs themselves
+        moves: dict[tuple[LoraPair, ...], tuple[float, float]] = {}
+        carried: list[int] = []  # rows recomputed by each carried certificate
+        full = plain = 0
         for m, p in zip(self.models, self.profiles):
-            if m.client_id not in self._accuracy:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    weights = m.effective_weights(shared_delta)
-                on_global, rows = self._global_accuracy(m, weights, shared_moves)
-                recomputed.append(rows)
-                self._accuracy[m.client_id] = (
-                    on_global,
-                    evaluate(m, p.test, weights) if p.test.n > 0 else None,
-                )
-        carried = [rows for rows in recomputed if rows is not None]
+            pairs = tuple(m.lora[lid] for lid in LayerId)
+            record = self._measured.get(m.client_id)
+            if record is not None and record.pairs == pairs:  # by identity
+                continue
+            with np.errstate(over="ignore", invalid="ignore"):
+                weights = m.effective_weights()
+            prior = record.certificate if record else None  # kept only if cast is set
+            moved = None
+            if prior is not None:
+                key = record.pairs + pairs
+                if key not in moves:
+                    moves[key] = delta_moves(record.pairs, pairs)
+                moved = moves[key]
+            cert = None if cast is None else certify(weights, test, cast, prior, moved)
+            if cert is None:
+                plain += 1
+            elif cert.recomputed is None:
+                full += 1
+            else:
+                carried.append(cert.recomputed)
+            self._measured[m.client_id] = Measurement(
+                pairs,
+                evaluate(m, test, weights) if cert is None else cert.hits / test.n,
+                evaluate(m, p.test, weights) if p.test.n > 0 else None,
+                cert,
+            )
         log.debug("round %d: %d model(s) re-certified, %d row(s) recomputed, "
-                  "%d full evaluation(s)", self.round_index, len(carried), sum(carried),
-                  len(recomputed) - len(carried))
-        accuracy = [self._accuracy[m.client_id] for m in self.models]
-        global_acc = float(np.mean([g for g, _ in accuracy]))
-        local_accs = [local for _, local in accuracy if local is not None]
+                  "%d full float32 pass(es), %d plain float64 evaluation(s)",
+                  self.round_index, len(carried), sum(carried), full, plain)
+        measured = [self._measured[m.client_id] for m in self.models]
+        global_acc = float(np.mean([r.global_accuracy for r in measured]))
+        local_accs = [r.local_accuracy for r in measured if r.local_accuracy is not None]
         local_acc = float(np.mean(local_accs)) if local_accs else 0.0
 
         positives = (

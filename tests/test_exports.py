@@ -1,10 +1,11 @@
 """Every exported name resolves, so a deleted function cannot leave a stale
-export behind in one of the package's modules; and every name a module
-exports has a caller outside the tests, so no public function lives on for
-its own tests alone."""
+export behind in one of the package's modules; and every public name a
+module exports or defines has a caller outside the tests, so no public
+function lives on for its own tests alone."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -25,10 +26,21 @@ def test_every_exported_name_imports():
     assert stale == []
 
 
+def public_names(module) -> set[str]:
+    """The names ``module`` exports, and every function and class it defines
+    at module level whose name has no leading underscore."""
+    defined = {
+        name for name, obj in vars(module).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+    }
+    return defined | set(module.__all__)
+
+
 def test_every_exported_name_has_a_caller():
-    """An exported name is used as code (a name or an attribute) somewhere
-    in the package's own modules, the benchmark or the tools, not only in
-    its tests."""
+    """A public name (see :func:`public_names`) is used as code (a name or
+    an attribute) somewhere in the package's own modules, the benchmark or
+    the tools, not only in its tests; its own definition is not a use."""
     root = Path(__file__).resolve().parents[1]
     files = [f for f in (root / "src" / "horus").glob("*.py") if f.name != "__init__.py"]
     files += sorted((root / "bench").rglob("*.py")) + sorted((root / "tools").rglob("*.py"))
@@ -44,7 +56,8 @@ def test_every_exported_name_has_a_caller():
         for info in pkgutil.iter_modules(horus.__path__)
     ]
     unused = [
-        f"{m.__name__}.{name}" for m in modules for name in m.__all__ if name not in used
+        f"{m.__name__}.{name}" for m in modules for name in sorted(public_names(m))
+        if name not in used
     ]
     assert unused == []
 

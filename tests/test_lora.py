@@ -48,6 +48,14 @@ class TestTypes:
         with pytest.raises(AttributeError):
             pair.rank = 2
 
+    def test_delta_is_b_at_a_computed_once(self):
+        rng = np.random.default_rng(0)
+        pair = LoraPair(a=rng.normal(size=(3, 5)), b=rng.normal(size=(4, 3)))
+        first = pair.delta
+        assert first.tobytes() == (pair.b @ pair.a).tobytes()
+        assert pair.delta is first
+        assert not first.flags.writeable
+
     def test_lora_pair_rejects_non_finite(self):
         a = np.zeros((2, 3))
         a[0, 0] = np.nan

@@ -6,7 +6,6 @@ import hashlib
 import json
 import logging
 import math
-import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -794,7 +793,7 @@ class TestCertifiedEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluate(LocalModel(0, 0, w1, w2), data)
-            cert = horus.sim.certify((), (w1, w2), data, cast)
+            cert = horus.sim.certify((w1, w2), data, cast)
         assert got == want / len(y)
         if cert is not None:
             assert cert.hits == want
@@ -883,17 +882,15 @@ class TestRecertify:
         x, y, w1, w2, steps = walk
         data = Dataset(x, y)
         cast = horus.sim.float32_copy(data)
-        cert = None
+        cert = old = None
         for pairs in steps:
             weights = weights_of(w1, w2, pairs)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                carried = None if cert is None else horus.sim.recertify(
-                    cert, pairs, weights, data, cast, horus.sim.delta_moves(cert.pairs, pairs))
-                cert = (carried[0] if carried is not None
-                        else horus.sim.certify(pairs, weights, data, cast))
+                moved = None if cert is None else horus.sim.delta_moves(old, pairs)
+                cert = horus.sim.certify(weights, data, cast, cert, moved)
+            old = pairs
             if cert is not None:
-                assert cert.pairs is pairs
                 assert cert.hits == float64_hits(x, y, *weights)
                 assert_slack_bounds_margins(cert, x, y, weights, cast)
 
@@ -933,20 +930,23 @@ class TestRecertify:
         a1, a2 = rng.normal(size=(2, 8)), rng.normal(size=(2, 32))
         b1, b2 = rng.normal(size=(32, 2)), rng.normal(size=(4, 2))
 
-        def step(scale):
+        def step(scale, prior=None, old=None):
+            """The pairs at ``scale``, and their certificate carried from
+            ``prior``, the certificate of the pairs ``old``."""
             pairs = (LoraPair(a1, scale * b1), LoraPair(a2, scale * b2))
-            return pairs, weights_of(w1, w2, pairs)
+            weights = weights_of(w1, w2, pairs)
+            moved = None if prior is None else horus.sim.delta_moves(old, pairs)
+            cert = horus.sim.certify(weights, data, cast, prior, moved)
+            assert cert.hits == float64_hits(x, y, *weights)
+            return pairs, cert
 
-        def recertify(cert, pairs, weights):
-            moved = horus.sim.delta_moves(cert.pairs, pairs)
-            return horus.sim.recertify(cert, pairs, weights, data, cast, moved)
-
-        cert = horus.sim.certify(*step(1e-3), data, cast)
-        pairs, weights = step(1.001e-3)
-        carried, rows = recertify(cert, pairs, weights)
-        assert carried.hits == float64_hits(x, y, *weights)
-        assert rows <= horus.sim.RECOMPUTE_SHARE * len(y)
-        assert recertify(carried, *step(1.0)) is None
+        pairs, cert = step(1e-3)
+        assert cert.recomputed is None  # no prior: the full pass
+        pairs, carried = step(1.001e-3, cert, pairs)
+        assert carried.recomputed is not None  # carried, not passed in full
+        assert carried.recomputed <= horus.sim.RECOMPUTE_SHARE * len(y)
+        _, jumped = step(1.0, carried, pairs)
+        assert jumped.recomputed is None
 
 
 class TestSimulation:
@@ -1289,25 +1289,39 @@ class TestRoundWork:
         sim.warm_up()
         assert sim._global_cast is not None  # global accuracies take float32
         assert all(p.test.n > 0 for p in sim.profiles)
-        calls = []
-        global_accuracy = Simulation._global_accuracy
+        weighed, local, on_global = [], [], []  # client ids, and global counts
+        effective_weights, certify = LocalModel.effective_weights, horus.sim.certify
+
+        def counting_weights(model):
+            weighed.append(model.client_id)
+            return effective_weights(model)
 
         def counting(model, dataset, *weights):
-            if dataset is not sim.global_test:
-                calls.append(model.client_id)
+            if dataset is sim.global_test:
+                on_global.append("plain")
+            else:
+                local.append(model.client_id)
             return evaluate(model, dataset, *weights)
 
-        def counting_global(self, model, *args):
-            calls.append(model.client_id)
-            return global_accuracy(self, model, *args)
+        def counting_certify(*args):
+            cert = certify(*args)
+            if cert is not None:
+                on_global.append("certified")
+            return cert
 
+        monkeypatch.setattr(LocalModel, "effective_weights", counting_weights)
         monkeypatch.setattr(horus.sim, "evaluate", counting)
-        monkeypatch.setattr(Simulation, "_global_accuracy", counting_global)
+        monkeypatch.setattr(horus.sim, "certify", counting_certify)
         x, y = sim.global_test
         partial = 0
         for _ in range(sim.cfg.rounds):
-            calls.clear()
+            for calls in (weighed, local, on_global):
+                calls.clear()
             m = sim.run_round().metrics
+            measured = list(range(len(sim.models))) if m.round == 1 else m.participants
+            # each measured model's weights are made once and scored on both sets
+            assert sorted(weighed) == sorted(local) == sorted(measured)
+            assert len(on_global) == len(measured)
             fresh_global = [evaluate(mod, sim.global_test) for mod in sim.models]
             fresh_local = [evaluate(mod, p.test)
                            for mod, p in zip(sim.models, sim.profiles)]
@@ -1316,10 +1330,6 @@ class TestRoundWork:
             oracle = [float64_hits(x, y, *mod.effective_weights()) / len(y)
                       for mod in sim.models]
             assert m.global_accuracy == float(np.mean(oracle))
-            if m.round == 1:
-                assert sorted(calls) == sorted(2 * list(range(len(sim.models))))
-            else:
-                assert sorted(calls) == sorted(2 * m.participants)
             partial += len(m.participants) < len(sim.models)
         assert partial > 0
 
@@ -1356,23 +1366,22 @@ class TestRoundWork:
         assert returning > 0
 
     def spy_certificates(self, monkeypatch):
-        """The outcome of every recertify call (carried or not) and the
-        pairs of every full certify call."""
-        carried, full = [], []
-        recertify, certify = horus.sim.recertify, horus.sim.certify
+        """The prior certificate and the result of every certify call."""
+        calls = []
+        certify = horus.sim.certify
 
-        def spying_recertify(*args, **kwargs):
-            result = recertify(*args, **kwargs)
-            carried.append(result is not None)
-            return result
+        def spying(weights, dataset, cast, prior=None, moved=None):
+            cert = certify(weights, dataset, cast, prior, moved)
+            calls.append((prior, cert))
+            return cert
 
-        def spying_certify(*args, **kwargs):
-            full.append(args[0])
-            return certify(*args, **kwargs)
+        monkeypatch.setattr(horus.sim, "certify", spying)
+        return calls
 
-        monkeypatch.setattr(horus.sim, "recertify", spying_recertify)
-        monkeypatch.setattr(horus.sim, "certify", spying_certify)
-        return carried, full
+    @staticmethod
+    def carried(calls):
+        """The rows each carried certificate recomputed."""
+        return [c.recomputed for _, c in calls if c is not None and c.recomputed is not None]
 
     def assert_oracle_accuracies(self, sim, metrics):
         x, y = sim.global_test
@@ -1388,44 +1397,57 @@ class TestRoundWork:
                                                                    caplog):
         sim = Simulation(self.pool_config(rounds=8))
         sim.warm_up()
-        carried, _ = self.spy_certificates(monkeypatch)
+        calls = self.spy_certificates(monkeypatch)
         returning = 0
         for _ in range(sim.cfg.rounds):
             if sim.round_index > 0:  # the state may be edited in place between rounds
                 sim.state.layers[FF].a *= 0.5
-            carried.clear()
+            calls.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="horus.sim"):
                 m = sim.run_round().metrics
             self.assert_oracle_accuracies(sim, m)
-            # one line a round: the models carried, and those evaluated in full
-            evaluated = len(sim.models) if m.round == 1 else len(m.participants)
-            want = (f"round {m.round}: {sum(carried)} model(s) re-certified, "
-                    f"{evaluated - sum(carried)} full evaluation(s)")
+            # one line a round: the models carried, those certified by a full
+            # float32 pass, and those evaluated on the plain path
+            assert len(calls) == (len(sim.models) if m.round == 1 else len(m.participants))
+            carried = self.carried(calls)
+            plain = sum(c is None for _, c in calls)
+            want = (f"round {m.round}: {len(carried)} model(s) re-certified, "
+                    f"{sum(carried)} row(s) recomputed, "
+                    f"{len(calls) - len(carried) - plain} full float32 pass(es), "
+                    f"{plain} plain float64 evaluation(s)")
             lines = [r.getMessage() for r in caplog.records if "re-certified" in r.getMessage()]
-            assert len(lines) == 1
-            assert re.sub(r" \d+ row\(s\) recomputed,", "", lines[0]) == want
-            returning += any(carried)
+            assert lines == [want]
+            returning += bool(carried)
         assert returning > 0
 
     def test_a_jump_takes_the_full_path(self, monkeypatch):
         sim = Simulation(self.pool_config(rounds=3))
         sim.warm_up()
-        carried, full = self.spy_certificates(monkeypatch)
+        calls = self.spy_certificates(monkeypatch)
         for _ in range(sim.cfg.rounds):
             if sim.round_index == 2:  # every delta grows a hundredfold
                 for layer in sim.state.layers.values():
                     layer.b *= 100.0
-            carried.clear()
-            full.clear()
+            calls.clear()
             m = sim.run_round().metrics
             self.assert_oracle_accuracies(sim, m)
+            with_prior = [c for prior, c in calls if prior is not None]
             if m.round == 2:
-                assert carried and all(carried)
+                assert with_prior and len(self.carried(calls)) == len(with_prior)
         # a model the float32 path could not certify last round has no
         # certificate to carry
-        assert len(full) == len(m.participants) >= len(carried) > 0
-        assert not any(carried)
+        assert len(calls) == len(m.participants) >= len(with_prior) > 0
+        assert self.carried(calls) == []  # each took the full pass
+
+    def test_replaced_adapters_are_measured_again(self):
+        sim = Simulation(self.pool_config(rounds=1))
+        sim.run()
+        rng = np.random.default_rng(0)
+        model = sim.models[0]
+        model.lora = {lid: LoraPair(p.a, 50 * rng.normal(size=p.b.shape))
+                      for lid, p in model.lora.items()}
+        self.assert_oracle_accuracies(sim, sim._measure([], None, 0))
 
     def test_two_participant_horus_round_skips_detection(self, caplog):
         cfg = tiny_config(
