@@ -73,6 +73,8 @@ class AttackConfig:
             raise ConfigurationError(f"knowledge must be 'own' or 'all', got {self.knowledge!r}")
         if self.kind is not AttackKind.NONE and not self.attacker_ids:
             raise ConfigurationError("attack configured but attacker_ids is empty")
+        if self.z_override is not None and not math.isfinite(self.z_override):
+            raise ConfigurationError(f"z_override must be finite, got {self.z_override}")
 
     def active(self, round_index: int) -> bool:
         """Whether the attack runs in round ``round_index``."""

@@ -11,6 +11,7 @@ fail fast instead of silently using defaults.
 from __future__ import annotations
 
 import dataclasses
+import math
 import types
 from dataclasses import dataclass
 from enum import Enum
@@ -121,8 +122,11 @@ class RunConfig:
             )
         if self.rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.lr < 0:
-            raise ConfigurationError(f"lr must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:  # NaN fails too
+            raise ConfigurationError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.warmup_lr is not None and not 0 <= self.warmup_lr < math.inf:
+            raise ConfigurationError(
+                f"warmup_lr must be finite and >= 0, got {self.warmup_lr}")
         if self.epochs < 0:
             raise ConfigurationError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch < 1:

@@ -18,6 +18,7 @@ import functools
 import hashlib
 import logging
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
@@ -111,10 +112,11 @@ class TaskConfig:
             raise ConfigurationError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.samples_per_class < 1:
             raise ConfigurationError("samples_per_class must be >= 1")
-        if self.class_separation <= 0 or self.noise_scale <= 0:
-            raise ConfigurationError("class_separation and noise_scale must be > 0")
-        if self.dirichlet_alpha <= 0:
-            raise ConfigurationError("dirichlet_alpha must be > 0")
+        # written so that NaN fails each check
+        if not (0 < self.class_separation < math.inf and 0 < self.noise_scale < math.inf):
+            raise ConfigurationError("class_separation and noise_scale must be finite and > 0")
+        if not 0 < self.dirichlet_alpha < math.inf:
+            raise ConfigurationError("dirichlet_alpha must be finite and > 0")
         if self.signal_dim is not None and not 1 <= self.signal_dim <= self.feature_dim:
             raise ConfigurationError(
                 f"signal_dim must be in [1, feature_dim], got {self.signal_dim}"
@@ -194,8 +196,8 @@ def dirichlet_partition(
     the largest shards donate one sample each round-robin until every client
     has at least one; so there must be at least one sample per client.
     """
-    if alpha <= 0:
-        raise ConfigurationError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:  # NaN fails too
+        raise ConfigurationError(f"alpha must be finite and > 0, got {alpha}")
     if num_clients < 1:
         raise ConfigurationError("need at least one client")
     if num_clients > len(labels):
@@ -370,7 +372,8 @@ def warmup(
         log.warning("client %d: empty shard, warm-up skipped", model.client_id)
     for _ in range(epochs):
         for idx in _minibatches(shard.n, batch, rng):
-            dw1, dw2 = _backprop(model.w1, model.w2, shard.x[idx], shard.y[idx])
+            dw1, dw2 = _backprop(model.w1, model.w2, shard.x.take(idx, axis=0),
+                                 shard.y.take(idx))
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
     model.lora = {lid: pair for lid, pair in lora_init.items()}
@@ -407,7 +410,7 @@ def local_train(
     with np.errstate(over="ignore", invalid="ignore"):
         for idx in batches:
             grads = adapter_gradients(model.w1, model.w2, *adapters,
-                                      shard.x[idx], shard.y[idx])
+                                      shard.x.take(idx, axis=0), shard.y.take(idx))
             stepped = np.concatenate(grads, axis=None)
             stepped *= lr
             np.subtract(flat, stepped, out=stepped)  # flat - lr * grads
@@ -476,13 +479,14 @@ def _bound_factors(d: int, h: int) -> tuple[float, float]:
     return 4 * (from32 + from64), 4 * (from64 + from64)
 
 
-def _margins(logits: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """True-class logit minus the best other one, per column of class-major
-    logits; ``truth`` holds the flat index of each column's true class. The
-    logits are overwritten."""
+def _margins(logits: np.ndarray, truth: np.ndarray, axis: int = 0) -> np.ndarray:
+    """True-class logit minus the best other one, per row of the data:
+    ``axis`` is the class axis of ``logits`` (0 for class-major, 1 for
+    row-major), and ``truth`` holds the flat index of each row's true class.
+    The logits are overwritten."""
     true = logits.take(truth)
     logits.put(truth, -np.inf)
-    true -= logits.max(axis=0)
+    true -= logits.max(axis=axis)
     return true
 
 
@@ -490,42 +494,47 @@ def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> tuple[float, float] | None:
     """``||W1||_F`` and ``max_c ||W2,c||``, or None where either leaves
     ``NORM_RANGE`` (or is not finite) or the layer is wider than
     ``MAX_WIDTH``: there the error bounds of :func:`certify` do not hold."""
-    f = float(np.linalg.norm(w1))
-    m = float(np.linalg.norm(w2, axis=1).max())
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = float(np.linalg.norm(w1))
+        m = math.sqrt((w2 * w2).sum(axis=1).max())
     lo, hi = NORM_RANGE
     if lo <= f <= hi and lo <= m <= hi and w1.shape[0] <= MAX_WIDTH:
         return f, m
     return None
 
 
-def _recomputed_slack(w1: np.ndarray, w2: np.ndarray, fm: float, dataset: Dataset,
-                      cast: Float32Copy, rows: np.ndarray) -> np.ndarray | None:
-    """Signed slack (see :func:`_certified_hits`) of ``rows`` from float64
-    logits of the layers ``w1``, ``w2``, whose norms f, m multiply to ``fm``;
-    None if one of the rows is undecided."""
-    hidden = w1 @ dataset.x[rows].T
+def _plain_logits(w1: np.ndarray, w2: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (n, C) logits ``relu(x W1^T) W2^T`` of the plain float64 path."""
+    hidden = x @ w1.T
     np.maximum(hidden, 0.0, out=hidden)
-    truth = dataset.y[rows] * rows.size + np.arange(rows.size)
-    margin = _margins(w2 @ hidden, truth)
+    return hidden @ w2.T
+
+
+def _recomputed(w1: np.ndarray, w2: np.ndarray, fm: float, xmax: float, dataset: Dataset,
+                rows: np.ndarray) -> np.ndarray | None:
+    """Signed lower bounds on the plain float64 margins of ``rows``,
+    positive for a hit, from float64 logits of the layers ``w1``, ``w2``
+    (whose norms f, m multiply to ``fm``) against the float64 bound; None if
+    one of the rows is undecided. ``xmax`` is the largest row norm."""
+    logits = _plain_logits(w1, w2, dataset.x.take(rows, axis=0))
+    truth = np.arange(0, logits.size, logits.shape[1]) + dataset.y.take(rows)
+    margin = _margins(logits, truth, axis=1)
     _, k64 = _bound_factors(w1.shape[1], w1.shape[0])
-    scale = np.float64(fm) * cast.norms[rows]
-    slack = np.abs(margin) - k64 * scale
-    if not (slack > 0).all():  # NaN decides nothing
+    decided = np.abs(margin)
+    decided -= k64 * fm * xmax
+    if np.count_nonzero(decided > 0) < rows.size:  # NaN decides nothing
         return None
-    slack /= scale
-    return np.copysign(slack, margin, out=slack)
+    return np.copysign(decided, margin, out=decided)
 
 
 def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
-                    dataset: Dataset, cast: Float32Copy) -> np.ndarray | None:
-    """Each row's signed slack under the plain float64 path, decided from
-    float32 logits and float64 row recomputes; None where that cannot decide
-    every row. ``norms`` are the layers' :func:`_layer_norms`.
-
-    A row's slack is a float64 lower bound on ``|margin_i| / (||x_i|| f m)``,
-    the plain float64 path's true-class margin over the row's norm (as
-    ``cast`` holds it) and the layer norms f, m; it is positive for a hit and
-    negative for a miss, and never 0."""
+                    dataset: Dataset, cast: Float32Copy
+                    ) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each row's slack (see :class:`Certificate`) under the plain float64
+    path and whether it is a hit, decided from float32 logits and float64
+    row recomputes; None where that cannot decide every row. ``norms`` are
+    the layers' :func:`_layer_norms`. The slacks are float64 lower bounds,
+    and never 0."""
     # scale both layers by powers of two, exactly, to norms in [1/2, 1)
     (f, e1), (m, e2) = map(math.frexp, norms)
     w1, w2 = np.ldexp(w1, -e1), np.ldexp(w2, -e2)
@@ -533,67 +542,119 @@ def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
     hidden = w1.astype(np.float32) @ cast.xt
     np.maximum(hidden, 0.0, out=hidden)
     margin = _margins(w2.astype(np.float32) @ hidden, cast.truth)
+    hit = margin > 0
     bound = cast.norms * np.float32(k32 * f * m)
     slack = np.abs(margin) - bound  # a float32 difference never underflows to 0
     rows = np.flatnonzero(~(slack > 0))  # NaN decides nothing
     slack = slack.astype(np.float64)
-    slack /= np.float64(f * m) * cast.norms
-    np.copysign(slack, margin, out=slack)
     if rows.size:
-        recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
+        recomputed = _recomputed(w1, w2, f * m, float(cast.norms.max()), dataset, rows)
         if recomputed is None:
             return None
-        slack[rows] = recomputed
-    return slack
+        slack[rows] = np.abs(recomputed)
+        hit[rows] = recomputed > 0
+    slack /= np.float64(f * m) * cast.norms
+    return slack, hit
+
+
+def _plain_pass(w1: np.ndarray, w2: np.ndarray, fm: float, dataset: Dataset) -> Certificate:
+    """The full pass of :func:`certify` from the plain float64 path's own
+    logits (those of :func:`evaluate`), for the layers ``w1``, ``w2`` whose
+    norms f, m multiply to ``fm``. Its margins are the plain margins, so a
+    row's slack is |margin_i| / (||x_i|| f m) with no error term, and its
+    hit is :func:`evaluate`'s. A margin of 0 gets slack 0, which decides
+    nothing, and so does every row if a row's norm lies outside
+    ``ROW_NORM_RANGE``."""
+    x, y = dataset
+    logits = _plain_logits(w1, w2, x)
+    hit = logits.argmax(axis=1) == y
+    margin = _margins(logits, np.arange(0, logits.size, logits.shape[1]) + y, axis=1)
+    norms = np.linalg.norm(x, axis=1)
+    slack = np.abs(margin, out=margin)
+    lo, hi = ROW_NORM_RANGE
+    if lo <= norms.min() and norms.max() <= hi:  # NaN fails; then every margin is finite
+        slack /= fm * norms
+    else:  # the drift bound need not hold: nothing carries
+        slack[:] = 0.0
+    return _nearest(slack, hit, fm, float(norms.max()))
 
 
 def _toward_zero16(slack: np.ndarray) -> np.ndarray:
-    """Float16 lower bounds on the magnitudes of ``slack``, with its signs.
+    """Float16 lower bounds on the nonnegative ``slack``.
 
     Rounding to float16 moves a normal value by at most 2^-11 of itself, so
     each entry is first shrunk by 2^-10 of itself, which also covers the
     float32 or float64 rounding of its making; entries below float16's
     normal range become 0. No slack comes near float16's largest value: a
-    margin is at most about 2 f m ||x_i||.
+    margin is at most about 2 f m ||x_i||. The map is monotone, so sorted
+    slacks give sorted bounds.
     """
     shrunk = slack * (1 - 2.0**-10)
-    shrunk[np.abs(shrunk) < 2.0**-14] = 0
+    shrunk[shrunk < 2.0**-14] = 0
     return shrunk.astype(np.float16)
 
 
 # the largest share of the rows a carried certificate recomputes in float64;
-# past it, the full float32 pass is cheaper
+# past it, the full pass is cheaper
 RECOMPUTE_SHARE = 1 / 8
 
 
 class Certificate(NamedTuple):
-    """What a certified evaluation on the global test set proved about one
-    model's effective weights, for :func:`certify` to carry to its next ones."""
+    """What a full pass over a test set proved about one model's plain
+    float64 margins, and the drift carried since (see :func:`certify`).
 
-    f: float  # ||W1||_F of the effective weights
-    m: float  # max_c ||W2,c||
-    # (n,) float16 lower bounds on |margin_i| / (||x_i|| f m), signed as the
-    # margins; 0 where too small to keep
-    slack: np.ndarray
-    hits: int
-    recomputed: int | None  # rows a carry recomputed; None after a full pass
+    A row's slack is |margin_i| / (||x_i|| f m): its true-class margin over
+    its norm and the full pass's layer norms f = ``||W1||_F`` and m =
+    ``max_c ||W2,c||``. The certificate keeps only the rows a carry reads:
+    the k = floor(n ``RECOMPUTE_SHARE``) rows of smallest slack. A carry
+    shares these arrays with its prior.
+    """
+
+    hits: int  # the plain float64 hit count of the weights certified
+    recomputed: int | None  # rows the carry recomputed; None after a full pass
+    spent: float  # the drift bounds delta summed over the carries since the full pass
+    fm: float  # f m at the full pass
+    passed: int  # the full pass's hit count
+    bound: np.ndarray  # (k,) float16 lower bounds on the kept rows' slacks, ascending
+    rows: np.ndarray  # (k,) the kept rows' ids
+    hit: np.ndarray  # (k,) whether each kept row was a hit at the full pass
+    cut: float  # a lower bound on every other row's slack
+    xmax: float  # the largest row norm ||x_i||
 
 
-def certify(weights: tuple[np.ndarray, np.ndarray], dataset: Dataset, cast: Float32Copy,
-            prior: Certificate | None = None, moved: tuple[float, float] | None = None,
+def _nearest(slack: np.ndarray, hit: np.ndarray, fm: float, xmax: float) -> Certificate:
+    """The certificate of a full pass whose rows have the slack lower bounds
+    ``slack`` (0 where undecided) and the hits ``hit``, with f m = ``fm``
+    and the row norms at most ``xmax``."""
+    k = math.floor(RECOMPUTE_SHARE * slack.size)
+    near = np.argpartition(slack, k)[: k + 1]  # k < n, so k + 1 rows exist
+    near = near[np.argsort(slack[near])]
+    bound = _toward_zero16(slack[near])
+    kept = near[:k].astype(np.int32)  # half the bytes of an index array
+    hits = int(np.count_nonzero(hit))
+    return Certificate(hits, None, 0.0, fm, hits, bound[:k], kept, hit[kept], float(bound[k]),
+                       xmax)
+
+
+def certify(weights: tuple[np.ndarray, np.ndarray], norms: tuple[float, float] | None,
+            dataset: Dataset, cast: Float32Copy | None = None,
+            prior: Certificate | None = None, drift: float | None = None,
             ) -> Certificate | None:
     """The hit count of :func:`evaluate` on ``dataset`` for the effective
     weights ``weights``, as a certificate; None where only the plain float64
-    path can count. ``cast`` is the :func:`float32_copy` of ``dataset``. A
-    ``prior`` certificate of the same backbone is carried first (see
-    :func:`_carried`; ``moved`` is :func:`delta_moves` from its adapters to
-    those of ``weights``); where the carry cannot decide, the full float32
-    pass below counts.
+    path can count. ``norms`` are the weights' :func:`_layer_norms`. A
+    ``prior`` certificate of the same backbone on the same set is carried
+    first, ``drift`` being the :func:`_drift_bound` from its weights to
+    these (see :func:`_carried`). Where the carry cannot decide, a full pass
+    counts: in float32 with ``cast``, the :func:`float32_copy` of
+    ``dataset`` (below), and otherwise from the plain float64 logits
+    themselves (:func:`_plain_pass`). A full pass keeps the rows of smallest
+    slack (see :class:`Certificate`).
 
-    The count is the float64 count exactly. With u32 = 2^-24, u64 = 2^-53,
-    g(n, u) = nu / (1 - nu) (the dot-product error bound of Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., 2002, section 3.1), d
-    the input and h the hidden width, let
+    The float32 count is the float64 count exactly. With u32 = 2^-24, u64
+    = 2^-53, g(n, u) = nu / (1 - nu) (the dot-product error bound of Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    3.1), d the input and h the hidden width, let
 
         c32 = 2 u32 + u32^2 + g(d, u32) (1 + u32)^2,    c64 = g(d, u64),
         K = 4 max_c ||W2,c|| ||W1||_F [(g(h, u32) (1 + u32) + u32) (1 + c32)
@@ -618,18 +679,18 @@ def certify(weights: tuple[np.ndarray, np.ndarray], dataset: Dataset, cast: Floa
     which changes no argmax and keeps every float32 value within about
     ||x_i|| <= 2^64 and the subnormal rounding far below E_i.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = _layer_norms(*weights)
-        if norms is None:
-            return None
+    if norms is None:
+        return None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if prior is not None:
-            carried = _carried(prior, weights, norms, dataset, cast, moved)
+            carried = _carried(prior, weights, norms, dataset, drift)
             if carried is not None:
                 return carried
-        slack = _certified_hits(*weights, norms, dataset, cast)
-    if slack is None:
-        return None
-    return Certificate(*norms, _toward_zero16(slack), np.count_nonzero(slack > 0), None)
+        fm = norms[0] * norms[1]
+        if cast is None:
+            return _plain_pass(*weights, fm, dataset)
+        decided = _certified_hits(*weights, norms, dataset, cast)
+    return None if decided is None else _nearest(*decided, fm, float(cast.norms.max()))
 
 
 def _drift_bound(d: int, h: int, old: tuple[float, float], new: tuple[float, float],
@@ -655,17 +716,17 @@ def delta_moves(old: tuple[LoraPair, ...], new: tuple[LoraPair, ...]) -> tuple[f
 
 
 def _carried(prior: Certificate, weights: tuple[np.ndarray, np.ndarray],
-             norms: tuple[float, float], dataset: Dataset, cast: Float32Copy,
-             moved: tuple[float, float]) -> Certificate | None:
+             norms: tuple[float, float], dataset: Dataset,
+             drift: float) -> Certificate | None:
     """``prior`` carried to the same backbone's new effective weights
     ``weights``, whose :func:`_layer_norms` are ``norms``; None where the
-    full pass of :func:`certify` must decide (see below). ``moved`` is
-    :func:`delta_moves` from the adapters of ``prior`` to the new ones.
+    full pass of :func:`certify` must decide (see below). ``drift`` is the
+    :func:`_drift_bound` from the weights ``prior`` certified to these.
 
-    With the backbone frozen, the effective weights W = W0 + D move only
-    with the adapters' deltas D = B A. Write f, m for ``||W1||_F`` and
-    ``max_c ||W2,c||`` of the prior's weights and f', m' for the new ones.
-    For every row i the plain float64 margin moves by at most
+    One step. With the backbone frozen, the effective weights W = W0 + D
+    move only with the adapters' deltas D = B A. Write f, m for
+    ``||W1||_F`` and ``max_c ||W2,c||`` of the old weights and f', m' for
+    the new ones. For every row i the plain float64 margin moves by at most
 
         delta ||x_i||,   delta = 4 (dW2 f' + m dW1) + k64 (f' m' + f m) / 2,
 
@@ -680,33 +741,49 @@ def _carried(prior: Certificate, weights: tuple[np.ndarray, np.ndarray],
     (k64 bounds two float64 margins against each other, with the safety
     factor 2). The whole is doubled, the safety factor of :func:`certify`.
 
-    So a row whose slack (in units of ||x_i|| f m) exceeds delta / (f m)
-    keeps its hit or miss, and its slack shrinks by that much (then is
-    rescaled to f' m'). The other rows are recomputed in float64 against
-    the float64 bound. The full pass must decide when more than
-    ``RECOMPUTE_SHARE`` of the rows are undecided, or a recomputed row is
-    still undecided.
+    The chain. Let W^0 be the weights of the prior's full pass, with norms
+    f0, m0, and W^1, ..., W^t those of the carries since, W^t the new ones,
+    with delta_s the step bound from W^(s-1) to W^s. By the triangle
+    inequality the plain margin of row i at W^t lies within
+
+        spent ||x_i||,   spent = delta_1 + ... + delta_t,
+
+    of its margin at W^0. The full pass proved |margin_i(W^0)| >= b_i f0 m0
+    ||x_i||, with b_i a kept row's ``bound`` and b_i >= ``cut`` for every
+    other row, and its count ``passed`` holds each row's hit or miss (a
+    kept row's also in ``hit``). So a row with b_i f0 m0 > spent keeps a
+    nonzero margin of the same sign, and with it its hit or miss (a nonzero
+    margin is a hit exactly when it is positive). With limit = spent /
+    (f0 m0):
+
+    - limit >= ``cut``: more than k rows may be undecided; the full pass
+      must decide, at no cost beyond this test.
+    - otherwise every row not kept, and every kept row with b_i > limit,
+      keeps its full-pass outcome; the kept rows with b_i <= limit, a prefix
+      of the sorted bounds, are recomputed in float64 against the float64
+      bound at W^t (:func:`_recomputed`), and the full pass must
+      decide if one of them is still undecided. The count is the full
+      pass's, less the prefix's full-pass hits, plus its recomputed hits.
+
+    Nothing is written back: the next carry recomputes the prefix under its
+    own, larger limit. The rounded sum ``spent`` and quotient ``limit``
+    stay above the true moves, since each delta carries the safety factor
+    2, and the bounds were rounded toward zero.
     """
-    f, m = norms
-    w1, w2 = weights
-    drift = _drift_bound(w1.shape[1], w1.shape[0], (prior.f, prior.m), norms, moved)
-    limit = drift / (prior.f * prior.m)
-    if not limit < math.inf:  # NaN or inf decides nothing
+    spent = prior.spent + drift
+    limit = spent / prior.fm
+    if not limit < prior.cut:  # NaN decides nothing
         return None
-    slack = prior.slack.astype(np.float64)
-    rows = np.flatnonzero(np.abs(slack) <= limit)
-    if rows.size > RECOMPUTE_SHARE * dataset.n:
-        return None
-    hits = np.count_nonzero(slack > limit)
-    slack -= np.copysign(limit, slack)
-    slack *= prior.f * prior.m / (f * m)
-    if rows.size:
-        recomputed = _recomputed_slack(w1, w2, f * m, dataset, cast, rows)
+    # a float64 probe: comparing with a Python float would round it to float16
+    undecided = int(prior.bound.searchsorted(np.float64(limit), side="right"))
+    hits = prior.passed
+    if undecided:
+        recomputed = _recomputed(*weights, norms[0] * norms[1], prior.xmax, dataset,
+                                 prior.rows[:undecided])
         if recomputed is None:
             return None
-        slack[rows] = recomputed
-        hits += np.count_nonzero(recomputed > 0)
-    return Certificate(f, m, _toward_zero16(slack), hits, rows.size)
+        hits += int(np.count_nonzero(recomputed > 0) - np.count_nonzero(prior.hit[:undecided]))
+    return prior._replace(hits=hits, recomputed=undecided, spent=spent)
 
 
 def evaluate(model: LocalModel, dataset: Dataset,
@@ -717,10 +794,9 @@ def evaluate(model: LocalModel, dataset: Dataset,
     if dataset.n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     with np.errstate(over="ignore", invalid="ignore"):
-        w1_eff, w2_eff = model.effective_weights() if weights is None else weights
-        hact = dataset.x @ w1_eff.T
-        np.maximum(hact, 0.0, out=hact)
-        hits = np.count_nonzero(np.argmax(hact @ w2_eff.T, axis=1) == dataset.y)
+        w1, w2 = model.effective_weights() if weights is None else weights
+        logits = _plain_logits(w1, w2, dataset.x)
+        hits = np.count_nonzero(np.argmax(logits, axis=1) == dataset.y)
     return hits / dataset.n
 
 
@@ -798,9 +874,32 @@ class Measurement(NamedTuple):
     """One client's accuracies, and the adapters they were measured with."""
 
     pairs: tuple[LoraPair, ...]  # in LayerId order
+    norms: tuple[float, float] | None  # the effective weights' _layer_norms
     global_accuracy: float
     local_accuracy: float | None  # None for an empty test shard
-    certificate: Certificate | None  # of the global test set, if certified
+    # of the global and the local test set, each None if not certified
+    certificates: tuple[Certificate | None, Certificate | None]
+
+
+def _scored(model: LocalModel, weights: tuple[np.ndarray, np.ndarray],
+            norms: tuple[float, float] | None, dataset: Dataset, cast: Float32Copy | None,
+            prior: Certificate | None, drift: float | None,
+            tally: Counter) -> tuple[float, Certificate | None]:
+    """``model``'s accuracy on ``dataset`` at its effective weights
+    ``weights`` and the certificate of it, if any (see :func:`certify`);
+    ``tally`` counts how it was measured."""
+    cert = certify(weights, norms, dataset, cast, prior, drift)
+    carried = cert is not None and cert.recomputed is not None
+    tally["refused"] += prior is not None and not carried
+    if cert is None:
+        tally["plain"] += 1
+        return evaluate(model, dataset, weights), None
+    if carried:
+        tally["carried"] += 1
+        tally["recomputed"] += cert.recomputed
+    else:
+        tally["full"] += 1
+    return cert.hits / dataset.n, cert
 
 
 class Simulation:
@@ -863,8 +962,8 @@ class Simulation:
         self._backbone_hashes: list[str] | None = None
         # each client's accuracies, from the adapters it was last measured with
         self._measured: dict[int, Measurement] = {}
-        # the global test set cast for certify, made by warm_up, after the
-        # set-up's memory peak
+        # the global test set cast for certify's float32 pass, made by
+        # warm_up, after the set-up's memory peak
         self._global_cast: Float32Copy | None = None
 
     def _initial_state(self, rng: np.random.Generator) -> GlobalState:
@@ -1056,11 +1155,11 @@ class Simulation:
         cfg, test, cast = self.cfg, self.global_test, self._global_cast
         # a model is measured again exactly when its adapters are not the
         # pairs of its record, on both test sets with one set of effective
-        # weights; models last measured with the same pairs share how far
-        # the deltas moved, keyed by the old and new pairs themselves
+        # weights and one drift bound; models last measured with the same
+        # pairs share how far the deltas moved, keyed by the old and new
+        # pairs themselves
         moves: dict[tuple[LoraPair, ...], tuple[float, float]] = {}
-        carried: list[int] = []  # rows recomputed by each carried certificate
-        full = plain = 0
+        tallies = {"global set": Counter(), "local sets": Counter()}
         for m, p in zip(self.models, self.profiles):
             pairs = tuple(m.lora[lid] for lid in LayerId)
             record = self._measured.get(m.client_id)
@@ -1068,29 +1167,26 @@ class Simulation:
                 continue
             with np.errstate(over="ignore", invalid="ignore"):
                 weights = m.effective_weights()
-            prior = record.certificate if record else None  # kept only if cast is set
-            moved = None
-            if prior is not None:
+            norms = _layer_norms(*weights)
+            priors, drift = (None, None), None
+            # a record holds a certificate only where its norms were in range
+            if record is not None and norms is not None and record.certificates != priors:
                 key = record.pairs + pairs
                 if key not in moves:
                     moves[key] = delta_moves(record.pairs, pairs)
-                moved = moves[key]
-            cert = None if cast is None else certify(weights, test, cast, prior, moved)
-            if cert is None:
-                plain += 1
-            elif cert.recomputed is None:
-                full += 1
-            else:
-                carried.append(cert.recomputed)
+                h, d = weights[0].shape
+                drift = _drift_bound(d, h, record.norms, norms, moves[key])
+                priors = record.certificates
+            on_global = _scored(m, weights, norms, test, cast, priors[0], drift,
+                                tallies["global set"])
+            on_local = (None, None) if p.test.n == 0 else _scored(
+                m, weights, norms, p.test, None, priors[1], drift, tallies["local sets"])
             self._measured[m.client_id] = Measurement(
-                pairs,
-                evaluate(m, test, weights) if cert is None else cert.hits / test.n,
-                evaluate(m, p.test, weights) if p.test.n > 0 else None,
-                cert,
-            )
-        log.debug("round %d: %d model(s) re-certified, %d row(s) recomputed, "
-                  "%d full float32 pass(es), %d plain float64 evaluation(s)",
-                  self.round_index, len(carried), sum(carried), full, plain)
+                pairs, norms, on_global[0], on_local[0], (on_global[1], on_local[1]))
+        log.debug("round %d: %s", self.round_index, "; ".join(
+            f"{name}: {t['carried']} carried ({t['recomputed']} row(s) recomputed), "
+            f"{t['refused']} refused, {t['full']} full pass(es), "
+            f"{t['plain']} plain evaluation(s)" for name, t in tallies.items()))
         measured = [self._measured[m.client_id] for m in self.models]
         global_acc = float(np.mean([r.global_accuracy for r in measured]))
         local_accs = [r.local_accuracy for r in measured if r.local_accuracy is not None]

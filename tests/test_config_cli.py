@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -48,6 +49,17 @@ BASE = {
     "rank": 2,
     "warmup_epochs": 2,
     "master_seed": 3,
+}
+
+
+# float keys and values each must reject
+NOT_FINITE_OR_NEGATIVE = {
+    "lr": [math.nan, math.inf, -math.inf],
+    "warmup_lr": [-1.0, math.nan, math.inf],
+    "task.class_separation": [math.nan, math.inf],
+    "task.noise_scale": [math.nan, math.inf],
+    "task.dirichlet_alpha": [math.nan, math.inf],
+    "attack.z_override": [math.nan, math.inf, -math.inf],
 }
 
 
@@ -114,6 +126,16 @@ class TestParsing:
             parse_config(data)
         data["attack"]["z_override"] = 1.0
         assert parse_config(data).attack.z_override == 1.0
+
+    @pytest.mark.parametrize("path", list(NOT_FINITE_OR_NEGATIVE))
+    def test_non_finite_floats_rejected_at_parse(self, path):
+        *section, key = path.split(".")
+        for value in NOT_FINITE_OR_NEGATIVE[path]:
+            data = json.loads(json.dumps(BASE))
+            data["attack"] = {"kind": "lie", "attacker_ids": [0], "z_override": 1.0}
+            (data[section[0]] if section else data)[key] = value
+            with pytest.raises(ConfigurationError, match=key):
+                parse_config(data)
 
     def test_krum_feasibility_checked_at_parse(self):
         bad = dict(BASE, aggregator={"kind": "krum", "f": 3})
