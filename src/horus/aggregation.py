@@ -214,9 +214,7 @@ def horus_aggregate(
     if not updates:
         raise ValueError("horus_aggregate requires at least one update")
     decompositions = decompose_round(updates)
-    features = {
-        c: client_features(d, cfg.k, cfg.source) for c, d in decompositions.items()
-    }
+    features = client_features(decompositions, cfg.k, cfg.source)
     detection = detect_round(features, cfg.lam, cfg.mode)
     benign = sorted(set(updates) - detection.flagged)
     if not benign:

@@ -4,11 +4,12 @@ Each client's score combines two per-layer spectral indicators of its LoRA-A
 matrices: the top-k energy ratio (concentration along dominant directions)
 and the spectral entropy (dispersion across directions). Both are read from
 the singular-value arrays that :func:`decompose_round` gets for the whole
-round at once, one stacked SVD per shape. Both are reduced to
-absolute deviations from round-wise reference statistics, so the score is
-insensitive to matrix shape and to anything shared by the whole round's
-population. Only LoRA-A is read; LoRA-B is deliberately never touched here
-(an optional ablation source exists for comparison experiments).
+round at once, one stacked SVD per shape, and computed for the whole round
+in one array pass per layer; the scores are computed over arrays too. Both
+are reduced to absolute deviations from round-wise reference statistics, so
+the score is insensitive to matrix shape and to anything shared by the whole
+round's population. Only LoRA-A is read; LoRA-B is deliberately never
+touched here (an optional ablation source exists for comparison experiments).
 """
 
 from __future__ import annotations
@@ -134,23 +135,45 @@ def decompose_round(
 
 
 def client_features(
-    d: UpdateDecomposition, k: int, source: MatrixSource = MatrixSource.A
-) -> dict[LayerId, LayerFeatures]:
-    """Spectral entropy and top-k energy ratio per instrumented layer.
+    decompositions: Mapping[int, UpdateDecomposition], k: int,
+    source: MatrixSource = MatrixSource.A,
+) -> dict[int, dict[LayerId, LayerFeatures]]:
+    """Spectral entropy and top-k energy ratio per client and instrumented
+    layer, from a round's decompositions (:func:`decompose_round`).
 
-    Features are computed from the decomposition of the layer's A matrix
-    alone (``source=B`` swaps in the B matrix for ablation runs).
-    :func:`horus.spectral.topk_energy_ratio` clamps ``k`` to the number of
-    singular values.
+    Features read the layer's A spectrum alone (``source=B`` swaps in B for
+    ablation runs). Per layer, the spectra of one length are stacked and
+    reduced by rows, bit for bit :func:`horus.spectral.spectral_entropy` and
+    :func:`horus.spectral.topk_energy_ratio` (``k`` clamped to the length)
+    of each spectrum alone.
     """
-    feats: dict[LayerId, LayerFeatures] = {}
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    out: dict[int, dict[LayerId, LayerFeatures]] = {c: {} for c in decompositions}
     for lid in LayerId:
-        values, _ = d[lid, source.value]
-        feats[lid] = LayerFeatures(
-            entropy_h=spectral_entropy(values),
-            ratio_rk=topk_energy_ratio(values, k),
-        )
-    return feats
+        by_len: dict[int, list[tuple[int, np.ndarray]]] = {}
+        for c, d in decompositions.items():
+            values, _ = d[lid, source.value]
+            by_len.setdefault(len(values), []).append((c, values))
+        for group in by_len.values():
+            entropies, ratios = _row_features(np.stack([s for _, s in group]), k)
+            for (c, _), h, r in zip(group, entropies, ratios):
+                out[c][lid] = LayerFeatures(entropy_h=h, ratio_rk=r)
+    return out
+
+
+def _row_features(s: np.ndarray, k: int) -> tuple[list[float], list[float]]:
+    """Entropy and top-k ratio of each row of ``s``. Rows with a zero
+    normalized value take the 1-D functions, which sum fewer entropy terms."""
+    total = s.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = s / total[:, None]
+        entropies = -(p * np.log(p)).sum(axis=1)
+        ratios = s[:, :k].sum(axis=1) / total
+    for i in np.flatnonzero(~(p > 0.0).all(axis=1)):
+        entropies[i] = spectral_entropy(s[i])
+        ratios[i] = topk_energy_ratio(s[i], k)
+    return entropies.tolist(), ratios.tolist()
 
 
 def hops_scores(
@@ -185,12 +208,13 @@ def hops_scores(
         else:
             entropy_term = np.abs((ent - mu_h) / sigma_h)
         per_layer_subs[lid] = lam * energy_term + (1.0 - lam) * entropy_term
-    out: dict[int, HopsScore] = {}
-    for i, c in enumerate(cids):
-        subs = {lid: float(per_layer_subs[lid][i]) for lid in LayerId}
-        score = float(np.mean([subs[lid] for lid in LayerId]))
-        out[c] = HopsScore(score=score, per_layer=subs)
-    return out
+    # summed in layer order and halved: np.mean's bits for each client's pair
+    scores = (sum(per_layer_subs.values()) / len(per_layer_subs)).tolist()
+    columns = {lid: subs.tolist() for lid, subs in per_layer_subs.items()}
+    return {
+        c: HopsScore(score, {lid: col[i] for lid, col in columns.items()})
+        for i, (c, score) in enumerate(zip(cids, scores))
+    }
 
 
 def flag_clients(

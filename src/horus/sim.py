@@ -15,7 +15,6 @@ client-level thread pool.
 from __future__ import annotations
 
 import functools
-import hashlib
 import logging
 import math
 from collections import Counter
@@ -274,12 +273,6 @@ class LocalModel:
             self.w2 + self.lora[LayerId.CLASSIFIER].delta,
         )
 
-    def backbone_hash(self) -> str:
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.w1))  # the buffer, not a copy
-        digest.update(np.ascontiguousarray(self.w2))
-        return digest.hexdigest()
-
 
 def new_model(client_id: int, arch_id: int, feature_dim: int, num_classes: int,
               hidden_width: int, rng: np.random.Generator) -> LocalModel:
@@ -365,7 +358,8 @@ def warmup(
     rng: np.random.Generator,
 ) -> LocalModel:
     """Train the full backbone on local data, then freeze it and install the
-    initial adapters (B zero, A from the shared server init)."""
+    initial adapters (B zero, A from the shared server init). A frozen layer is
+    a read-only view of immutable bytes: it changes only by being rebound."""
     if model.lora is not None:
         raise SimulationError(f"client {model.client_id}: backbone already frozen")
     if shard.n == 0:
@@ -376,6 +370,8 @@ def warmup(
                                  shard.y.take(idx))
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
+    model.w1, model.w2 = (np.frombuffer(w.tobytes(), dtype=w.dtype).reshape(w.shape)
+                          for w in (model.w1, model.w2))
     model.lora = {lid: pair for lid, pair in lora_init.items()}
     return model
 
@@ -959,7 +955,7 @@ class Simulation:
             for a, seq in zip(attacker_ids, ss_attack.spawn(max(1, len(attacker_ids))))
         }
         self.round_index = 0
-        self._backbone_hashes: list[str] | None = None
+        self._backbones: list[tuple[np.ndarray, np.ndarray]] | None = None
         # each client's accuracies, from the adapters it was last measured with
         self._measured: dict[int, Measurement] = {}
         # the global test set cast for certify's float32 pass, made by
@@ -990,13 +986,14 @@ class Simulation:
             # B is zero in the initial state, so delta starts at exactly 0.
             warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
                    rng)
-        self._backbone_hashes = [m.backbone_hash() for m in self.models]
+        self._backbones = [(m.w1, m.w2) for m in self.models]
         self._global_cast = float32_copy(self.global_test)
 
     def _check_backbones(self) -> None:
-        assert self._backbone_hashes is not None
-        for m, expected in zip(self.models, self._backbone_hashes):
-            if m.backbone_hash() != expected:
+        """Frozen layers cannot be written, only rebound: compare identities."""
+        assert self._backbones is not None
+        for m, (w1, w2) in zip(self.models, self._backbones):
+            if m.w1 is not w1 or m.w2 is not w2:
                 raise SimulationError(
                     f"backbone of client {m.client_id} changed after warm-up"
                 )
@@ -1119,7 +1116,7 @@ class Simulation:
 
     def run_round(self) -> RoundResult:
         """One communication round: broadcast, train, attack, aggregate, measure."""
-        if self._backbone_hashes is None:
+        if self._backbones is None:
             raise SimulationError("warm_up() must run before the round loop")
         cfg = self.cfg
         self.round_index += 1
@@ -1234,7 +1231,7 @@ class Simulation:
 
     def run(self, on_round=None) -> list[RoundResult]:
         """Warm up (if needed) and execute the configured number of rounds."""
-        if self._backbone_hashes is None:
+        if self._backbones is None:
             self.warm_up()
         results = []
         for _ in range(self.cfg.rounds):

@@ -157,8 +157,7 @@ def test_criterion_02_obliviousness_invariants():
         rng = np.random.default_rng(1)
         for _ in range(10):  # 10 populations x 10 clients = 100 matrices
             updates = {c: _random_update(rng) for c in range(10)}
-            feats = {c: client_features(d, 5)
-                     for c, d in decompose_round(updates).items()}
+            feats = client_features(decompose_round(updates), 5)
             base = detect_round(feats, 0.3, TopM(2))
 
             transformed = {}
@@ -170,8 +169,7 @@ def test_criterion_02_obliviousness_invariants():
                     a_pad[:, : p.a.shape[1]] = scale * p.a
                     layers[lid] = LoraPair(a_pad, p.b)
                 transformed[c] = ClientUpdate(layers)
-            tfeats = {c: client_features(d, 5)
-                      for c, d in decompose_round(transformed).items()}
+            tfeats = client_features(decompose_round(transformed), 5)
             for c in updates:
                 for lid in LayerId:
                     assert abs(tfeats[c][lid].entropy_h

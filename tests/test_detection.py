@@ -20,7 +20,7 @@ from horus.detection import (
     hops_scores,
 )
 from horus.lora import ClientUpdate, LayerId, LoraPair
-from horus.spectral import percentile
+from horus.spectral import percentile, spectral_entropy, topk_energy_ratio
 
 FF, CL = LayerId.FEATURE_FIRST, LayerId.CLASSIFIER
 
@@ -35,7 +35,7 @@ def make_update(rng, rank=8, ff=(16, 12), cl=(12, 4), a_maps=None):
 
 def features_of(u, k=5, source=MatrixSource.A):
     """client_features of an update decomposed as the server step does it."""
-    return client_features(decompose_round({0: u})[0], k, source)
+    return client_features(decompose_round({0: u}), k, source)[0]
 
 
 def features_from(ratios, entropies):
@@ -92,9 +92,9 @@ class TestClientFeatures:
     def test_never_reads_b(self):
         rng = np.random.default_rng(3)
         u = make_update(rng)
-        decomposed = decompose_round({0: u})[0]
+        decomposed = decompose_round({0: u})
         before = client_features(decomposed, 5)
-        a_only = {key: d for key, d in decomposed.items() if key[1] == "a"}
+        a_only = {0: {key: d for key, d in decomposed[0].items() if key[1] == "a"}}
         after = client_features(a_only, 5)  # a B lookup would raise KeyError
         assert before == after
 
@@ -104,6 +104,60 @@ class TestClientFeatures:
         fa = features_of(u, source=MatrixSource.A)
         fb = features_of(u, source=MatrixSource.B)
         assert fa != fb
+
+
+# singular values with exact zeros, ties, a subnormal whose normalized value
+# underflows to zero, and spread magnitudes
+SPECTRUM_VALUES = st.one_of(
+    st.sampled_from([0.0, 0.0, 1.0, 1.0, 0.5, 3.0, 5e-324]),
+    st.floats(1e-6, 1e3),
+)
+
+
+def spectra():
+    """Non-increasing spectra of 1-10 values; all-zero ones included."""
+    return st.lists(SPECTRUM_VALUES, min_size=1, max_size=10).map(
+        lambda xs: np.array(sorted(xs, reverse=True))
+    )
+
+
+def decomposed_rounds(min_clients=1):
+    """A round's decompositions, with spectra of mixed lengths per layer and
+    factor; the vectors are never read by the features."""
+    factors = st.fixed_dictionaries({
+        (lid, f): spectra().map(lambda s: (s, np.zeros(1)))
+        for lid in LayerId for f in ("a", "b")
+    })
+    return st.lists(factors, min_size=min_clients, max_size=12).map(
+        lambda ds: dict(enumerate(ds))
+    )
+
+
+class TestArrayFeaturesProperty:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(decomposed_rounds(), st.integers(1, 12), st.sampled_from(list(MatrixSource)))
+    def test_equal_the_one_dimensional_functions(self, decompositions, k, source):
+        feats = client_features(decompositions, k, source)
+        assert list(feats) == list(decompositions)
+        for c, d in decompositions.items():
+            for lid in LayerId:
+                s, _ = d[lid, source.value]
+                assert feats[c][lid].entropy_h.hex() == spectral_entropy(s).hex()
+                assert feats[c][lid].ratio_rk.hex() == topk_energy_ratio(s, k).hex()
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(decomposed_rounds(min_clients=2), st.integers(1, 12), st.floats(0.0, 1.0))
+    def test_scores_equal_the_per_client_mean(self, decompositions, k, lam):
+        scores = hops_scores(client_features(decompositions, k), lam)
+        assert list(scores) == list(decompositions)
+        for s in scores.values():
+            want = float(np.mean([s.per_layer[lid] for lid in LayerId]))
+            assert type(s.score) is float and s.score.hex() == want.hex()
+            assert all(type(v) is float for v in s.per_layer.values())
+
+    def test_rejects_k_below_one(self):
+        with pytest.raises(ValueError):
+            client_features(decompose_round({0: make_update(np.random.default_rng(9))}), 0)
 
 
 class TestHopsScores:
