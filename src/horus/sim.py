@@ -17,11 +17,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import operator
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import accumulate
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -357,9 +358,9 @@ def warmup(
     batch: int,
     rng: np.random.Generator,
 ) -> LocalModel:
-    """Train the full backbone on local data, then freeze it and install the
-    initial adapters (B zero, A from the shared server init). A frozen layer is
-    a read-only view of immutable bytes: it changes only by being rebound."""
+    """Train the full backbone on local data, then install the initial
+    adapters (B zero, A from the shared server init). ``Simulation.warm_up``
+    then freezes the backbone (see :func:`_freeze_backbones`)."""
     if model.lora is not None:
         raise SimulationError(f"client {model.client_id}: backbone already frozen")
     if shard.n == 0:
@@ -370,10 +371,33 @@ def warmup(
                                  shard.y.take(idx))
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
-    model.w1, model.w2 = (np.frombuffer(w.tobytes(), dtype=w.dtype).reshape(w.shape)
-                          for w in (model.w1, model.w2))
     model.lora = {lid: pair for lid, pair in lora_init.items()}
     return model
+
+
+def _freeze_backbones(models: Sequence[LocalModel]
+                      ) -> list[tuple[tuple[np.ndarray, np.ndarray], int]]:
+    """Each width's backbones as one read-only stack per layer, (n, h, d) and
+    (n, C, h), and for each model its width's stacks and its row in them.
+
+    A stack is a view of immutable bytes, written in one copy: numpy refuses
+    to write it or to make it (or a view of it) writeable again. Each model's
+    layers are rebound to its rows, so a frozen layer changes only by being
+    rebound."""
+    widths: dict[tuple, list[int]] = {}
+    for i, m in enumerate(models):
+        widths.setdefault((m.w1.shape, m.w2.shape), []).append(i)
+    slots: list = [None] * len(models)
+    for shapes, same in widths.items():
+        stacks = tuple(
+            np.frombuffer(b"".join(np.ascontiguousarray(getattr(models[i], name),
+                                                        dtype=np.float64) for i in same),
+                          dtype=np.float64).reshape(len(same), *shape)
+            for name, shape in zip(("w1", "w2"), shapes))
+        for row, i in enumerate(same):
+            models[i].w1, models[i].w2 = stacks[0][row], stacks[1][row]
+            slots[i] = (stacks, row)
+    return slots
 
 
 def local_train(
@@ -486,17 +510,27 @@ def _margins(logits: np.ndarray, truth: np.ndarray, axis: int = 0) -> np.ndarray
     return true
 
 
-def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> tuple[float, float] | None:
-    """``||W1||_F`` and ``max_c ||W2,c||``, or None where either leaves
-    ``NORM_RANGE`` (or is not finite) or the layer is wider than
-    ``MAX_WIDTH``: there the error bounds of :func:`certify` do not hold."""
+class Norms(NamedTuple):
+    """``||W1||_F`` and ``max_c ||W2,c||`` of each of a stack of models'
+    effective weights, and whether the error bounds of :func:`certify` hold
+    for it: both norms in ``NORM_RANGE`` (so finite) and the hidden layer no
+    wider than ``MAX_WIDTH``."""
+
+    f: np.ndarray  # (g,)
+    m: np.ndarray  # (g,)
+    ok: np.ndarray  # (g,) bool
+
+
+def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> Norms:
+    """The :class:`Norms` of the layer stacks ``w1`` (g, h, d) and ``w2``
+    (g, C, h)."""
+    flat = w1.reshape(len(w1), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = float(np.linalg.norm(w1))
-        m = math.sqrt((w2 * w2).sum(axis=1).max())
+        f = np.sqrt(np.vecdot(flat, flat))
+        m = np.sqrt(np.square(w2).sum(axis=2).max(axis=1))
     lo, hi = NORM_RANGE
-    if lo <= f <= hi and lo <= m <= hi and w1.shape[0] <= MAX_WIDTH:
-        return f, m
-    return None
+    return Norms(f, m, (lo <= f) & (f <= hi) & (lo <= m) & (m <= hi)
+                 & (w1.shape[1] <= MAX_WIDTH))
 
 
 def _plain_logits(w1: np.ndarray, w2: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -506,21 +540,26 @@ def _plain_logits(w1: np.ndarray, w2: np.ndarray, x: np.ndarray) -> np.ndarray:
     return hidden @ w2.T
 
 
-def _recomputed(w1: np.ndarray, w2: np.ndarray, fm: float, xmax: float, dataset: Dataset,
-                rows: np.ndarray) -> np.ndarray | None:
-    """Signed lower bounds on the plain float64 margins of ``rows``,
-    positive for a hit, from float64 logits of the layers ``w1``, ``w2``
-    (whose norms f, m multiply to ``fm``) against the float64 bound; None if
-    one of the rows is undecided. ``xmax`` is the largest row norm."""
-    logits = _plain_logits(w1, w2, dataset.x.take(rows, axis=0))
-    truth = np.arange(0, logits.size, logits.shape[1]) + dataset.y.take(rows)
-    margin = _margins(logits, truth, axis=1)
-    _, k64 = _bound_factors(w1.shape[1], w1.shape[0])
-    decided = np.abs(margin)
-    decided -= k64 * fm * xmax
-    if np.count_nonzero(decided > 0) < rows.size:  # NaN decides nothing
-        return None
-    return np.copysign(decided, margin, out=decided)
+def _recomputed(w1: np.ndarray, w2: np.ndarray, fm: np.ndarray, xmax: np.ndarray,
+                x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's float64 margin less the float64 bound, and whether the
+    margin is positive, for the rows ``x`` (g, r, d) with labels ``y`` (g,
+    r) of each of a stack of models with layers ``w1`` (g, h, d) and ``w2``
+    (g, C, h), whose norms f, m multiply to ``fm`` (g,); ``xmax`` (g,)
+    bounds each model's row norms. A row is decided, a hit exactly when its
+    margin is positive, where the first is positive (NaN decides nothing).
+    The products are stacked, in whatever summation order BLAS takes: the
+    bound holds in any."""
+    hidden = np.matmul(x, w1.transpose(0, 2, 1))
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = np.matmul(hidden, w2.transpose(0, 2, 1))
+    c = logits.shape[2]
+    margin = _margins(logits.reshape(-1, c), np.arange(0, logits.size, c) + y.ravel(),
+                      axis=1).reshape(y.shape)
+    _, k64 = _bound_factors(w1.shape[2], w1.shape[1])
+    slack = np.abs(margin)
+    slack -= (k64 * fm * xmax)[:, None]
+    return slack, margin > 0
 
 
 def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
@@ -529,8 +568,8 @@ def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
     """Each row's slack (see :class:`Certificate`) under the plain float64
     path and whether it is a hit, decided from float32 logits and float64
     row recomputes; None where that cannot decide every row. ``norms`` are
-    the layers' :func:`_layer_norms`. The slacks are float64 lower bounds,
-    and never 0."""
+    the layers' f and m (see :class:`Norms`). The slacks are float64 lower
+    bounds, and never 0."""
     # scale both layers by powers of two, exactly, to norms in [1/2, 1)
     (f, e1), (m, e2) = map(math.frexp, norms)
     w1, w2 = np.ldexp(w1, -e1), np.ldexp(w2, -e2)
@@ -544,11 +583,13 @@ def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
     rows = np.flatnonzero(~(slack > 0))  # NaN decides nothing
     slack = slack.astype(np.float64)
     if rows.size:
-        recomputed = _recomputed(w1, w2, f * m, float(cast.norms.max()), dataset, rows)
-        if recomputed is None:
+        (again,), (again_hit,) = _recomputed(
+            w1[None], w2[None], np.array([f * m]), cast.norms.max(keepdims=True).astype(float),
+            dataset.x.take(rows, axis=0)[None], dataset.y.take(rows)[None])
+        if not (again > 0).all():  # NaN decides nothing
             return None
-        slack[rows] = np.abs(recomputed)
-        hit[rows] = recomputed > 0
+        slack[rows] = again
+        hit[rows] = again_hit
     slack /= np.float64(f * m) * cast.norms
     return slack, hit
 
@@ -632,20 +673,25 @@ def _nearest(slack: np.ndarray, hit: np.ndarray, fm: float, xmax: float) -> Cert
                        xmax)
 
 
-def certify(weights: tuple[np.ndarray, np.ndarray], norms: tuple[float, float] | None,
-            dataset: Dataset, cast: Float32Copy | None = None,
-            prior: Certificate | None = None, drift: float | None = None,
-            ) -> Certificate | None:
-    """The hit count of :func:`evaluate` on ``dataset`` for the effective
-    weights ``weights``, as a certificate; None where only the plain float64
-    path can count. ``norms`` are the weights' :func:`_layer_norms`. A
-    ``prior`` certificate of the same backbone on the same set is carried
-    first, ``drift`` being the :func:`_drift_bound` from its weights to
-    these (see :func:`_carried`). Where the carry cannot decide, a full pass
-    counts: in float32 with ``cast``, the :func:`float32_copy` of
-    ``dataset`` (below), and otherwise from the plain float64 logits
-    themselves (:func:`_plain_pass`). A full pass keeps the rows of smallest
-    slack (see :class:`Certificate`).
+def certify(weights: tuple[np.ndarray, np.ndarray], norms: Norms,
+            datasets: Dataset | Sequence[Dataset], cast: Float32Copy | None,
+            priors: Sequence[Certificate | None], drift: np.ndarray,
+            ) -> list[Certificate | None]:
+    """The hit counts of :func:`evaluate` of a stack of g models, with the
+    effective weights ``weights`` ((g, h, d) and (g, C, h)), each on its set
+    (``datasets`` holds one set for all or one per model), as certificates;
+    None where only the plain float64 path can count, and for an empty set.
+    ``norms`` are the weights' :func:`_layer_norms`. A model's certificate in
+    ``priors``, of the same backbone on the same set, is carried first,
+    ``drift`` (g,) holding the :func:`_drift_bound` from the weights it
+    certified to these; all the carries take one stack (see
+    :func:`_carried`). Where the carry cannot decide, a full pass counts, one
+    model at a time: in float32 with ``cast``, the :func:`float32_copy` of
+    the one set (below), and otherwise from the plain float64 logits
+    themselves (:func:`_plain_pass`). A full pass reads every row, so its
+    products amortise their call, and a stack of them would hold g models'
+    logits over the whole set. A full pass keeps the rows of smallest slack
+    (see :class:`Certificate`).
 
     The float32 count is the float64 count exactly. With u32 = 2^-24, u64
     = 2^-53, g(n, u) = nu / (1 - nu) (the dot-product error bound of Higham,
@@ -661,7 +707,11 @@ def certify(weights: tuple[np.ndarray, np.ndarray], norms: tuple[float, float] |
     costs u32 per factor, a relu moves a value no further than its input
     error, and |W2,c| |W1| |x_i| <= ||W2,c|| ||W1||_F ||x_i||. So a margin,
     one logit less another, lies within E_i / 2, and the safety factor 2
-    more than covers the rounding of K, of the norms and of the margins. A
+    more than covers the rounding of K, of the margins and of the norms. A
+    norm is a square root of a sum of at most h d squares, so in any
+    summation order (one stack's reduction need not add them as one
+    matrix's norm does) it lies within a relative g(h d + 2, u64) of the
+    exact norm, far below the factor 2 at any width up to ``MAX_WIDTH``. A
     row whose true-class margin exceeds E_i is a hit and one whose margin
     is below -E_i a miss; a NaN margin decides neither. Rows left are
     recomputed in float64, against K with both float32 terms replaced by
@@ -675,26 +725,41 @@ def certify(weights: tuple[np.ndarray, np.ndarray], norms: tuple[float, float] |
     which changes no argmax and keeps every float32 value within about
     ||x_i|| <= 2^64 and the subnormal rounding far below E_i.
     """
-    if norms is None:
-        return None
+    g = len(priors)
+    sets = [datasets] * g if isinstance(datasets, Dataset) else datasets
+    ok = norms.ok.tolist()
+    live = [i for i in range(g) if ok[i] and sets[i].n]
+    certs: list[Certificate | None] = [None] * g
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if prior is not None:
-            carried = _carried(prior, weights, norms, dataset, drift)
-            if carried is not None:
-                return carried
-        fm = norms[0] * norms[1]
-        if cast is None:
-            return _plain_pass(*weights, fm, dataset)
-        decided = _certified_hits(*weights, norms, dataset, cast)
-    return None if decided is None else _nearest(*decided, fm, float(cast.norms.max()))
+        fm = norms.f * norms.m
+        carry = [i for i in live if priors[i] is not None]
+        if carry:
+            members = np.array(carry)
+            carried = _carried([priors[i] for i in carry], drift[members], weights,
+                               members, fm, datasets)
+            for i, cert in zip(carry, carried):
+                certs[i] = cert
+        for i in live:
+            if certs[i] is not None:
+                continue
+            w1, w2 = weights[0][i], weights[1][i]
+            if cast is None:
+                certs[i] = _plain_pass(w1, w2, float(fm[i]), sets[i])
+                continue
+            decided = _certified_hits(w1, w2, (float(norms.f[i]), float(norms.m[i])),
+                                      sets[i], cast)
+            if decided is not None:
+                certs[i] = _nearest(*decided, float(fm[i]), float(cast.norms.max()))
+    return certs
 
 
-def _drift_bound(d: int, h: int, old: tuple[float, float], new: tuple[float, float],
-                 moved: tuple[float, float]) -> float:
-    """delta of :func:`_carried`: the plain float64 margin of a row x moves
-    by at most delta ||x|| when the layer norms (f, m) go from ``old`` to
-    ``new`` and the deltas move by ``moved``, (||D1' - D1||_F,
-    max_c ||D2,c' - D2,c||)."""
+def _drift_bound(d: int, h: int, old: tuple[np.ndarray, np.ndarray],
+                 new: tuple[np.ndarray, np.ndarray], moved: tuple[np.ndarray, np.ndarray]
+                 ) -> np.ndarray:
+    """delta of :func:`_carried`, per model: the plain float64 margin of a
+    row x moves by at most delta ||x|| when the layer norms (f, m) go from
+    ``old`` to ``new`` and the deltas move by ``moved``, (||D1' - D1||_F,
+    max_c ||D2,c' - D2,c||). Each is an array over the models (or a float)."""
     (f, m), (f1, m1) = old, new
     dw1 = moved[0] + U64 * (f1 + f)
     dw2 = moved[1] + U64 * (m1 + m)
@@ -711,13 +776,49 @@ def delta_moves(old: tuple[LoraPair, ...], new: tuple[LoraPair, ...]) -> tuple[f
                 float(np.linalg.norm(new2.delta - old2.delta, axis=1).max()))
 
 
-def _carried(prior: Certificate, weights: tuple[np.ndarray, np.ndarray],
-             norms: tuple[float, float], dataset: Dataset,
-             drift: float) -> Certificate | None:
-    """``prior`` carried to the same backbone's new effective weights
-    ``weights``, whose :func:`_layer_norms` are ``norms``; None where the
-    full pass of :func:`certify` must decide (see below). ``drift`` is the
-    :func:`_drift_bound` from the weights ``prior`` certified to these.
+# a carry recomputes the undecided rows of several models in one stacked
+# product, in runs of models sorted by their count of undecided rows: a
+# run's longest count at most RUN_SPREAD times its shortest (the others are
+# padded to it), and its temporaries at most RUN_ELEMENTS float64 values
+RUN_SPREAD = 2
+RUN_ELEMENTS = 2**18
+
+
+def _runs(counts: list[int], per_model: int, per_row: int) -> list[slice]:
+    """The runs of the ascending ``counts`` (see ``RUN_SPREAD``), for
+    temporaries of ``per_model`` values a model and ``per_row`` a padded
+    row. A model whose rows alone pass ``RUN_ELEMENTS`` is a run of its own."""
+    runs, start = [], 0
+    for i, n in enumerate(counts):
+        if i > start and (n > RUN_SPREAD * counts[start]
+                          or (i + 1 - start) * (per_model + n * per_row) > RUN_ELEMENTS):
+            runs.append(slice(start, i))
+            start = i
+    runs.append(slice(start, len(counts)))
+    return runs
+
+
+def _gathered(datasets: Dataset | Sequence[Dataset], members: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``rows`` (g, r) of each of the sets ``members`` of
+    ``datasets`` (one set for all, or one per model), as (g, r, d) features
+    and (g, r) labels."""
+    if isinstance(datasets, Dataset):
+        return datasets.x.take(rows, axis=0), datasets.y.take(rows)
+    sets = [datasets[i] for i in members.tolist()]
+    return (np.stack([s.x.take(r, axis=0) for s, r in zip(sets, rows)]),
+            np.stack([s.y.take(r) for s, r in zip(sets, rows)]))
+
+
+def _carried(priors: Sequence[Certificate], drift: np.ndarray,
+             weights: tuple[np.ndarray, np.ndarray], members: np.ndarray, fm: np.ndarray,
+             datasets: Dataset | Sequence[Dataset]) -> list[Certificate | None]:
+    """Each of ``priors`` carried to the same backbone's new effective
+    weights, those of the stack member ``members[j]`` of ``weights`` (whose
+    f m are ``fm``, over the whole stack) on its set of ``datasets``; None
+    where the full pass of :func:`certify` must decide (see below). ``drift``
+    holds the :func:`_drift_bound` from the weights each prior certified to
+    these.
 
     One step. With the backbone frozen, the effective weights W = W0 + D
     move only with the adapters' deltas D = B A. Write f, m for
@@ -765,21 +866,51 @@ def _carried(prior: Certificate, weights: tuple[np.ndarray, np.ndarray],
     own, larger limit. The rounded sum ``spent`` and quotient ``limit``
     stay above the true moves, since each delta carries the safety factor
     2, and the bounds were rounded toward zero.
+
+    One stack. Every step above is elementwise over the priors: their
+    limits, their refusals and their prefix lengths are arrays, and the
+    prefixes are recomputed in the runs of :func:`_runs`, each checked
+    against its own model's float64 bound. A padded row is computed and
+    ignored.
     """
-    spent = prior.spent + drift
-    limit = spent / prior.fm
-    if not limit < prior.cut:  # NaN decides nothing
-        return None
-    # a float64 probe: comparing with a Python float would round it to float16
-    undecided = int(prior.bound.searchsorted(np.float64(limit), side="right"))
-    hits = prior.passed
-    if undecided:
-        recomputed = _recomputed(*weights, norms[0] * norms[1], prior.xmax, dataset,
-                                 prior.rows[:undecided])
-        if recomputed is None:
-            return None
-        hits += int(np.count_nonzero(recomputed > 0) - np.count_nonzero(prior.hit[:undecided]))
-    return prior._replace(hits=hits, recomputed=undecided, spent=spent)
+    fields = Certificate(*zip(*priors))  # each field over the priors
+    spent = np.array(fields.spent) + drift
+    limit = spent / np.array(fields.fm)
+    carried = limit < np.array(fields.cut)  # NaN decides nothing
+    # each prefix counts the kept bounds at most its limit, over every
+    # prior's bounds at once; the float64 probe keeps the limit from being
+    # rounded to float16
+    sizes = np.array([b.size for b in fields.bound])
+    below = np.concatenate(fields.bound) <= np.repeat(limit, sizes)
+    ends = np.cumsum(sizes)
+    total = np.concatenate(([0], np.cumsum(below)))
+    undecided = np.where(carried, total[ends] - total[ends - sizes], 0)
+    hits = np.array(fields.passed)
+    todo = np.flatnonzero(undecided)
+    todo = todo[np.argsort(undecided[todo], kind="stable")]
+    if todo.size:
+        xmax = np.array(fields.xmax)
+        _, c, h = weights[1].shape
+        d = weights[0].shape[2]
+        for run in _runs(undecided[todo].tolist(), h * (d + c), d + h + c):
+            j = todo[run]
+            counts = undecided[j]
+            valid = np.arange(counts[-1]) < counts[:, None]
+            rows = np.zeros(valid.shape, dtype=np.intp)  # padded with row 0
+            rows[valid] = np.concatenate([fields.rows[i][:n]
+                                          for i, n in zip(j.tolist(), counts.tolist())])
+            was = np.zeros(valid.shape, dtype=bool)
+            was[valid] = np.concatenate([fields.hit[i][:n]
+                                         for i, n in zip(j.tolist(), counts.tolist())])
+            stack = members[j]
+            slack, hit = _recomputed(weights[0].take(stack, axis=0),
+                                     weights[1].take(stack, axis=0), fm[stack], xmax[j],
+                                     *_gathered(datasets, stack, rows))
+            carried[j] &= ((slack > 0) | ~valid).all(axis=1)  # NaN decides nothing
+            hits[j] += np.count_nonzero(hit & valid, axis=1) - np.count_nonzero(was, axis=1)
+    return [Certificate._make((n, k, s) + prior[3:]) if go else None
+            for prior, go, n, k, s in zip(priors, carried.tolist(), hits.tolist(),
+                                          undecided.tolist(), spent.tolist())]
 
 
 def evaluate(model: LocalModel, dataset: Dataset,
@@ -870,32 +1001,28 @@ class Measurement(NamedTuple):
     """One client's accuracies, and the adapters they were measured with."""
 
     pairs: tuple[LoraPair, ...]  # in LayerId order
-    norms: tuple[float, float] | None  # the effective weights' _layer_norms
+    norms: tuple[float, float] | None  # the effective weights' f, m; None if not ok
     global_accuracy: float
     local_accuracy: float | None  # None for an empty test shard
     # of the global and the local test set, each None if not certified
     certificates: tuple[Certificate | None, Certificate | None]
 
 
-def _scored(model: LocalModel, weights: tuple[np.ndarray, np.ndarray],
-            norms: tuple[float, float] | None, dataset: Dataset, cast: Float32Copy | None,
-            prior: Certificate | None, drift: float | None,
-            tally: Counter) -> tuple[float, Certificate | None]:
-    """``model``'s accuracy on ``dataset`` at its effective weights
-    ``weights`` and the certificate of it, if any (see :func:`certify`);
-    ``tally`` counts how it was measured."""
-    cert = certify(weights, norms, dataset, cast, prior, drift)
-    carried = cert is not None and cert.recomputed is not None
-    tally["refused"] += prior is not None and not carried
-    if cert is None:
-        tally["plain"] += 1
-        return evaluate(model, dataset, weights), None
-    if carried:
-        tally["carried"] += 1
-        tally["recomputed"] += cert.recomputed
-    else:
-        tally["full"] += 1
-    return cert.hits / dataset.n, cert
+def _tally(tally: Counter, priors: Sequence[Certificate | None],
+           certs: Sequence[Certificate | None]) -> None:
+    """Counts in ``tally`` how :func:`certify` measured each model from its
+    prior: carried (and the rows it recomputed) or refused, and in a full
+    pass or by the plain path."""
+    for prior, cert in zip(priors, certs):
+        carried = cert is not None and cert.recomputed is not None
+        tally["refused"] += prior is not None and not carried
+        if cert is None:
+            tally["plain"] += 1
+        elif carried:
+            tally["carried"] += 1
+            tally["recomputed"] += cert.recomputed
+        else:
+            tally["full"] += 1
 
 
 class Simulation:
@@ -956,6 +1083,8 @@ class Simulation:
         }
         self.round_index = 0
         self._backbones: list[tuple[np.ndarray, np.ndarray]] | None = None
+        # each model's width's frozen stacks and its row in them
+        self._slots: list[tuple[tuple[np.ndarray, np.ndarray], int]] = []
         # each client's accuracies, from the adapters it was last measured with
         self._measured: dict[int, Measurement] = {}
         # the global test set cast for certify's float32 pass, made by
@@ -986,6 +1115,7 @@ class Simulation:
             # B is zero in the initial state, so delta starts at exactly 0.
             warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
                    rng)
+        self._slots = _freeze_backbones(self.models)
         self._backbones = [(m.w1, m.w2) for m in self.models]
         self._global_cast = float32_copy(self.global_test)
 
@@ -1146,44 +1276,84 @@ class Simulation:
         metrics = self._measure(participants, outcome, payload)
         return RoundResult(metrics=metrics, outcome=outcome, diagnostics=diagnostics)
 
+    def _measure_group(self, pairs: tuple[LoraPair, ...], ids: list[int],
+                       moves: dict[tuple[LoraPair, ...], tuple[float, float]],
+                       tallies: dict[str, Counter] | None) -> None:
+        """Measure the models ``ids``, which hold the adapters ``pairs``, on
+        both test sets, with one stack of effective weights and one drift
+        bound each (see :func:`certify`); ``tallies`` counts how, if given."""
+        (stack1, stack2), _ = self._slots[ids[0]]  # one width, so one stack
+        rows = [self._slots[cid][1] for cid in ids]
+        w1, w2 = stack1.take(rows, axis=0), stack2.take(rows, axis=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            w1 += pairs[0].delta  # the bits of each model's own w1 + delta
+            w2 += pairs[1].delta
+        norms = _layer_norms(w1, w2)
+        ok = norms.ok.tolist()
+        records = [self._measured.get(cid) for cid in ids]
+        # a record holds a certificate only where its norms were in range
+        carry = [i for i, r in enumerate(records)
+                 if r is not None and r.norms is not None and ok[i]]
+        drift = np.full(len(ids), np.nan)
+        priors = [(None, None)] * len(ids)
+        if carry:
+            moved = []
+            for i in carry:
+                key = records[i].pairs + pairs
+                if key not in moves:
+                    moves[key] = delta_moves(records[i].pairs, pairs)
+                moved.append(moves[key])
+                priors[i] = records[i].certificates
+            old = np.array([records[i].norms for i in carry]).T
+            h, d = stack1.shape[1:]
+            drift[carry] = _drift_bound(d, h, old, (norms.f[carry], norms.m[carry]),
+                                        np.array(moved).T)
+        on_global, on_local = zip(*priors)
+        test, local = self.global_test, [self.profiles[cid].test for cid in ids]
+        certs = (certify((w1, w2), norms, test, self._global_cast, on_global, drift),
+                 certify((w1, w2), norms, local, None, on_local, drift))
+        f, m = norms.f.tolist(), norms.m.tolist()
+        for i, cid in enumerate(ids):
+            accuracies = [None, None]
+            for s, dataset in enumerate((test, local[i])):
+                if certs[s][i] is not None:
+                    accuracies[s] = certs[s][i].hits / dataset.n
+                elif dataset.n:
+                    accuracies[s] = evaluate(self.models[cid], dataset, (w1[i], w2[i]))
+            self._measured[cid] = Measurement(pairs, (f[i], m[i]) if ok[i] else None,
+                                              *accuracies, (certs[0][i], certs[1][i]))
+        if tallies is not None:
+            _tally(tallies["global set"], on_global, certs[0])
+            nonempty = [i for i, dataset in enumerate(local) if dataset.n]
+            _tally(tallies["local sets"], [on_local[i] for i in nonempty],
+                   [certs[1][i] for i in nonempty])
+
     def _measure(
         self, participants: list[int], outcome: AggregationOutcome | None, payload: int
     ) -> RoundMetrics:
-        cfg, test, cast = self.cfg, self.global_test, self._global_cast
+        cfg = self.cfg
         # a model is measured again exactly when its adapters are not the
-        # pairs of its record, on both test sets with one set of effective
-        # weights and one drift bound; models last measured with the same
-        # pairs share how far the deltas moved, keyed by the old and new
-        # pairs themselves
-        moves: dict[tuple[LoraPair, ...], tuple[float, float]] = {}
-        tallies = {"global set": Counter(), "local sets": Counter()}
-        for m, p in zip(self.models, self.profiles):
-            pairs = tuple(m.lora[lid] for lid in LayerId)
+        # pairs of its record; those that share their pairs (after a
+        # broadcast, every participant of one width) are measured as one
+        # stack. Models last measured with the same pairs share how far the
+        # deltas moved, keyed by the old and new pairs themselves
+        groups: dict[tuple[LoraPair, ...], list[int]] = {}
+        by_layer = operator.itemgetter(*LayerId)
+        for m in self.models:
+            pairs = by_layer(m.lora)
             record = self._measured.get(m.client_id)
-            if record is not None and record.pairs == pairs:  # by identity
-                continue
-            with np.errstate(over="ignore", invalid="ignore"):
-                weights = m.effective_weights()
-            norms = _layer_norms(*weights)
-            priors, drift = (None, None), None
-            # a record holds a certificate only where its norms were in range
-            if record is not None and norms is not None and record.certificates != priors:
-                key = record.pairs + pairs
-                if key not in moves:
-                    moves[key] = delta_moves(record.pairs, pairs)
-                h, d = weights[0].shape
-                drift = _drift_bound(d, h, record.norms, norms, moves[key])
-                priors = record.certificates
-            on_global = _scored(m, weights, norms, test, cast, priors[0], drift,
-                                tallies["global set"])
-            on_local = (None, None) if p.test.n == 0 else _scored(
-                m, weights, norms, p.test, None, priors[1], drift, tallies["local sets"])
-            self._measured[m.client_id] = Measurement(
-                pairs, norms, on_global[0], on_local[0], (on_global[1], on_local[1]))
-        log.debug("round %d: %s", self.round_index, "; ".join(
-            f"{name}: {t['carried']} carried ({t['recomputed']} row(s) recomputed), "
-            f"{t['refused']} refused, {t['full']} full pass(es), "
-            f"{t['plain']} plain evaluation(s)" for name, t in tallies.items()))
+            if record is None or record.pairs != pairs:  # by identity
+                groups.setdefault(pairs, []).append(m.client_id)
+        moves: dict[tuple[LoraPair, ...], tuple[float, float]] = {}
+        tallies = ({"global set": Counter(), "local sets": Counter()}
+                   if log.isEnabledFor(logging.DEBUG) else None)
+        for pairs, ids in groups.items():
+            self._measure_group(pairs, ids, moves, tallies)
+        if tallies is not None:
+            log.debug("round %d: %s", self.round_index, "; ".join(
+                f"{name}: {t['carried']} carried ({t['recomputed']} row(s) recomputed), "
+                f"{t['refused']} refused, {t['full']} full pass(es), "
+                f"{t['plain']} plain evaluation(s)" for name, t in tallies.items()))
         measured = [self._measured[m.client_id] for m in self.models]
         global_acc = float(np.mean([r.global_accuracy for r in measured]))
         local_accs = [r.local_accuracy for r in measured if r.local_accuracy is not None]

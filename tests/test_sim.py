@@ -780,6 +780,13 @@ def certified_cases(draw, cases=("random", "tied", "near_tie", "dead", "nan"),
     return x, y, w1, w2
 
 
+def stacked(weights):
+    """Models' effective weights ``[(w1, w2), ...]`` as the two layer stacks
+    of :func:`horus.sim.certify`, and their norms."""
+    stack = tuple(np.stack(layer) for layer in zip(*weights))
+    return stack, horus.sim._layer_norms(*stack)
+
+
 class TestCertifiedEvaluate:
     """Both full passes of certify, from float32 logits and from the plain
     float64 ones, count exactly what float64 counts."""
@@ -795,11 +802,11 @@ class TestCertifiedEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = evaluate(LocalModel(0, 0, w1, w2), data)
-            norms = horus.sim._layer_norms(w1, w2)
-            cert = horus.sim.certify((w1, w2), norms, data, cast)
+            stack, norms = stacked([(w1, w2)])
+            (cert,) = horus.sim.certify(stack, norms, data, cast, [None], np.array([np.nan]))
         assert got == want / len(y)
         # the plain float64 pass counts wherever the norms are in range
-        assert (cert is None) == (norms is None) or float32
+        assert (cert is None) == (not norms.ok[0]) or float32
         if cert is not None:
             assert cert.hits == cert.passed == want
             assert cert.recomputed is None and cert.spent == 0
@@ -834,13 +841,17 @@ STEPS = ("same", *DRIFTS, "jump", "zero", "nan", "inf")
 
 @st.composite
 def adapter_walks(draw):
-    """A backbone from certified_cases and a walk of adapter pairs on it,
-    from B = 0. Each step keeps the pairs (as new arrays), drifts B by one
-    of ``DRIFTS`` times the backbone's scale, jumps to a fresh B of that
-    scale, goes back to B = 0, or puts a NaN or an inf in B."""
+    """1-4 backbones of one shape, from certified_cases and that case's
+    backbone with its first layer scaled entrywise, and a walk of adapter
+    pairs they all hold, from B = 0. Each step keeps the pairs (as new
+    arrays), drifts B by one of ``DRIFTS`` times the backbone's scale, jumps
+    to a fresh B of that scale, goes back to B = 0, or puts a NaN or an inf
+    in B."""
     x, y, w1, w2 = draw(certified_cases())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rank = draw(st.integers(1, 3))
+    members = draw(st.integers(1, 4))
+    w1s = [w1] + [w1 * (1 + 0.1 * rng.normal(size=w1.shape)) for _ in range(members - 1)]
     steps = draw(st.lists(st.sampled_from(STEPS), min_size=1, max_size=8))
     walk, bs = [], []
     for w in (w1, w2):
@@ -869,7 +880,7 @@ def adapter_walks(draw):
             stepped.append((scale, b, a))
         bs = stepped
         walk.append(pairs(bs))
-    return x, y, w1, w2, walk
+    return x, y, w1s, w2, walk
 
 
 def weights_of(w1, w2, pairs):
@@ -878,28 +889,40 @@ def weights_of(w1, w2, pairs):
         return model.effective_weights()
 
 
-def certify_walk(w1, w2, walk, data, cast):
-    """The effective weights and the certificate of each step of ``walk``
-    (adapter pairs on the backbone ``w1``, ``w2``), each carried from the
-    last as the round loop carries it. A carry has spent at least the drift
-    bounds of every carry since the full pass, its own included."""
-    cert = old = norms = None
+def certify_walk(w1s, w2s, walk, data, cast):
+    """Each step of ``walk`` (adapter pairs that the backbones ``w1s``,
+    ``w2s`` all hold): every model's effective weights and certificate, the
+    models certified as one stack and each carried from the last step as
+    the round loop carries it. A carry has spent at least the drift bounds
+    of every carry since the full pass, its own included."""
+    certs = old = norms = None
+    h, d = w1s[0].shape
     for pairs in walk:
-        weights = weights_of(w1, w2, pairs)
+        weights = [weights_of(w1, w2, pairs) for w1, w2 in zip(w1s, w2s)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            prior, drift, last = cert, None, norms
-            norms = horus.sim._layer_norms(*weights)
-            if prior is not None and norms is not None:
+            last = norms
+            stack, norms = stacked(weights)
+            priors, drift = [None] * len(weights), np.full(len(weights), np.nan)
+            carry = [i for i, c in enumerate(certs or ()) if c is not None and norms.ok[i]]
+            if carry:
                 moved = horus.sim.delta_moves(old, pairs)
-                drift = horus.sim._drift_bound(w1.shape[1], w1.shape[0], last, norms, moved)
-            else:
-                prior = None
-            cert = horus.sim.certify(weights, norms, data, cast, prior, drift)
-        if cert is not None and cert.recomputed is not None:
-            assert cert.spent >= prior.spent + drift
+                drift[carry] = horus.sim._drift_bound(
+                    d, h, (last.f[carry], last.m[carry]), (norms.f[carry], norms.m[carry]), moved)
+                for i in carry:
+                    priors[i] = certs[i]
+            certs = horus.sim.certify(stack, norms, data, cast, priors, drift)
+        for prior, step, cert in zip(priors, drift, certs):
+            if cert is not None and cert.recomputed is not None:
+                assert cert.spent >= prior.spent + step
         old = pairs
-        yield weights, cert
+        yield weights, certs
+
+
+def certify_one_walk(w1, w2, walk, data, cast):
+    """:func:`certify_walk` of one backbone: its weights and certificate."""
+    for weights, certs in certify_walk([w1], [w2], walk, data, cast):
+        yield weights[0], certs[0]
 
 
 class TestRecertify:
@@ -911,13 +934,14 @@ class TestRecertify:
     def test_every_step_counts_the_float64_hits(self, walk, float32):
         # float32: the global test set's pass; otherwise a local set's, from
         # the plain float64 logits
-        x, y, w1, w2, steps = walk
+        x, y, w1s, w2, steps = walk
         data = Dataset(x, y)
         cast = horus.sim.float32_copy(data) if float32 else None
-        for weights, cert in certify_walk(w1, w2, steps, data, cast):
-            if cert is not None:
-                assert cert.hits == float64_hits(x, y, *weights)
-                assert_certificate_bounds_margins(cert, x, y, weights)
+        for weights, certs in certify_walk(w1s, [w2] * len(w1s), steps, data, cast):
+            for model, cert in zip(weights, certs):
+                if cert is not None:
+                    assert cert.hits == float64_hits(x, y, *model)
+                    assert_certificate_bounds_margins(cert, x, y, model)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(certified_cases(cases=("random", "tied", "near_tie", "dead"),
@@ -933,9 +957,9 @@ class TestRecertify:
                          size * np.abs(w).max() * rng.normal(size=(w.shape[0], 2)))
                 for w in (w1, w2))
             weights = weights_of(w1, w2, pairs)
-            norms = horus.sim._layer_norms(*weights)
-            assume(norms is not None)
-            ends.append((pairs, weights, norms))
+            _, norms = stacked([weights])
+            assume(norms.ok[0])
+            ends.append((pairs, weights, (norms.f[0], norms.m[0])))
         (old, old_weights, old_norms), (new, new_weights, new_norms) = ends
         moved = horus.sim.delta_moves(old, new)
         delta = horus.sim._drift_bound(x.shape[1], w1.shape[0], old_norms, new_norms, moved)
@@ -956,7 +980,7 @@ class TestRecertify:
         walk = [(LoraPair(a1, scale * b1), LoraPair(a2, scale * b2))
                 for scale in (1e-3, 1.001e-3, 1.0)]
         for cast in (horus.sim.float32_copy(data), None):
-            steps = list(certify_walk(w1, w2, walk, data, cast))
+            steps = list(certify_one_walk(w1, w2, walk, data, cast))
             for weights, cert in steps:
                 assert cert.hits == float64_hits(x, y, *weights)
             (_, cert), (_, carried), (_, jumped) = steps
@@ -981,7 +1005,7 @@ class TestRecertify:
         a1, a2 = rng.normal(size=(1, 6)), rng.normal(size=(1, 8))
         walk = [(LoraPair(a1, s * rng.normal(size=(8, 1))), LoraPair(a2, np.zeros((3, 1))))
                 for s in (0.0, 1e-9)]
-        for weights, cert in certify_walk(w1, w2, walk, data, None):
+        for weights, cert in certify_one_walk(w1, w2, walk, data, None):
             assert cert.hits == float64_hits(x, y, *weights)
             assert cert.recomputed is None and cert.cut == 0 and not cert.bound.any()
 
@@ -999,7 +1023,7 @@ class TestRecertify:
         zero = LoraPair(a, np.zeros((2, 1)))
         walk = [(zero, LoraPair(a, np.array([[0.0], [1e-3 * s]]))) for s in range(16)]
         cast = horus.sim.float32_copy(data) if float32 else None
-        steps = list(certify_walk(w1, w2, walk, data, cast))
+        steps = list(certify_one_walk(w1, w2, walk, data, cast))
         first = steps[0][1]
         assert list(first.rows) == [0] and first.hit.tolist() == [True]
         hits = []
@@ -1372,39 +1396,44 @@ class TestRoundWork:
         sim.warm_up()
         assert sim._global_cast is not None  # global accuracies take float32
         assert all(p.test.n > 0 for p in sim.profiles)
-        weighed, on_local, on_global = [], [], []  # client ids, and counts per set
-        effective_weights, certify = LocalModel.effective_weights, horus.sim.certify
+        stacks, on_local, on_global = [], [], []  # client ids per stack, and outcomes per set
+        measure_group, certify = Simulation._measure_group, horus.sim.certify
 
-        def counting_weights(model):
-            weighed.append(model.client_id)
-            return effective_weights(model)
+        def counting_group(self, pairs, ids, *args):
+            stacks.append(list(ids))
+            return measure_group(self, pairs, ids, *args)
 
-        def on(dataset):
-            return on_global if dataset is sim.global_test else on_local
+        def on(datasets):
+            return on_global if datasets is sim.global_test else on_local
 
         def counting(model, dataset, *weights):
             on(dataset).append("plain")
             return evaluate(model, dataset, *weights)
 
-        def counting_certify(weights, norms, dataset, *args):
-            cert = certify(weights, norms, dataset, *args)
-            if cert is not None:
-                on(dataset).append("certified")
-            return cert
+        def counting_certify(weights, norms, datasets, *args):
+            certs = certify(weights, norms, datasets, *args)
+            assert len(certs) == len(weights[0]) == len(stacks[-1])
+            on(datasets).extend("certified" for cert in certs if cert is not None)
+            return certs
 
-        monkeypatch.setattr(LocalModel, "effective_weights", counting_weights)
+        monkeypatch.setattr(Simulation, "_measure_group", counting_group)
         monkeypatch.setattr(horus.sim, "evaluate", counting)
         monkeypatch.setattr(horus.sim, "certify", counting_certify)
         x, y = sim.global_test
         partial = 0
         for _ in range(sim.cfg.rounds):
-            for calls in (weighed, on_local, on_global):
+            for calls in (stacks, on_local, on_global):
                 calls.clear()
             m = sim.run_round().metrics
             measured = list(range(len(sim.models))) if m.round == 1 else m.participants
-            # each measured model's weights are made once and scored once on
-            # each set, certified or plain
-            assert sorted(weighed) == sorted(measured)
+            # each measured model is in one stack, with every measured model
+            # that holds its pairs (after a broadcast, each participant of
+            # its width), and is scored once on each set, certified or plain
+            assert sorted(cid for ids in stacks for cid in ids) == sorted(measured)
+            held = [{tuple(map(id, sim.models[cid].lora.values())) for cid in ids}
+                    for ids in stacks]
+            assert all(len(pairs) == 1 for pairs in held)
+            assert len(set.union(*held)) == len(stacks)
             assert len(on_local) == len(on_global) == len(measured)
             fresh_global = [evaluate(mod, sim.global_test) for mod in sim.models]
             fresh_local = [evaluate(mod, p.test)
@@ -1452,18 +1481,22 @@ class TestRoundWork:
     SETS = ("global set", "local sets")
 
     def spy_certificates(self, monkeypatch, sim):
-        """The set, the prior certificate and the result of every certify
-        call, and the set of every plain evaluation."""
+        """The set, the prior certificate and the result of every model that
+        certify measured on a set that is not empty, and the set of every
+        plain evaluation."""
         calls, plain = [], []
         certify, evaluate = horus.sim.certify, horus.sim.evaluate
 
         def which(dataset):
             return self.SETS[dataset is not sim.global_test]
 
-        def spying(weights, norms, dataset, cast=None, prior=None, drift=None):
-            cert = certify(weights, norms, dataset, cast, prior, drift)
-            calls.append((which(dataset), prior, cert))
-            return cert
+        def spying(weights, norms, datasets, cast, priors, drift):
+            certs = certify(weights, norms, datasets, cast, priors, drift)
+            name = which(datasets)
+            sets = [datasets] * len(certs) if name == "global set" else datasets
+            calls.extend((name, prior, cert)
+                         for dataset, prior, cert in zip(sets, priors, certs) if dataset.n)
+            return certs
 
         def evaluating(model, dataset, weights=None):
             plain.append(which(dataset))
@@ -1573,6 +1606,76 @@ class TestRoundWork:
             rec = r.metrics.to_record()
             assert rec["detection_skipped"] is True and rec["flagged"] == []
             assert rec["theta"] is None and rec["aggregation_skipped"] is False
+
+
+@st.composite
+def measured_federations(draw):
+    """A federation of one to three widths with partial participation, the
+    in-place state edit made before each round, the round after which every
+    model of the first width gets adapters that cancel one of their first
+    layers, that model, and a client whose local test set is emptied."""
+    widths = draw(st.lists(st.sampled_from([3, 5, 8]), min_size=1, max_size=3, unique=True))
+    counts = [draw(st.integers(2, 3))] + [draw(st.integers(1, 3)) for _ in widths[1:]]
+    clients = [{"count": n, "hidden_width": w,
+                "participation_rate": draw(st.sampled_from(horus.sim.PARTICIPATION_POOL))}
+               for n, w in zip(counts, widths)]
+    edits = draw(st.lists(st.sampled_from(["none", "halve_a", "jump"]), min_size=3, max_size=5))
+    cfg = tiny_config(
+        task={"feature_dim": 6, "num_classes": 3, "samples_per_class": 150,
+              "class_separation": 3.0, "noise_scale": 0.8, "dirichlet_alpha": 0.5,
+              "signal_dim": 3, "seed": draw(st.integers(0, 2**16))},
+        clients=clients, rounds=len(edits), master_seed=draw(st.integers(0, 2**16)))
+    return (cfg, edits, draw(st.integers(0, len(edits) - 1)),
+            draw(st.integers(0, counts[0] - 1)), draw(st.integers(0, sum(counts) - 1)))
+
+
+class TestStackedMeasuring:
+    """Measuring each round's models as one stack per shared-adapter group
+    counts what float64 counts, whatever the federation and its edits."""
+
+    @staticmethod
+    def assert_float64_accuracies(sim, metrics):
+        x, y = sim.global_test
+        on_global, on_local = [], []
+        for mod, p in zip(sim.models, sim.profiles):
+            weights = mod.effective_weights()
+            on_global.append(float64_hits(x, y, *weights) / len(y))
+            if p.test.n:
+                on_local.append(float64_hits(*p.test, *weights) / p.test.n)
+        assert metrics.global_accuracy == float(np.mean(on_global))
+        assert metrics.mean_local_accuracy == float(np.mean(on_local))
+
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(measured_federations())
+    def test_every_round_counts_the_float64_hits(self, federation):
+        cfg, edits, replaced_after, target, emptied = federation
+        sim = Simulation(cfg)
+        sim.warm_up()
+        p = sim.profiles[emptied]
+        sim.profiles[emptied] = horus.sim.ClientProfile(
+            p.participation_rate, p.train, Dataset(p.test.x[:0], p.test.y[:0]))
+        for r, edit in enumerate(edits):
+            # the state may be edited in place between rounds: halving A
+            # drifts the deltas a little, and a hundredfold B jumps past
+            # every certificate
+            if edit == "halve_a":
+                sim.state.layers[FF].a *= 0.5
+            elif edit == "jump":
+                for layer in sim.state.layers.values():
+                    layer.b *= 100.0
+            self.assert_float64_accuracies(sim, sim.run_round().metrics)
+            if r == replaced_after:
+                # B1 A1 = -W1 of the target: its first layer is exactly 0, a
+                # norm below NORM_RANGE, in the stack of its whole width
+                model = sim.models[target]
+                d = model.w1.shape[1]
+                shared = {FF: LoraPair(np.eye(d), -model.w1), CL: model.lora[CL]}
+                for mate in sim.models:
+                    if mate.w1.shape == model.w1.shape:
+                        mate.lora = dict(shared)
+                assert not model.effective_weights()[0].any()
+                self.assert_float64_accuracies(sim, sim._measure([], None, 0))
+                assert sim._measured[target].norms is None
 
 
 class TestDegenerateRounds:
