@@ -358,9 +358,9 @@ def warmup(
     batch: int,
     rng: np.random.Generator,
 ) -> LocalModel:
-    """Train the full backbone on local data, then install the initial
-    adapters (B zero, A from the shared server init). ``Simulation.warm_up``
-    then freezes the backbone (see :func:`_freeze_backbones`)."""
+    """Train the full backbone on local data, then freeze it and install the
+    initial adapters (B zero, A from the shared server init). A frozen layer is
+    a read-only view of immutable bytes: it changes only by being rebound."""
     if model.lora is not None:
         raise SimulationError(f"client {model.client_id}: backbone already frozen")
     if shard.n == 0:
@@ -371,33 +371,10 @@ def warmup(
                                  shard.y.take(idx))
             model.w1 -= lr * dw1
             model.w2 -= lr * dw2
+    model.w1, model.w2 = (np.frombuffer(w.tobytes(), dtype=w.dtype).reshape(w.shape)
+                          for w in (model.w1, model.w2))
     model.lora = {lid: pair for lid, pair in lora_init.items()}
     return model
-
-
-def _freeze_backbones(models: Sequence[LocalModel]
-                      ) -> list[tuple[tuple[np.ndarray, np.ndarray], int]]:
-    """Each width's backbones as one read-only stack per layer, (n, h, d) and
-    (n, C, h), and for each model its width's stacks and its row in them.
-
-    A stack is a view of immutable bytes, written in one copy: numpy refuses
-    to write it or to make it (or a view of it) writeable again. Each model's
-    layers are rebound to its rows, so a frozen layer changes only by being
-    rebound."""
-    widths: dict[tuple, list[int]] = {}
-    for i, m in enumerate(models):
-        widths.setdefault((m.w1.shape, m.w2.shape), []).append(i)
-    slots: list = [None] * len(models)
-    for shapes, same in widths.items():
-        stacks = tuple(
-            np.frombuffer(b"".join(np.ascontiguousarray(getattr(models[i], name),
-                                                        dtype=np.float64) for i in same),
-                          dtype=np.float64).reshape(len(same), *shape)
-            for name, shape in zip(("w1", "w2"), shapes))
-        for row, i in enumerate(same):
-            models[i].w1, models[i].w2 = stacks[0][row], stacks[1][row]
-            slots[i] = (stacks, row)
-    return slots
 
 
 def local_train(
@@ -526,7 +503,7 @@ def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> Norms:
     (g, C, h)."""
     flat = w1.reshape(len(w1), -1)
     with np.errstate(over="ignore", invalid="ignore"):
-        f = np.sqrt(np.vecdot(flat, flat))
+        f = np.sqrt(np.einsum("ij,ij->i", flat, flat))
         m = np.sqrt(np.square(w2).sum(axis=2).max(axis=1))
     lo, hi = NORM_RANGE
     return Norms(f, m, (lo <= f) & (f <= hi) & (lo <= m) & (m <= hi)
@@ -1083,8 +1060,6 @@ class Simulation:
         }
         self.round_index = 0
         self._backbones: list[tuple[np.ndarray, np.ndarray]] | None = None
-        # each model's width's frozen stacks and its row in them
-        self._slots: list[tuple[tuple[np.ndarray, np.ndarray], int]] = []
         # each client's accuracies, from the adapters it was last measured with
         self._measured: dict[int, Measurement] = {}
         # the global test set cast for certify's float32 pass, made by
@@ -1115,7 +1090,6 @@ class Simulation:
             # B is zero in the initial state, so delta starts at exactly 0.
             warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
                    rng)
-        self._slots = _freeze_backbones(self.models)
         self._backbones = [(m.w1, m.w2) for m in self.models]
         self._global_cast = float32_copy(self.global_test)
 
@@ -1282,9 +1256,8 @@ class Simulation:
         """Measure the models ``ids``, which hold the adapters ``pairs``, on
         both test sets, with one stack of effective weights and one drift
         bound each (see :func:`certify`); ``tallies`` counts how, if given."""
-        (stack1, stack2), _ = self._slots[ids[0]]  # one width, so one stack
-        rows = [self._slots[cid][1] for cid in ids]
-        w1, w2 = stack1.take(rows, axis=0), stack2.take(rows, axis=0)
+        models = [self.models[cid] for cid in ids]
+        w1, w2 = np.stack([m.w1 for m in models]), np.stack([m.w2 for m in models])
         with np.errstate(over="ignore", invalid="ignore"):
             w1 += pairs[0].delta  # the bits of each model's own w1 + delta
             w2 += pairs[1].delta
@@ -1305,7 +1278,7 @@ class Simulation:
                 moved.append(moves[key])
                 priors[i] = records[i].certificates
             old = np.array([records[i].norms for i in carry]).T
-            h, d = stack1.shape[1:]
+            h, d = w1.shape[1:]
             drift[carry] = _drift_bound(d, h, old, (norms.f[carry], norms.m[carry]),
                                         np.array(moved).T)
         on_global, on_local = zip(*priors)
@@ -1319,7 +1292,7 @@ class Simulation:
                 if certs[s][i] is not None:
                     accuracies[s] = certs[s][i].hits / dataset.n
                 elif dataset.n:
-                    accuracies[s] = evaluate(self.models[cid], dataset, (w1[i], w2[i]))
+                    accuracies[s] = evaluate(models[i], dataset, (w1[i], w2[i]))
             self._measured[cid] = Measurement(pairs, (f[i], m[i]) if ok[i] else None,
                                               *accuracies, (certs[0][i], certs[1][i]))
         if tallies is not None:

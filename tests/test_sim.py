@@ -617,6 +617,9 @@ class TestWarmup:
         model, train, _, init, rng = self._setup()
         warmup(model, train, init, epochs=2, lr=0.1, batch=32, rng=rng)
         assert model.lora is not None
+        for w in (model.w1, model.w2):
+            with pytest.raises(ValueError):
+                w.flags.writeable = True
         w1, w2 = model.w1.tobytes(), model.w2.tobytes()
         local_train(model, train, 1, 0.1, 32, rng)
         assert model.w1.tobytes() == w1 and model.w2.tobytes() == w2
