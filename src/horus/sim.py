@@ -314,7 +314,7 @@ def _softmax_gradient(logits: np.ndarray, y: np.ndarray) -> np.ndarray:
     logits -= logits.max(axis=0)
     np.exp(logits, out=logits)
     logits /= _class_sum(logits)
-    logits[y, np.arange(n)] -= 1.0
+    logits.reshape(-1)[y * n + np.arange(n)] -= 1.0  # the true classes
     logits /= n
     return logits
 
@@ -324,9 +324,11 @@ def _backprop(w1: np.ndarray, w2: np.ndarray, x: np.ndarray,
     """Gradients of the mean cross-entropy w.r.t. both dense weight matrices.
 
     The softmax gradient is computed class-major and copied back, so that
-    BLAS gets every product in its row-major layout: OpenBLAS rounds a
-    product differently when an operand comes transposed, at many small
-    shapes.
+    BLAS gets every product in its row-major layout. The copy stays because
+    OpenBLAS rounds a product differently when an operand comes transposed,
+    at many small shapes: handing the class-major array to both backward
+    products as a transposed operand kept the shipped configs' bits but
+    changed those of 17-class training at h = 9 and of warm-up.
     """
     hact = x @ w1.T
     np.maximum(hact, 0.0, out=hact)
@@ -337,16 +339,22 @@ def _backprop(w1: np.ndarray, w2: np.ndarray, x: np.ndarray,
     return dz1.T @ x, dw2
 
 
-def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y):
-    """(dA1, dB1, dA2, dB2) of the mean cross-entropy, backbone held fixed."""
-    dw1, dw2 = _backprop(w1 + b1 @ a1, w2 + b2 @ a2, x, y)
-    return b1.T @ dw1, dw1 @ a1.T, b2.T @ dw2, dw2 @ a2.T
+def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y, *, deltas=None, out=None):
+    """(dA1, dB1, dA2, dB2) of the mean cross-entropy, backbone held fixed.
 
-
-def _minibatches(n: int, batch: int, rng: np.random.Generator):
-    perm = rng.permutation(n)
-    for start in range(0, n, batch):
-        yield perm[start : start + batch]
+    ``deltas``, if given, are the products ``(b1 @ a1, b2 @ a2)`` already
+    formed; ``out``, if given, holds four arrays that receive the gradients.
+    """
+    if deltas is None:
+        w1_eff, w2_eff = b1 @ a1, b2 @ a2
+        w1_eff += w1
+        w2_eff += w2
+    else:
+        w1_eff, w2_eff = w1 + deltas[0], w2 + deltas[1]
+    dw1, dw2 = _backprop(w1_eff, w2_eff, x, y)
+    da1, db1, da2, db2 = (None,) * 4 if out is None else out
+    return (np.matmul(b1.T, dw1, out=da1), np.matmul(dw1, a1.T, out=db1),
+            np.matmul(b2.T, dw2, out=da2), np.matmul(dw2, a2.T, out=db2))
 
 
 def warmup(
@@ -366,7 +374,9 @@ def warmup(
     if shard.n == 0:
         log.warning("client %d: empty shard, warm-up skipped", model.client_id)
     for _ in range(epochs):
-        for idx in _minibatches(shard.n, batch, rng):
+        perm = rng.permutation(shard.n)
+        for start in range(0, shard.n, batch):
+            idx = perm[start : start + batch]
             dw1, dw2 = _backprop(model.w1, model.w2, shard.x.take(idx, axis=0),
                                  shard.y.take(idx))
             model.w1 -= lr * dw1
@@ -391,36 +401,54 @@ def local_train(
     them too). An empty shard leaves the adapters unchanged. Training stops
     at the first step that leaves a non-finite entry, keeping the adapters
     from before it; later epochs draw no batch permutation.
+
+    The four adapters are matrix views of one flat buffer, and each step is
+    formed in a second buffer of the same layout, with its views made once
+    per call: a step writes its four gradient products straight into the
+    second buffer's views, scales it and subtracts it from the first, so
+    that it is one scale, one subtract and one finiteness check; a finite
+    step makes the second buffer the adapters' and the first the next
+    step's. The first step adds the broadcast pairs' cached deltas to the
+    backbone instead of forming B @ A again. Every product keeps the
+    operands, layout and order of a loop that builds each step from new
+    arrays, so the bits are that loop's; for the same reason ``_backprop``
+    keeps its copy back to row-major.
     """
     if model.lora is None:
         raise SimulationError(f"client {model.client_id}: warm-up must run first")
     if shard.n == 0:
         log.warning("client %d: empty shard, returning adapters unchanged", model.client_id)
         return ClientUpdate(dict(model.lora))
-    adapters = [m for lid in LayerId for m in (model.lora[lid].a, model.lora[lid].b)]
-    # the four adapters in one flat vector, so that a step is one scale, one
-    # subtract and one finiteness check; each step's adapters are views of it
-    flat = np.concatenate(adapters, axis=None)
-    parts = [(slice(end - m.size, end), m.shape)
-             for m, end in zip(adapters, accumulate(m.size for m in adapters))]
-    batches = (idx for _ in range(epochs) for idx in _minibatches(shard.n, batch, rng))
+    pairs = [model.lora[lid] for lid in LayerId]
+    adapters = [m for pair in pairs for m in (pair.a, pair.b)]
+    ends = list(accumulate(m.size for m in adapters))
+    flat, step = np.concatenate(adapters, axis=None), np.empty(ends[-1])
+    views, step_views = ([buf[end - m.size : end].reshape(m.shape)
+                          for m, end in zip(adapters, ends)] for buf in (flat, step))
+    n = shard.n
+    per_epoch = -(-n // batch)
+    # a poisoned broadcast can overflow anything from the cached deltas on
     with np.errstate(over="ignore", invalid="ignore"):
-        for idx in batches:
-            grads = adapter_gradients(model.w1, model.w2, *adapters,
-                                      shard.x.take(idx, axis=0), shard.y.take(idx))
-            stepped = np.concatenate(grads, axis=None)
-            stepped *= lr
-            np.subtract(flat, stepped, out=stepped)  # flat - lr * grads
-            # a poisoned broadcast can push gradients past float range; keep
-            # the last finite adapters instead of submitting garbage
-            if not np.isfinite(stepped).all():
+        deltas = [pair.delta for pair in pairs]
+        for i in range(epochs * per_epoch):
+            start = i % per_epoch * batch
+            if start == 0:
+                perm = rng.permutation(n)
+            idx = perm[start : start + batch]
+            adapter_gradients(model.w1, model.w2, *adapters, shard.x.take(idx, axis=0),
+                              shard.y.take(idx), deltas=deltas, out=step_views)
+            step *= lr
+            np.subtract(flat, step, out=step)  # flat - lr * grads
+            # keep the last finite adapters instead of submitting garbage
+            if not np.isfinite(step).all():
                 log.warning("client %d: non-finite training step, stopping early",
                             model.client_id)
                 break
-            flat = stepped
-            adapters = [flat[part].reshape(shape) for part, shape in parts]
+            flat, step = step, flat
+            views, step_views = step_views, views
+            adapters, deltas = views, None
     # every step was checked finite above, and the views are 2-D
-    a1, b1, a2, b2 = adapters
+    a1, b1, a2, b2 = views
     model.lora = {
         LayerId.FEATURE_FIRST: LoraPair._trusted(a1, b1),
         LayerId.CLASSIFIER: LoraPair._trusted(a2, b2),

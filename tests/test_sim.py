@@ -5,8 +5,10 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import horus.attacks
 import horus.sim
 from horus.config import ClientTemplate, config_to_dict, load_config, parse_config
 from horus.errors import ConfigurationError, SimulationError
-from horus.lora import LayerId, LoraPair, trim_to_local
+from horus.lora import GlobalLayer, GlobalState, LayerDims, LayerId, LoraPair, trim_to_local
 from horus.sim import (
     _class_sum,
     Dataset,
@@ -520,22 +522,37 @@ class TestTrainingLoopOracle:
         }
         return model, Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
 
-    @pytest.mark.parametrize("h", [5, 9])
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_submission_and_rng_match_the_oracle(self, seed, h):
-        model, shard = self._model_and_shard(seed, h)
-        # 37 samples in batches of 8: four full batches and a ragged one of 5
+    @staticmethod
+    def _train_as_the_oracle(model, shard, seed, epochs, lr, batch, steps):
         rng_oracle = np.random.default_rng(seed)
-        expected, steps = oracle_local_train(model, shard, 3, 0.1, 8, rng_oracle)
-        assert steps == 15
+        expected, taken = oracle_local_train(model, shard, epochs, lr, batch, rng_oracle)
+        assert taken == steps
         rng = np.random.default_rng(seed)
-        update = local_train(model, shard, epochs=3, lr=0.1, batch=8, rng=rng)
+        update = local_train(model, shard, epochs=epochs, lr=lr, batch=batch, rng=rng)
         for lid in LayerId:
             for name in ("a", "b"):
                 want = getattr(expected[lid], name).tobytes()
                 assert getattr(update.layers[lid], name).tobytes() == want
                 assert getattr(model.lora[lid], name).tobytes() == want
         assert rng.bit_generator.state == rng_oracle.bit_generator.state
+
+    @pytest.mark.parametrize("h", [5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_submission_and_rng_match_the_oracle(self, seed, h):
+        model, shard = self._model_and_shard(seed, h)
+        # 37 samples in batches of 8: four full batches and a ragged one of 5
+        self._train_as_the_oracle(model, shard, seed, 3, 0.1, 8, steps=15)
+
+    @pytest.mark.parametrize("h", [32, 48, 64])
+    @pytest.mark.parametrize("n, epochs, steps", [
+        (600, 3, 9),  # batches of 256, 256 and a ragged 88, three epochs
+        (107, 1, 1),  # one step on a shard smaller than the batch, as crowd's
+    ])
+    def test_benchmark_shapes_match_the_oracle(self, h, n, epochs, steps):
+        """The shipped configs' shapes: 64 features, rank 8, batches of 256
+        and the benchmark's widths (they run 10 classes)."""
+        model, shard = self._model_and_shard(4, h, d=64, rank=8, n=n)
+        self._train_as_the_oracle(model, shard, 4, epochs, 0.3, 256, steps)
 
     @pytest.mark.parametrize("h", [5, 9])
     def test_diverging_client_keeps_last_finite_adapters(self, h, caplog):
@@ -568,6 +585,90 @@ class TestTrainingLoopOracle10Classes(TestTrainingLoopOracle):
 
 class TestTrainingLoopOracle17Classes(TestTrainingLoopOracle):
     classes = 17  # two blocks of 8 accumulated, then a tail of 1
+
+
+class TestSharedBroadcastPair:
+    """Clients of one shape train from the same read-only broadcast pairs, as
+    after ``Simulation._broadcast``: training neither writes them nor hands
+    their memory, or another client's, to a submission."""
+
+    def _clients(self, d=64, h=32, c=10, rank=8, n=300):
+        rng = np.random.default_rng(11)
+        state = GlobalState({
+            FF: GlobalLayer(0.3 * rng.normal(size=(rank, d)), 0.3 * rng.normal(size=(h, rank))),
+            CL: GlobalLayer(0.3 * rng.normal(size=(rank, h)), 0.3 * rng.normal(size=(c, rank))),
+        })
+        dims = {FF: LayerDims(d, h), CL: LayerDims(h, c)}
+        shared = {lid: trim_to_local(state, lid, dims[lid]) for lid in LayerId}
+        clients = [(new_model(i, 0, d, c, h, rng),
+                    Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n)))
+                   for i in range(2)]
+        return shared, clients
+
+    def test_shared_pairs_train_as_private_copies(self):
+        shared, clients = self._clients()
+        before = {lid: (p.a.tobytes(), p.b.tobytes(), (p.b @ p.a).tobytes())
+                  for lid, p in shared.items()}
+        private, updates = [], []
+        for seed, (model, shard) in enumerate(clients):
+            model.lora = {lid: LoraPair(p.a.copy(), p.b.copy()) for lid, p in shared.items()}
+            private.append(local_train(model, shard, 2, 0.3, 256, np.random.default_rng(seed)))
+        for seed, (model, shard) in enumerate(clients):
+            model.lora = dict(shared)
+            updates.append(local_train(model, shard, 2, 0.3, 256, np.random.default_rng(seed)))
+        for want, got in zip(private, updates):
+            for lid in LayerId:
+                assert got.layers[lid].a.tobytes() == want.layers[lid].a.tobytes()
+                assert got.layers[lid].b.tobytes() == want.layers[lid].b.tobytes()
+        for lid, pair in shared.items():
+            assert (pair.a.tobytes(), pair.b.tobytes(), pair.delta.tobytes()) == before[lid]
+            for m in (pair.a, pair.b, pair.delta):
+                assert not m.flags.writeable
+        held = [m for p in shared.values() for m in (p.a, p.b, p.delta)]
+        first, second = ([m for p in u.layers.values() for m in (p.a, p.b)] for u in updates)
+        assert not any(np.shares_memory(m, o) for m in first + second for o in held)
+        assert not any(np.shares_memory(m, o) for m in first for o in second)
+
+    def test_threads_sharing_the_pairs_train_as_private_copies(self):
+        # whichever thread reads a shared pair's delta first caches it
+        shared, clients = self._clients()
+        jobs = [(copy.copy(clients[i % 2][0]), clients[i % 2][1], i % 2) for i in range(8)]
+        want = []
+        for model, shard, seed in jobs[:2]:
+            model.lora = {lid: LoraPair(p.a.copy(), p.b.copy()) for lid, p in shared.items()}
+            want.append(local_train(model, shard, 2, 0.3, 256, np.random.default_rng(seed)))
+
+        def train(job):
+            model, shard, seed = job
+            model.lora = dict(shared)
+            return local_train(model, shard, 2, 0.3, 256, np.random.default_rng(seed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                futures = [pool.submit(train, job) for job in jobs]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for i, update in enumerate(got):
+            for lid in LayerId:
+                assert update.layers[lid].a.tobytes() == want[i % 2].layers[lid].a.tobytes()
+                assert update.layers[lid].b.tobytes() == want[i % 2].layers[lid].b.tobytes()
+
+    def test_an_overflowing_delta_stops_the_first_step_without_a_warning(self, caplog):
+        # B @ A of entries +-1e200 overflows; pytest makes a RuntimeWarning an error
+        shared, [(model, shard), _] = self._clients()
+        huge = {lid: LoraPair(np.full_like(p.a, 1e200), np.full_like(p.b, -1e200))
+                for lid, p in shared.items()}
+        model.lora = dict(huge)
+        with caplog.at_level("WARNING", logger="horus.sim"):
+            update = local_train(model, shard, 2, 0.3, 256, np.random.default_rng(0))
+        for lid, pair in huge.items():
+            assert np.isneginf(pair.delta).all()
+            assert update.layers[lid].a.tobytes() == pair.a.tobytes()
+            assert update.layers[lid].b.tobytes() == pair.b.tobytes()
+        assert ["non-finite training step" in r.getMessage() for r in caplog.records] == [True]
 
 
 def oracle_warmup(w1, w2, shard, epochs, lr, batch, rng):
