@@ -59,7 +59,6 @@ __all__ = [
     "adapter_gradients",
     "local_train",
     "warmup",
-    "evaluate",
 ]
 
 log = logging.getLogger(__name__)
@@ -264,15 +263,6 @@ class LocalModel:
             LayerId.FEATURE_FIRST: LayerDims(d_in=d, d_out=h),
             LayerId.CLASSIFIER: LayerDims(d_in=h, d_out=c),
         }
-
-    def effective_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """Backbone plus adapter update."""
-        if self.lora is None:
-            return self.w1, self.w2
-        return (
-            self.w1 + self.lora[LayerId.FEATURE_FIRST].delta,
-            self.w2 + self.lora[LayerId.CLASSIFIER].delta,
-        )
 
 
 def new_model(client_id: int, arch_id: int, feature_dim: int, num_classes: int,
@@ -538,13 +528,6 @@ def _layer_norms(w1: np.ndarray, w2: np.ndarray) -> Norms:
                  & (w1.shape[1] <= MAX_WIDTH))
 
 
-def _plain_logits(w1: np.ndarray, w2: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The (n, C) logits ``relu(x W1^T) W2^T`` of the plain float64 path."""
-    hidden = x @ w1.T
-    np.maximum(hidden, 0.0, out=hidden)
-    return hidden @ w2.T
-
-
 def _recomputed(w1: np.ndarray, w2: np.ndarray, fm: np.ndarray, xmax: np.ndarray,
                 x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's float64 margin less the float64 bound, and whether the
@@ -600,21 +583,25 @@ def _certified_hits(w1: np.ndarray, w2: np.ndarray, norms: tuple[float, float],
 
 
 def _plain_pass(w1: np.ndarray, w2: np.ndarray, fm: float, dataset: Dataset) -> Certificate:
-    """The full pass of :func:`certify` from the plain float64 path's own
-    logits (those of :func:`evaluate`), for the layers ``w1``, ``w2`` whose
-    norms f, m multiply to ``fm``. Its margins are the plain margins, so a
-    row's slack is |margin_i| / (||x_i|| f m) with no error term, and its
-    hit is :func:`evaluate`'s. A margin of 0 gets slack 0, which decides
-    nothing, and so does every row if a row's norm lies outside
-    ``ROW_NORM_RANGE``."""
+    """The full pass of :func:`certify` from the plain float64 logits
+    ``relu(x W1^T) W2^T`` themselves, for the layers ``w1``, ``w2`` whose
+    norms f, m multiply to ``fm`` (NaN where they leave ``NORM_RANGE``). A
+    row is a hit where the argmax of its logits is its label, ties going to
+    the lowest class. Its margins are the plain margins, so a row's slack is
+    |margin_i| / (||x_i|| f m) with no error term. A margin of 0 gets slack
+    0, which decides nothing, and so does every row if ``fm`` is NaN or a
+    row's norm lies outside ``ROW_NORM_RANGE``."""
     x, y = dataset
-    logits = _plain_logits(w1, w2, x)
+    hidden = x @ w1.T
+    np.maximum(hidden, 0.0, out=hidden)
+    logits = hidden @ w2.T
     hit = logits.argmax(axis=1) == y
     margin = _margins(logits, np.arange(0, logits.size, logits.shape[1]) + y, axis=1)
     norms = np.linalg.norm(x, axis=1)
     slack = np.abs(margin, out=margin)
     lo, hi = ROW_NORM_RANGE
-    if lo <= norms.min() and norms.max() <= hi:  # NaN fails; then every margin is finite
+    # NaN fails each test; where all pass, every margin is finite
+    if not math.isnan(fm) and lo <= norms.min() and norms.max() <= hi:
         slack /= fm * norms
     else:  # the drift bound need not hold: nothing carries
         slack[:] = 0.0
@@ -655,7 +642,7 @@ class Certificate(NamedTuple):
     hits: int  # the plain float64 hit count of the weights certified
     recomputed: int | None  # rows the carry recomputed; None after a full pass
     spent: float  # the drift bounds delta summed over the carries since the full pass
-    fm: float  # f m at the full pass
+    fm: float  # f m at the full pass; NaN where f or m left NORM_RANGE
     passed: int  # the full pass's hit count
     bound: np.ndarray  # (k,) float16 lower bounds on the kept rows' slacks, ascending
     rows: np.ndarray  # (k,) the kept rows' ids
@@ -682,17 +669,17 @@ def certify(weights: tuple[np.ndarray, np.ndarray], norms: Norms,
             datasets: Dataset | Sequence[Dataset], cast: Float32Copy | None,
             priors: Sequence[Certificate | None], drift: np.ndarray,
             ) -> list[Certificate | None]:
-    """The hit counts of :func:`evaluate` of a stack of g models, with the
+    """The plain float64 hit counts of a stack of g models, with the
     effective weights ``weights`` ((g, h, d) and (g, C, h)), each on its set
     (``datasets`` holds one set for all or one per model), as certificates;
-    None where only the plain float64 path can count, and for an empty set.
-    ``norms`` are the weights' :func:`_layer_norms`. A model's certificate in
-    ``priors``, of the same backbone on the same set, is carried first,
-    ``drift`` (g,) holding the :func:`_drift_bound` from the weights it
-    certified to these; all the carries take one stack (see
-    :func:`_carried`). Where the carry cannot decide, a full pass counts, one
-    model at a time: in float32 with ``cast``, the :func:`float32_copy` of
-    the one set (below), and otherwise from the plain float64 logits
+    None exactly for an empty set. ``norms`` are the weights'
+    :func:`_layer_norms`. A model's certificate in ``priors``, of the same
+    backbone on the same set, is carried first, ``drift`` (g,) holding the
+    :func:`_drift_bound` from the weights it certified to these; all the
+    carries take one stack (see :func:`_carried`). Where the carry cannot
+    decide, a full pass counts, one model at a time: in float32 with
+    ``cast``, the :func:`float32_copy` of the one set (below), and otherwise,
+    or where the float32 pass cannot decide, from the plain float64 logits
     themselves (:func:`_plain_pass`). A full pass reads every row, so its
     products amortise their call, and a stack of them would hold g models'
     logits over the whole set. A full pass keeps the rows of smallest slack
@@ -721,11 +708,12 @@ def certify(weights: tuple[np.ndarray, np.ndarray], norms: Norms,
     is below -E_i a miss; a NaN margin decides neither. Rows left are
     recomputed in float64, against K with both float32 terms replaced by
     their float64 ones, and if any is still undecided (an exact tie, a dead
-    relu layer) the plain path must count them all.
+    relu layer) the plain pass counts them all.
 
-    The plain path also takes models whose ``||W1||_F`` or ``max ||W2,c||``
+    The plain pass also takes models whose ``||W1||_F`` or ``max ||W2,c||``
     lies outside ``NORM_RANGE`` (or is not finite), where its own logits
-    could overflow or underflow, and models wider than ``MAX_WIDTH``. Both
+    could overflow or underflow, and models wider than ``MAX_WIDTH``. Their
+    certificates keep every slack 0 and ``cut`` 0, so they never carry. Both
     layers are scaled by powers of two to norms in [1/2, 1) before the cast,
     which changes no argmax and keeps every float32 value within about
     ||x_i|| <= 2^64 and the subnormal rounding far below E_i.
@@ -733,28 +721,26 @@ def certify(weights: tuple[np.ndarray, np.ndarray], norms: Norms,
     g = len(priors)
     sets = [datasets] * g if isinstance(datasets, Dataset) else datasets
     ok = norms.ok.tolist()
-    live = [i for i in range(g) if ok[i] and sets[i].n]
     certs: list[Certificate | None] = [None] * g
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        fm = norms.f * norms.m
-        carry = [i for i in live if priors[i] is not None]
+        fm = np.where(norms.ok, norms.f * norms.m, np.nan)
+        carry = [i for i in range(g) if ok[i] and sets[i].n and priors[i] is not None]
         if carry:
             members = np.array(carry)
             carried = _carried([priors[i] for i in carry], drift[members], weights,
                                members, fm, datasets)
             for i, cert in zip(carry, carried):
                 certs[i] = cert
-        for i in live:
-            if certs[i] is not None:
+        for i in range(g):
+            if certs[i] is not None or not sets[i].n:
                 continue
             w1, w2 = weights[0][i], weights[1][i]
-            if cast is None:
-                certs[i] = _plain_pass(w1, w2, float(fm[i]), sets[i])
-                continue
-            decided = _certified_hits(w1, w2, (float(norms.f[i]), float(norms.m[i])),
-                                      sets[i], cast)
-            if decided is not None:
-                certs[i] = _nearest(*decided, float(fm[i]), float(cast.norms.max()))
+            decided = None
+            if cast is not None and ok[i]:
+                decided = _certified_hits(w1, w2, (float(norms.f[i]), float(norms.m[i])),
+                                          sets[i], cast)
+            certs[i] = (_plain_pass(w1, w2, float(fm[i]), sets[i]) if decided is None
+                        else _nearest(*decided, float(fm[i]), float(cast.norms.max())))
     return certs
 
 
@@ -918,20 +904,6 @@ def _carried(priors: Sequence[Certificate], drift: np.ndarray,
                                           undecided.tolist(), spent.tolist())]
 
 
-def evaluate(model: LocalModel, dataset: Dataset,
-             weights: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Fraction of argmax-correct predictions of the plain float64 path (ties
-    go to the lowest class). ``weights`` are the model's effective weights,
-    if the caller has them."""
-    if dataset.n == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    with np.errstate(over="ignore", invalid="ignore"):
-        w1, w2 = model.effective_weights() if weights is None else weights
-        logits = _plain_logits(w1, w2, dataset.x)
-        hits = np.count_nonzero(np.argmax(logits, axis=1) == dataset.y)
-    return hits / dataset.n
-
-
 # --- round loop -----------------------------------------------------------
 
 
@@ -1003,27 +975,23 @@ class RoundResult:
 
 
 class Measurement(NamedTuple):
-    """One client's accuracies, and the adapters they were measured with."""
+    """One client's hit counts, and the adapters they were measured with."""
 
     pairs: tuple[LoraPair, ...]  # in LayerId order
     norms: tuple[float, float] | None  # the effective weights' f, m; None if not ok
-    global_accuracy: float
-    local_accuracy: float | None  # None for an empty test shard
-    # of the global and the local test set, each None if not certified
-    certificates: tuple[Certificate | None, Certificate | None]
+    # of the global and the local test set; the local one None for an empty shard
+    certificates: tuple[Certificate, Certificate | None]
 
 
 def _tally(tally: Counter, priors: Sequence[Certificate | None],
-           certs: Sequence[Certificate | None]) -> None:
+           certs: Sequence[Certificate]) -> None:
     """Counts in ``tally`` how :func:`certify` measured each model from its
     prior: carried (and the rows it recomputed) or refused, and in a full
-    pass or by the plain path."""
+    pass."""
     for prior, cert in zip(priors, certs):
-        carried = cert is not None and cert.recomputed is not None
+        carried = cert.recomputed is not None
         tally["refused"] += prior is not None and not carried
-        if cert is None:
-            tally["plain"] += 1
-        elif carried:
+        if carried:
             tally["carried"] += 1
             tally["recomputed"] += cert.recomputed
         else:
@@ -1292,7 +1260,7 @@ class Simulation:
         norms = _layer_norms(w1, w2)
         ok = norms.ok.tolist()
         records = [self._measured.get(cid) for cid in ids]
-        # a record holds a certificate only where its norms were in range
+        # a record's certificates carry only where its norms were in range
         carry = [i for i, r in enumerate(records)
                  if r is not None and r.norms is not None and ok[i]]
         drift = np.full(len(ids), np.nan)
@@ -1315,14 +1283,8 @@ class Simulation:
                  certify((w1, w2), norms, local, None, on_local, drift))
         f, m = norms.f.tolist(), norms.m.tolist()
         for i, cid in enumerate(ids):
-            accuracies = [None, None]
-            for s, dataset in enumerate((test, local[i])):
-                if certs[s][i] is not None:
-                    accuracies[s] = certs[s][i].hits / dataset.n
-                elif dataset.n:
-                    accuracies[s] = evaluate(models[i], dataset, (w1[i], w2[i]))
             self._measured[cid] = Measurement(pairs, (f[i], m[i]) if ok[i] else None,
-                                              *accuracies, (certs[0][i], certs[1][i]))
+                                              (certs[0][i], certs[1][i]))
         if tallies is not None:
             _tally(tallies["global set"], on_global, certs[0])
             nonempty = [i for i, dataset in enumerate(local) if dataset.n]
@@ -1353,11 +1315,12 @@ class Simulation:
         if tallies is not None:
             log.debug("round %d: %s", self.round_index, "; ".join(
                 f"{name}: {t['carried']} carried ({t['recomputed']} row(s) recomputed), "
-                f"{t['refused']} refused, {t['full']} full pass(es), "
-                f"{t['plain']} plain evaluation(s)" for name, t in tallies.items()))
-        measured = [self._measured[m.client_id] for m in self.models]
-        global_acc = float(np.mean([r.global_accuracy for r in measured]))
-        local_accs = [r.local_accuracy for r in measured if r.local_accuracy is not None]
+                f"{t['refused']} refused, {t['full']} full pass(es)"
+                for name, t in tallies.items()))
+        certs = [self._measured[m.client_id].certificates for m in self.models]
+        global_acc = float(np.mean([on.hits / self.global_test.n for on, _ in certs]))
+        local_accs = [local.hits / p.test.n for (_, local), p in zip(certs, self.profiles)
+                      if local is not None]
         local_acc = float(np.mean(local_accs)) if local_accs else 0.0
 
         positives = (

@@ -29,7 +29,6 @@ from horus.sim import (
     TaskConfig,
     adapter_gradients,
     dirichlet_partition,
-    evaluate,
     generate_task,
     local_train,
     new_model,
@@ -50,6 +49,13 @@ def lora_loss(model, lora, x, y):
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1))
     return float((logsumexp - shifted[np.arange(len(y)), y]).mean())
+
+
+def effective_weights(model):
+    """The backbone of ``model`` plus its adapters' deltas, as the round
+    loop measures it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return model.w1 + model.lora[FF].delta, model.w2 + model.lora[CL].delta
 
 
 def tiny_config(**overrides):
@@ -710,9 +716,9 @@ class TestWarmup:
 
     def test_warmup_improves_local_accuracy(self):
         model, train, test, init, rng = self._setup()
-        before = evaluate(model, test)
+        before = float64_hits(*test, model.w1, model.w2)
         warmup(model, train, init, epochs=10, lr=0.1, batch=32, rng=rng)
-        assert evaluate(model, test) > before
+        assert float64_hits(*test, *effective_weights(model)) > before
 
     def test_backbone_frozen_and_adapters_installed(self):
         model, train, _, init, rng = self._setup()
@@ -728,7 +734,7 @@ class TestWarmup:
     def test_zero_b_means_effective_equals_backbone(self):
         model, train, _, init, rng = self._setup()
         warmup(model, train, init, epochs=1, lr=0.1, batch=32, rng=rng)
-        w1_eff, w2_eff = model.effective_weights()
+        w1_eff, w2_eff = effective_weights(model)
         np.testing.assert_array_equal(w1_eff, model.w1)
         np.testing.assert_array_equal(w2_eff, model.w2)
 
@@ -756,69 +762,24 @@ class TestWarmup:
             warmup(model, train, init, epochs=1, lr=0.1, batch=32, rng=rng)
 
 
-class TestEvaluate:
-    @settings(max_examples=50, derandomize=True, deadline=None)
-    @given(st.integers(1, 200_000), st.data())
-    @example(n=2000, data=None)
-    def test_hit_count_over_n_is_the_mean_of_the_hits(self, n, data):
-        # evaluate counts hits; the mean of the 0/1 array it replaced sums
-        # them exactly in float64, and both divide once by n
-        hits = n // 3 if data is None else data.draw(st.integers(0, n))
-        correct = np.zeros(n, dtype=bool)
-        correct[:hits] = True
-        got = np.count_nonzero(correct) / n
-        assert isinstance(got, float) and got.hex() == float(correct.mean()).hex()
-
-    def test_constant_predictor_scores_one_over_c(self):
-        model = LocalModel(0, 0, np.zeros((4, 6)), np.zeros((3, 4)))
-        x = np.random.default_rng(0).normal(size=(300, 6))
-        y = np.repeat(np.arange(3), 100)
-        # all-zero logits: argmax ties resolve to class 0
-        assert evaluate(model, Dataset(x, y)) == pytest.approx(1 / 3)
-
-    def test_shuffle_invariance(self):
-        rng = np.random.default_rng(1)
-        model = LocalModel(0, 0, rng.normal(size=(4, 6)), rng.normal(size=(3, 4)))
-        x = rng.normal(size=(50, 6))
-        y = rng.integers(0, 3, size=50)
-        perm = rng.permutation(50)
-        assert evaluate(model, Dataset(x, y)) == evaluate(
-            model, Dataset(x[perm], y[perm])
-        )
-
-    def test_empty_dataset_rejected(self):
-        model = LocalModel(0, 0, np.zeros((4, 6)), np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            evaluate(model, Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int)))
-
-    def test_overflowing_adapters_leak_no_warning(self):
-        rng = np.random.default_rng(2)
-        model = LocalModel(0, 0, rng.normal(size=(4, 6)), rng.normal(size=(3, 4)))
-        model.lora = {
-            FF: LoraPair(np.full((2, 6), 1e200), np.full((4, 2), 1e200)),
-            CL: LoraPair(np.full((2, 4), 1e200), np.full((3, 2), -1e200)),
-        }
-        data = Dataset(rng.normal(size=(20, 6)), rng.integers(0, 3, size=20))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            acc = evaluate(model, data)
-        assert isinstance(acc, float)
-
-    def test_centroid_aligned_backbone_near_perfect(self):
-        task = TaskConfig(feature_dim=12, num_classes=4, samples_per_class=400,
-                          class_separation=10.0, noise_scale=0.1, signal_dim=4,
-                          seed=5)
-        train, test = generate_task(task)
-        centroids = np.stack([train.x[train.y == c].mean(axis=0) for c in range(4)])
-        # hidden unit per class, classifier reads it off directly
-        model = LocalModel(0, 0, w1=centroids, w2=np.eye(4))
-        assert evaluate(model, test) >= 0.99
-
-
 def float64_hits(x, y, w1, w2):
     """The plain float64 count, written out as the oracle of the float32 path."""
     with np.errstate(over="ignore", invalid="ignore"):
         return np.count_nonzero(np.argmax(np.maximum(x @ w1.T, 0) @ w2.T, axis=1) == y)
+
+
+def assert_float64_accuracies(sim, metrics):
+    """The round's accuracies are the means of every model's float64 count
+    over each set, the local sets that are not empty."""
+    x, y = sim.global_test
+    on_global, on_local = [], []
+    for mod, p in zip(sim.models, sim.profiles):
+        weights = effective_weights(mod)
+        on_global.append(float64_hits(x, y, *weights) / len(y))
+        if p.test.n:
+            on_local.append(float64_hits(*p.test, *weights) / p.test.n)
+    assert metrics.global_accuracy == float(np.mean(on_global))
+    assert metrics.mean_local_accuracy == float(np.mean(on_local))
 
 
 def plain_margins(x, y, w1, w2):
@@ -843,6 +804,9 @@ def assert_certificate_bounds_margins(cert, x, y, weights):
     assert cert.bound.dtype == np.float16 and cert.bound.shape == cert.rows.shape == (k,)
     assert cert.hit.shape == (k,) and len(set(cert.rows.tolist())) == k
     assert (np.diff(cert.bound.astype(float)) >= 0).all() and cert.bound.max(initial=0) <= cert.cut
+    if math.isnan(cert.fm):  # norms out of range: a certificate that cannot carry
+        assert cert.cut == 0 and not cert.bound.any()
+        return
     margin = plain_margins(x, y, *weights)
     norms = np.sqrt((x.astype(np.longdouble) ** 2).sum(axis=1))
     fm, spent = np.longdouble(cert.fm), np.longdouble(cert.spent)
@@ -891,6 +855,16 @@ def stacked(weights):
     return stack, horus.sim._layer_norms(*stack)
 
 
+def certify_once(w1, w2, data, float32):
+    """The certificate of one model's full pass over ``data``, in float32
+    from the set's copy or else from the plain float64 logits."""
+    cast = horus.sim.float32_copy(data) if float32 else None
+    assert cast is not None or not float32
+    stack, norms = stacked([(w1, w2)])
+    (cert,) = horus.sim.certify(stack, norms, data, cast, [None], np.array([np.nan]))
+    return cert
+
+
 class TestCertifiedEvaluate:
     """Both full passes of certify, from float32 logits and from the plain
     float64 ones, count exactly what float64 counts."""
@@ -898,23 +872,24 @@ class TestCertifiedEvaluate:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(certified_cases(), st.booleans())
     def test_certified_count_is_the_float64_count(self, case, float32):
+        # whatever the weights, NaN, ties and dead relu layers included
         x, y, w1, w2 = case
-        data = Dataset(x, y)
-        cast = horus.sim.float32_copy(data) if float32 else None
-        assert cast is not None or not float32
-        want = float64_hits(x, y, w1, w2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = evaluate(LocalModel(0, 0, w1, w2), data)
-            stack, norms = stacked([(w1, w2)])
-            (cert,) = horus.sim.certify(stack, norms, data, cast, [None], np.array([np.nan]))
-        assert got == want / len(y)
-        # the plain float64 pass counts wherever the norms are in range
-        assert (cert is None) == (not norms.ok[0]) or float32
-        if cert is not None:
-            assert cert.hits == cert.passed == want
-            assert cert.recomputed is None and cert.spent == 0
-            assert_certificate_bounds_margins(cert, x, y, (w1, w2))
+            cert = certify_once(w1, w2, Dataset(x, y), float32)
+        assert cert.hits == cert.passed == float64_hits(x, y, w1, w2)
+        assert cert.recomputed is None and cert.spent == 0
+        assert_certificate_bounds_margins(cert, x, y, (w1, w2))
+
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_norms_out_of_range_leave_nothing_to_carry(self, float32):
+        rng = np.random.default_rng(5)
+        x, y = rng.normal(size=(40, 6)), rng.integers(0, 3, size=40)
+        for scale in (0.0, 1e-40, 1e40, np.inf):
+            w1, w2 = scale * rng.normal(size=(8, 6)), rng.normal(size=(3, 8))
+            cert = certify_once(w1, w2, Dataset(x, y), float32)
+            assert cert.hits == float64_hits(x, y, w1, w2)
+            assert math.isnan(cert.fm) and cert.cut == 0 and not cert.bound.any()
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     # scales at which float32 neither overflows nor underflows unscaled
@@ -937,6 +912,74 @@ class TestCertifiedEvaluate:
         for bad in (0.0, 1e-30, 1e30, np.inf, np.nan):
             x[2] = bad
             assert horus.sim.float32_copy(Dataset(x, y)) is None
+
+
+class TestEvaluate:
+    """Accuracy as certify counts it, through either full pass, and as a
+    round measures it."""
+
+    @settings(max_examples=50, derandomize=True, deadline=None)
+    @given(st.integers(1, 200_000), st.data())
+    @example(n=2000, data=None)
+    def test_hit_count_over_n_is_the_mean_of_the_hits(self, n, data):
+        # an accuracy is a certificate's hit count over n; the mean of the
+        # 0/1 array it replaced sums them exactly in float64, and both
+        # divide once by n
+        hits = n // 3 if data is None else data.draw(st.integers(0, n))
+        correct = np.zeros(n, dtype=bool)
+        correct[:hits] = True
+        got = np.count_nonzero(correct) / n
+        assert isinstance(got, float) and got.hex() == float(correct.mean()).hex()
+
+    def test_constant_predictor_scores_one_over_c(self):
+        x = np.random.default_rng(0).normal(size=(300, 6))
+        y = np.repeat(np.arange(3), 100)
+        # all-zero logits: argmax ties resolve to class 0
+        for float32 in (True, False):
+            cert = certify_once(np.zeros((4, 6)), np.zeros((3, 4)), Dataset(x, y), float32)
+            assert cert.hits / len(y) == pytest.approx(1 / 3)
+
+    def test_shuffle_invariance(self):
+        rng = np.random.default_rng(1)
+        w1, w2 = rng.normal(size=(4, 6)), rng.normal(size=(3, 4))
+        x = rng.normal(size=(50, 6))
+        y = rng.integers(0, 3, size=50)
+        perm = rng.permutation(50)
+        for float32 in (True, False):
+            assert (certify_once(w1, w2, Dataset(x, y), float32).hits
+                    == certify_once(w1, w2, Dataset(x[perm], y[perm]), float32).hits)
+
+    def test_empty_dataset_rejected(self):
+        # an empty set is the one set certify gives no certificate
+        w1, w2 = np.full((4, 6), np.nan), np.zeros((3, 4))
+        empty = Dataset(np.zeros((0, 6)), np.zeros(0, dtype=int))
+        full = Dataset(np.ones((8, 6)), np.zeros(8, dtype=int))
+        for float32 in (True, False):
+            assert certify_once(w1, w2, empty, float32) is None
+            assert certify_once(w1, w2, full, float32).hits == 8  # NaN logits: class 0
+
+    def test_overflowing_adapters_leak_no_warning(self):
+        sim = Simulation(tiny_config(rounds=1))
+        sim.run()
+        sim.models[0].lora = {
+            FF: LoraPair(np.full((2, 8), 1e200), np.full((6, 2), 1e200)),
+            CL: LoraPair(np.full((2, 6), 1e200), np.full((3, 2), -1e200)),
+        }
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            metrics = sim._measure([], None, 0)
+        assert sim._measured[0].norms is None
+        assert_float64_accuracies(sim, metrics)
+
+    def test_centroid_aligned_backbone_near_perfect(self):
+        task = TaskConfig(feature_dim=12, num_classes=4, samples_per_class=400,
+                          class_separation=10.0, noise_scale=0.1, signal_dim=4,
+                          seed=5)
+        train, test = generate_task(task)
+        centroids = np.stack([train.x[train.y == c].mean(axis=0) for c in range(4)])
+        # hidden unit per class, classifier reads it off directly
+        for float32 in (True, False):
+            assert certify_once(centroids, np.eye(4), test, float32).hits / test.n >= 0.99
 
 
 DRIFTS = {"tiny": 1e-9, "small": 1e-4, "medium": 1e-2}
@@ -988,9 +1031,7 @@ def adapter_walks(draw):
 
 
 def weights_of(w1, w2, pairs):
-    model = LocalModel(0, 0, w1, w2, dict(zip(LayerId, pairs)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        return model.effective_weights()
+    return effective_weights(LocalModel(0, 0, w1, w2, dict(zip(LayerId, pairs))))
 
 
 def certify_walk(w1s, w2s, walk, data, cast):
@@ -1008,7 +1049,8 @@ def certify_walk(w1s, w2s, walk, data, cast):
             last = norms
             stack, norms = stacked(weights)
             priors, drift = [None] * len(weights), np.full(len(weights), np.nan)
-            carry = [i for i, c in enumerate(certs or ()) if c is not None and norms.ok[i]]
+            # as the round loop, carry only from norms in range to norms in range
+            carry = [i for i, c in enumerate(certs or ()) if last.ok[i] and norms.ok[i]]
             if carry:
                 moved = horus.sim.delta_moves(old, pairs)
                 drift[carry] = horus.sim._drift_bound(
@@ -1043,9 +1085,8 @@ class TestRecertify:
         cast = horus.sim.float32_copy(data) if float32 else None
         for weights, certs in certify_walk(w1s, [w2] * len(w1s), steps, data, cast):
             for model, cert in zip(weights, certs):
-                if cert is not None:
-                    assert cert.hits == float64_hits(x, y, *model)
-                    assert_certificate_bounds_margins(cert, x, y, model)
+                assert cert.hits == float64_hits(x, y, *model)
+                assert_certificate_bounds_margins(cert, x, y, model)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(certified_cases(cases=("random", "tied", "near_tie", "dead"),
@@ -1510,10 +1551,6 @@ class TestRoundWork:
         def on(datasets):
             return on_global if datasets is sim.global_test else on_local
 
-        def counting(model, dataset, *weights):
-            on(dataset).append("plain")
-            return evaluate(model, dataset, *weights)
-
         def counting_certify(weights, norms, datasets, *args):
             certs = certify(weights, norms, datasets, *args)
             assert len(certs) == len(weights[0]) == len(stacks[-1])
@@ -1521,9 +1558,7 @@ class TestRoundWork:
             return certs
 
         monkeypatch.setattr(Simulation, "_measure_group", counting_group)
-        monkeypatch.setattr(horus.sim, "evaluate", counting)
         monkeypatch.setattr(horus.sim, "certify", counting_certify)
-        x, y = sim.global_test
         partial = 0
         for _ in range(sim.cfg.rounds):
             for calls in (stacks, on_local, on_global):
@@ -1532,21 +1567,14 @@ class TestRoundWork:
             measured = list(range(len(sim.models))) if m.round == 1 else m.participants
             # each measured model is in one stack, with every measured model
             # that holds its pairs (after a broadcast, each participant of
-            # its width), and is scored once on each set, certified or plain
+            # its width), and is certified once on each set
             assert sorted(cid for ids in stacks for cid in ids) == sorted(measured)
             held = [{tuple(map(id, sim.models[cid].lora.values())) for cid in ids}
                     for ids in stacks]
             assert all(len(pairs) == 1 for pairs in held)
             assert len(set.union(*held)) == len(stacks)
             assert len(on_local) == len(on_global) == len(measured)
-            fresh_global = [evaluate(mod, sim.global_test) for mod in sim.models]
-            fresh_local = [evaluate(mod, p.test)
-                           for mod, p in zip(sim.models, sim.profiles)]
-            assert m.global_accuracy == float(np.mean(fresh_global))
-            assert m.mean_local_accuracy == float(np.mean(fresh_local))
-            oracle = [float64_hits(x, y, *mod.effective_weights()) / len(y)
-                      for mod in sim.models]
-            assert m.global_accuracy == float(np.mean(oracle))
+            assert_float64_accuracies(sim, m)
             partial += len(m.participants) < len(sim.models)
         assert partial > 0
 
@@ -1586,64 +1614,45 @@ class TestRoundWork:
 
     def spy_certificates(self, monkeypatch, sim):
         """The set, the prior certificate and the result of every model that
-        certify measured on a set that is not empty, and the set of every
-        plain evaluation."""
-        calls, plain = [], []
-        certify, evaluate = horus.sim.certify, horus.sim.evaluate
-
-        def which(dataset):
-            return self.SETS[dataset is not sim.global_test]
+        certify measured on a set that is not empty; each has a result."""
+        calls = []
+        certify = horus.sim.certify
 
         def spying(weights, norms, datasets, cast, priors, drift):
             certs = certify(weights, norms, datasets, cast, priors, drift)
-            name = which(datasets)
+            name = self.SETS[datasets is not sim.global_test]
             sets = [datasets] * len(certs) if name == "global set" else datasets
             calls.extend((name, prior, cert)
                          for dataset, prior, cert in zip(sets, priors, certs) if dataset.n)
+            assert all(cert is not None for _, _, cert in calls)
             return certs
 
-        def evaluating(model, dataset, weights=None):
-            plain.append(which(dataset))
-            return evaluate(model, dataset, weights)
-
         monkeypatch.setattr(horus.sim, "certify", spying)
-        monkeypatch.setattr(horus.sim, "evaluate", evaluating)
-        return calls, plain
+        return calls
 
     @staticmethod
     def carried(calls, name=None):
         """The rows each carried certificate (of the set ``name``) recomputed."""
         return [c.recomputed for n, _, c in calls
-                if c is not None and c.recomputed is not None and name in (None, n)]
-
-    def assert_oracle_accuracies(self, sim, metrics):
-        x, y = sim.global_test
-        on_global, on_local = [], []
-        for mod, p in zip(sim.models, sim.profiles):
-            weights = mod.effective_weights()
-            on_global.append(float64_hits(x, y, *weights) / len(y))
-            on_local.append(float64_hits(*p.test, *weights) / p.test.n)
-        assert metrics.global_accuracy == float(np.mean(on_global))
-        assert metrics.mean_local_accuracy == float(np.mean(on_local))
+                if c.recomputed is not None and name in (None, n)]
 
     def test_recertified_accuracies_follow_a_state_edited_in_place(self, monkeypatch,
                                                                    caplog):
         sim = Simulation(self.pool_config(rounds=8))
         sim.warm_up()
-        calls, plain = self.spy_certificates(monkeypatch, sim)
+        calls = self.spy_certificates(monkeypatch, sim)
         totals = dict.fromkeys(["carried", "recomputed", "refused", "full"], 0)
         for _ in range(sim.cfg.rounds):
             if sim.round_index > 0:  # the state may be edited in place between rounds
                 sim.state.layers[FF].a *= 0.5
             calls.clear()
-            plain.clear()
             caplog.clear()
             with caplog.at_level(logging.DEBUG, logger="horus.sim"):
                 m = sim.run_round().metrics
-            self.assert_oracle_accuracies(sim, m)
+            assert_float64_accuracies(sim, m)
             # one line a round; per set, the models carried and the rows they
-            # recomputed, the carries refused, the full passes and the plain
-            # evaluations, each as the spies counted them
+            # recomputed, the carries refused and the full passes, each as
+            # the spy counted them
             measured = len(sim.models) if m.round == 1 else len(m.participants)
             assert len(calls) == 2 * measured
             parts = []
@@ -1651,11 +1660,9 @@ class TestRoundWork:
                 mine = [(prior, c) for n, prior, c in calls if n == name]
                 carried = self.carried(calls, name)
                 refused = sum(prior is not None for prior, _ in mine) - len(carried)
-                full = sum(c is not None and c.recomputed is None for _, c in mine)
-                assert plain.count(name) == sum(c is None for _, c in mine)
+                full = sum(c.recomputed is None for _, c in mine)
                 parts.append(f"{name}: {len(carried)} carried ({sum(carried)} row(s) "
-                             f"recomputed), {refused} refused, {full} full pass(es), "
-                             f"{plain.count(name)} plain evaluation(s)")
+                             f"recomputed), {refused} refused, {full} full pass(es)")
                 totals["carried"] += len(carried)
                 totals["recomputed"] += sum(carried)
                 totals["refused"] += refused
@@ -1667,18 +1674,20 @@ class TestRoundWork:
     def test_a_jump_takes_the_full_path(self, monkeypatch):
         sim = Simulation(self.pool_config(rounds=3))
         sim.warm_up()
-        calls, _ = self.spy_certificates(monkeypatch, sim)
+        calls = self.spy_certificates(monkeypatch, sim)
         for _ in range(sim.cfg.rounds):
             if sim.round_index == 2:  # every delta grows a hundredfold
                 for layer in sim.state.layers.values():
                     layer.b *= 100.0
             calls.clear()
             m = sim.run_round().metrics
-            self.assert_oracle_accuracies(sim, m)
-            with_prior = [c for n, prior, c in calls if prior is not None and n == "global set"]
-            if m.round == 2:
-                assert with_prior and len(self.carried(calls, "global set")) == len(with_prior)
-        # a model no pass could certify last round has no certificate to carry
+            assert_float64_accuracies(sim, m)
+            with_prior = [(prior, c) for n, prior, c in calls
+                          if prior is not None and n == "global set"]
+            if m.round == 2:  # every prior that proved a cut above 0 carries
+                assert any(prior.cut > 0 for prior, _ in with_prior)
+                assert all(c.recomputed is not None for prior, c in with_prior if prior.cut > 0)
+        # every participant was measured on both sets, and none carried
         assert len(calls) == 2 * len(m.participants)
         assert len(m.participants) >= len(with_prior) > 0
         assert self.carried(calls, "global set") == []  # each took the full pass
@@ -1690,7 +1699,7 @@ class TestRoundWork:
         model = sim.models[0]
         model.lora = {lid: LoraPair(p.a, 50 * rng.normal(size=p.b.shape))
                       for lid, p in model.lora.items()}
-        self.assert_oracle_accuracies(sim, sim._measure([], None, 0))
+        assert_float64_accuracies(sim, sim._measure([], None, 0))
 
     def test_two_participant_horus_round_skips_detection(self, caplog):
         cfg = tiny_config(
@@ -1737,18 +1746,6 @@ class TestStackedMeasuring:
     """Measuring each round's models as one stack per shared-adapter group
     counts what float64 counts, whatever the federation and its edits."""
 
-    @staticmethod
-    def assert_float64_accuracies(sim, metrics):
-        x, y = sim.global_test
-        on_global, on_local = [], []
-        for mod, p in zip(sim.models, sim.profiles):
-            weights = mod.effective_weights()
-            on_global.append(float64_hits(x, y, *weights) / len(y))
-            if p.test.n:
-                on_local.append(float64_hits(*p.test, *weights) / p.test.n)
-        assert metrics.global_accuracy == float(np.mean(on_global))
-        assert metrics.mean_local_accuracy == float(np.mean(on_local))
-
     @settings(max_examples=25, derandomize=True, deadline=None)
     @given(measured_federations())
     def test_every_round_counts_the_float64_hits(self, federation):
@@ -1767,7 +1764,7 @@ class TestStackedMeasuring:
             elif edit == "jump":
                 for layer in sim.state.layers.values():
                     layer.b *= 100.0
-            self.assert_float64_accuracies(sim, sim.run_round().metrics)
+            assert_float64_accuracies(sim, sim.run_round().metrics)
             if r == replaced_after:
                 # B1 A1 = -W1 of the target: its first layer is exactly 0, a
                 # norm below NORM_RANGE, in the stack of its whole width
@@ -1777,9 +1774,17 @@ class TestStackedMeasuring:
                 for mate in sim.models:
                     if mate.w1.shape == model.w1.shape:
                         mate.lora = dict(shared)
-                assert not model.effective_weights()[0].any()
-                self.assert_float64_accuracies(sim, sim._measure([], None, 0))
-                assert sim._measured[target].norms is None
+                assert not effective_weights(model)[0].any()
+                assert_float64_accuracies(sim, sim._measure([], None, 0))
+                record = sim._measured[target]
+                assert record.norms is None  # never offered as a prior
+                for cert in record.certificates:
+                    assert cert is None or (cert.cut == 0 and not cert.bound.any())
+                # so its next measurement is a full pass on both sets, not a carry
+                sim._broadcast([target])
+                assert_float64_accuracies(sim, sim._measure([], None, 0))
+                assert all(cert is None or cert.recomputed is None
+                           for cert in sim._measured[target].certificates)
 
 
 class TestDegenerateRounds:
