@@ -167,9 +167,8 @@ def projection_weights(
         for i, d in enumerate(decompositions):
             v = d[lid, factor][1]
             vs[i, : len(v)] = v
-        # one dot per client: a matrix-vector product rounds differently
-        for i, v_global in enumerate(vs):
-            alphas[i, j] = abs(np.dot(v_global, g_v))
+        # (1, q) @ (q, 1) products, each the dot np.dot forms; gemv rounds differently
+        np.abs(np.matmul(vs[:, None, :], g_v[:, None])[:, 0, 0], out=alphas[:, j])
     return np.clip(alphas, 0.0, 1.0, out=alphas)
 
 

@@ -108,6 +108,13 @@ class ClientUpdate:
             raise ValueError(f"update has mixed ranks {ranks}")
         object.__setattr__(self, "layers", dict(self.layers))
 
+    @classmethod
+    def _trusted(cls, layers: dict[LayerId, LoraPair]) -> "ClientUpdate":
+        """An update that takes over ``layers``, which its caller has checked."""
+        update = object.__new__(cls)
+        update.__dict__.update(layers=layers)
+        return update
+
 
 @dataclass
 class GlobalLayer:
@@ -222,13 +229,17 @@ def pad_round(
         block = (len(updates),) + shape
         vals = values[:, cols].reshape(block)
         mask = masks[:, cols].reshape(block)
-        for i, u in enumerate(updates):
-            m = getattr(u.layers[lid], factor)
-            if m.shape[0] > shape[0] or m.shape[1] > shape[1]:
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        ms = [getattr(u.layers[lid], factor) for u in updates]
+        for i, m in enumerate(ms):
+            by_shape.setdefault(m.shape, []).append(i)
+        # in order of first update, so the first too large is the first named
+        for (p, q), idx in by_shape.items():
+            if p > shape[0] or q > shape[1]:
                 raise ConfigurationError(
-                    f"update {i} layer {lid.value} {factor.upper()} "
-                    f"shape {m.shape} exceeds global maxima {shape}"
+                    f"update {idx[0]} layer {lid.value} {factor.upper()} "
+                    f"shape {(p, q)} exceeds global maxima {shape}"
                 )
-            vals[i, : m.shape[0], : m.shape[1]] = m
-            mask[i, : m.shape[0], : m.shape[1]] = 1.0
+            vals[idx, :p, :q] = np.concatenate([ms[i] for i in idx]).reshape(-1, p, q)
+            mask[idx, :p, :q] = 1.0
     return values, masks

@@ -377,6 +377,13 @@ def warmup(
     return model
 
 
+@functools.lru_cache(maxsize=None)
+def _flat_layout(shapes: tuple[tuple[int, int], ...]) -> tuple[tuple[slice, tuple], ...]:
+    """Where each matrix of ``shapes`` sits in one flat buffer, in order."""
+    ends = accumulate(p * q for p, q in shapes)
+    return tuple((slice(end - p * q, end), (p, q)) for (p, q), end in zip(shapes, ends))
+
+
 def local_train(
     model: LocalModel,
     shard: Dataset,
@@ -409,12 +416,12 @@ def local_train(
     if shard.n == 0:
         log.warning("client %d: empty shard, returning adapters unchanged", model.client_id)
         return ClientUpdate(dict(model.lora))
-    pairs = [model.lora[lid] for lid in LayerId]
-    adapters = [m for pair in pairs for m in (pair.a, pair.b)]
-    ends = list(accumulate(m.size for m in adapters))
-    flat, step = np.concatenate(adapters, axis=None), np.empty(ends[-1])
-    views, step_views = ([buf[end - m.size : end].reshape(m.shape)
-                          for m, end in zip(adapters, ends)] for buf in (flat, step))
+    pairs = model.lora[LayerId.FEATURE_FIRST], model.lora[LayerId.CLASSIFIER]
+    adapters = [pairs[0].a, pairs[0].b, pairs[1].a, pairs[1].b]
+    layout = _flat_layout(tuple(m.shape for m in adapters))
+    flat, step = np.concatenate(adapters, axis=None), np.empty(layout[-1][0].stop)
+    views, step_views = ([buf[cols].reshape(shape) for cols, shape in layout]
+                         for buf in (flat, step))
     n = shard.n
     per_epoch = -(-n // batch)
     # a poisoned broadcast can overflow anything from the cached deltas on
@@ -443,7 +450,7 @@ def local_train(
         LayerId.FEATURE_FIRST: LoraPair._trusted(a1, b1),
         LayerId.CLASSIFIER: LoraPair._trusted(a2, b2),
     }
-    return ClientUpdate(dict(model.lora))
+    return ClientUpdate._trusted(dict(model.lora))
 
 
 # unit roundoffs, and the ranges within which certify's float32 error bound
@@ -1049,6 +1056,8 @@ class Simulation:
             self.models.append(new_model(cid, arch_id, task.feature_dim, task.num_classes,
                                          hidden, self._client_rngs[cid]))
         self.state = self._initial_state(np.random.default_rng(ss_init))
+        # each model's layer dims in LayerId order, the key of its local shape
+        self._layer_dims = [tuple(m.layer_dims().values()) for m in self.models]
         attacker_ids = sorted(cfg.attack.attacker_ids)
         self._attack_rngs = {
             a: np.random.default_rng(seq)
@@ -1081,7 +1090,7 @@ class Simulation:
     def warm_up(self) -> None:
         cfg = self.cfg
         lr = cfg.warmup_lr if cfg.warmup_lr is not None else cfg.lr
-        inits = self._local_states(range(len(self.models)))
+        inits = self._local_states(range(len(self.models)), self.state)
         for p, model, rng in zip(self.profiles, self.models, self._client_rngs):
             # B is zero in the initial state, so delta starts at exactly 0.
             warmup(model, p.train, inits[model.client_id], cfg.warmup_epochs, lr, cfg.batch,
@@ -1103,24 +1112,22 @@ class Simulation:
         return [cid for cid, (p, u) in enumerate(zip(self.profiles, draws))
                 if u < p.participation_rate]
 
-    def _local_states(self, client_ids) -> dict[int, dict[LayerId, LoraPair]]:
-        """Each client's top-left block of the state in a dict of its own,
+    def _local_states(self, client_ids, g: GlobalState) -> dict[int, dict[LayerId, LoraPair]]:
+        """Each client's top-left block of ``g`` in a dict of its own,
         trimmed (and checked) once per distinct set of local layer dims:
         clients of one shape share its read-only pairs."""
         shared: dict[tuple[LayerDims, ...], dict[LayerId, LoraPair]] = {}
         states = {}
         for cid in client_ids:
-            dims = self.models[cid].layer_dims()
-            key = tuple(dims.values())
+            key = self._layer_dims[cid]
             if key not in shared:
-                shared[key] = {
-                    lid: trim_to_local(self.state, lid, dims[lid]) for lid in LayerId
-                }
+                shared[key] = {lid: trim_to_local(g, lid, dims)
+                               for lid, dims in zip(LayerId, key)}
             states[cid] = dict(shared[key])
         return states
 
     def _broadcast(self, client_ids: list[int]) -> None:
-        for cid, pairs in self._local_states(client_ids).items():
+        for cid, pairs in self._local_states(client_ids, self.state).items():
             self.models[cid].lora = pairs
 
     def _train_participants(self, participants: list[int]) -> dict[int, ClientUpdate]:
@@ -1166,15 +1173,18 @@ class Simulation:
             )
         log.info("round %d: %s attack active for clients %s",
                  self.round_index, attack.kind.value, present)
+        # equal rows (LIE, distance attacks) share pairs by shape, as a broadcast does
+        by_row: dict[bytes, list[int]] = {}
         for a, vec in crafted.items():
             if not np.all(np.isfinite(vec)):
                 log.warning("round %d: crafted vector for client %d is non-finite; "
                             "submitting the benign-style update", self.round_index, a)
                 continue
-            poisoned = self.state.with_flat(vec)
-            layers = {lid: trim_to_local(poisoned, lid, dims)
-                      for lid, dims in self.models[a].layer_dims().items()}
-            submissions[a] = ClientUpdate(layers)
+            by_row.setdefault(vec.tobytes(), []).append(a)
+        for ids in by_row.values():
+            poisoned = self.state.with_flat(crafted[ids[0]])
+            for a, layers in self._local_states(ids, poisoned).items():
+                submissions[a] = ClientUpdate._trusted(layers)
 
     def _diagnostics(
         self, submissions: dict[int, ClientUpdate], outcome: AggregationOutcome | None

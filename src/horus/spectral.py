@@ -34,20 +34,20 @@ def decompose_many(ms) -> list[tuple[np.ndarray, np.ndarray]]:
     largest magnitude is positive. A zero matrix has no principal direction;
     its vector is the first standard basis vector.
 
-    Matrices of one shape are stacked and decomposed by a single LAPACK call;
-    each result is bit-identical to decomposing its matrix alone. The input
-    and the singular values (finite, non-negative, sorted) are checked once
-    per stack, so the rows handed out need no further check.
+    Matrices of one shape are stacked and decomposed by a single LAPACK call,
+    each array object once; each result is bit-identical to decomposing its
+    matrix alone. Input and singular values (finite, non-negative, sorted)
+    are checked once per stack, so the rows handed out need no more check.
     """
     ms = [np.asarray(m, dtype=float) for m in ms]
-    by_shape: dict[tuple[int, int], list[int]] = {}
-    for i, m in enumerate(ms):
+    by_shape: dict[tuple[int, int], list[np.ndarray]] = {}
+    for m in {id(m): m for m in ms}.values():  # each object once
         if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
             raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-        by_shape.setdefault(m.shape, []).append(i)
-    out: list = [None] * len(ms)
-    for idx in by_shape.values():
-        stack = np.stack([ms[i] for i in idx])
+        by_shape.setdefault(m.shape, []).append(m)
+    out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for group in by_shape.values():
+        stack = np.stack(group)
         if not np.isfinite(stack).all():
             raise ValueError("matrix contains non-finite entries")
         _, s, vt = np.linalg.svd(stack, full_matrices=False)
@@ -60,9 +60,9 @@ def decompose_many(ms) -> list[tuple[np.ndarray, np.ndarray]]:
         v[flip] = -v[flip]
         zero = ~stack.any(axis=(1, 2))
         v[zero] = np.eye(1, v.shape[1])[0]
-        for i, s_row, v_row in zip(idx, s, v):
-            out[i] = (s_row, v_row)
-    return out
+        for m, s_row, v_row in zip(group, s, v):
+            out[id(m)] = (s_row, v_row)
+    return [out[id(m)] for m in ms]
 
 
 def spectral_entropy(s: np.ndarray) -> float:

@@ -642,6 +642,28 @@ class TestServerStepBitOracles:
         got = projection_weights(ordered, state)
         assert got.tobytes() == per_entry_weights(ordered, state).tobytes()
 
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 300))
+    def test_projection_weights_equal_the_dot_oracle_up_to_300_clients(self, seed, n):
+        # vectors drawn directly: up to 512 entries, mixed widths, zero tails
+        rng = np.random.default_rng(seed)
+        d, h_max, rank = (int(x) for x in rng.integers([1, 1, 1], [513, 513, 9]))
+        state = GlobalState.zeros({FF: LayerDims(d, h_max), CL: LayerDims(h_max, 10)}, rank)
+        for layer in state.layers.values():
+            layer.v_a, layer.v_b = rng.normal(size=layer.a.shape[1]), rng.normal(size=rank)
+        decompositions = []
+        for _ in range(n):
+            h = int(rng.integers(1, h_max + 1))
+            widths = {(FF, "a"): d, (FF, "b"): rank, (CL, "a"): h, (CL, "b"): rank}
+            d_vs = {}
+            for key, q in widths.items():
+                v = rng.normal(size=q) * 10.0 ** rng.uniform(-3, 3)
+                v[int(rng.integers(0, q + 1)):] = 0.0
+                d_vs[key] = (None, v)
+            decompositions.append(d_vs)
+        got = projection_weights(decompositions, state)
+        assert got.tobytes() == per_entry_weights(decompositions, state).tobytes()
+
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 8),
            st.booleans())

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from horus.errors import ConfigurationError
 from horus.lora import (
@@ -31,6 +33,19 @@ def make_update(rng, rank=4, ff=(16, 8), cl=(8, 3)):
 
 
 GLOBAL_DIMS = {FF: LayerDims(16, 12), CL: LayerDims(12, 3)}
+
+
+def filled_one_by_one(updates, g):
+    """``pad_round``'s matrices by one slice copy per update and block."""
+    layout = round_layout(g)
+    values = np.zeros((len(updates), layout[-1].cols.stop))
+    masks = np.zeros_like(values)
+    for i, u in enumerate(updates):
+        for lid, factor, shape, cols in layout:
+            m = getattr(u.layers[lid], factor)
+            values[i, cols].reshape(shape)[: m.shape[0], : m.shape[1]] = m
+            masks[i, cols].reshape(shape)[: m.shape[0], : m.shape[1]] = 1.0
+    return values, masks
 
 
 class TestTypes:
@@ -266,6 +281,33 @@ class TestFlatten:
             alone_v, alone_m = pad_round([u], state)
             np.testing.assert_array_equal(values[i], alone_v[0])
             np.testing.assert_array_equal(masks[i], alone_m[0])
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([4, 16]), st.sampled_from([1, 5, 8, 12])),
+                    min_size=1, max_size=12),
+           st.integers(0, 2**32 - 1), st.integers(0, 11), st.booleans())
+    @example(shapes=[(16, 8)], seed=0, bad=0, wide_input=False)
+    @example(shapes=[(16, 8)] * 5, seed=1, bad=3, wide_input=True)
+    def test_rows_equal_a_per_update_fill_for_any_mix_of_shapes(
+        self, shapes, seed, bad, wide_input
+    ):
+        # (FF d_in, hidden width) per update, in any order
+        rng = np.random.default_rng(seed)
+        updates = [make_update(rng, ff=(d_in, h), cl=(h, 3)) for d_in, h in shapes]
+        state = GlobalState.zeros(GLOBAL_DIMS, 4)
+        values, masks = pad_round(updates, state)
+        want_values, want_masks = filled_one_by_one(updates, state)
+        assert values.tobytes() == want_values.tobytes()
+        assert masks.tobytes() == want_masks.tobytes()
+        # update i and the last one too large: the error names i, the first,
+        # and the block it overflows
+        i = bad % len(updates)
+        d_in, h = (20, shapes[i][1]) if wide_input else (shapes[i][0], 13)
+        for j in {i, len(updates) - 1}:
+            updates[j] = make_update(rng, ff=(d_in, h), cl=(h, 3))
+        block = "feature_first A" if wide_input else "classifier A"
+        with pytest.raises(ConfigurationError, match=f"^update {i} layer {block} shape"):
+            pad_round(updates, state)
 
     def test_state_flat_inverts_unflatten(self):
         rng = np.random.default_rng(15)

@@ -1294,43 +1294,68 @@ class TestSimulation:
         assert {d.matrix for d in rows} == {"A", "B"}
         assert all(r.diagnostics == [] for r in Simulation(tiny_config()).run())
 
-    @pytest.mark.parametrize("aggregator, diagnostics", [
-        pytest.param("horus", True, id="horus"),
-        pytest.param("median", True, id="median"),
-        pytest.param("horus", False, id="horus-plain"),
-        pytest.param("median", False, id="median-plain"),
+    @pytest.mark.parametrize("aggregator, diagnostics, attack", [
+        pytest.param("horus", True, None, id="horus"),
+        pytest.param("median", True, None, id="median"),
+        pytest.param("horus", False, None, id="horus-plain"),
+        pytest.param("median", False, None, id="median-plain"),
+        pytest.param("horus", True, "lie", id="horus-lie"),
+        pytest.param("median", True, "lie", id="median-lie"),
     ])
     def test_each_submitted_factor_is_decomposed_once(
-        self, aggregator, diagnostics, monkeypatch
+        self, aggregator, diagnostics, attack, monkeypatch
     ):
-        # four factors a submission: horus decomposes each once for detection,
-        # weights and diagnostics, plus the four aggregates it tracks; other
-        # rules decompose only for the diagnostics. Matrices are counted over
-        # the leading dimension of each stacked LAPACK call.
-        calls = []
+        # four factors a submission: horus decomposes each distinct array once
+        # for detection, weights and diagnostics, plus the four aggregates it
+        # tracks; other rules decompose only for the diagnostics. LIE
+        # attackers of one width submit one set of arrays. Matrices are
+        # counted over the leading dimension of each stacked LAPACK call.
+        calls, submitted = [], {}
         svd = np.linalg.svd
+        poison = Simulation._apply_model_poisoning
 
         def counting_svd(*args, **kwargs):
             a = args[0]
             calls.append(a.shape[0] if a.ndim == 3 else 1)
             return svd(*args, **kwargs)
 
-        sim = Simulation(tiny_config(aggregator=aggregator, rounds=3),
+        def spying_poison(sim, submissions, participants):
+            poison(sim, submissions, participants)
+            submitted.clear()
+            submitted.update(submissions)
+
+        overrides = {}
+        if attack:  # two attackers in each of the two widths
+            overrides = {
+                "clients": [{"count": 5, "hidden_width": w, "participation_rate": 1.0}
+                            for w in (6, 8)],
+                "attack": {"kind": attack, "start_round": 1, "attacker_ids": [0, 1, 5, 6]},
+            }
+        sim = Simulation(tiny_config(aggregator=aggregator, rounds=3, **overrides),
                          diagnostics=diagnostics)
         sim.warm_up()
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(Simulation, "_apply_model_poisoning", spying_poison)
         for _ in range(sim.cfg.rounds):
             calls.clear()
-            participants = sim.run_round().metrics.participants
+            result = sim.run_round()
+            participants = result.metrics.participants
             n = len(participants)
+            arrays = {id(getattr(u.layers[lid], factor))
+                      for u in submitted.values() for lid in LayerId for factor in "ab"}
             shapes = {
                 getattr(sim.models[c].lora[lid], factor).shape
                 for c in participants for lid in LayerId for factor in "ab"
             }
+            if attack:
+                assert n == 10 and len(arrays) == 4 * (n - 4) + 4 * 2
+            else:
+                assert len(arrays) == 4 * n
             if aggregator == "horus":
-                assert sum(calls) <= 4 * n + 4
+                tracked = 0 if result.outcome.skipped else 4
+                assert sum(calls) == len(arrays) + tracked
             elif diagnostics:
-                assert sum(calls) == 4 * n
+                assert sum(calls) == len(arrays)
             else:
                 assert sum(calls) == 0
             assert len(calls) <= len(shapes) + 4
@@ -1468,35 +1493,52 @@ class TestSimulation:
     def test_attackers_of_two_widths_submit_their_block_of_the_crafted_row(
         self, monkeypatch
     ):
-        # widths 6 and 8; fang draws a different row for each attacker
-        cfg = tiny_config(rounds=2, attack={
-            "kind": "fang_trimmed", "attacker_ids": [0, 2], "knowledge": "all",
-        })
+        # two attackers of width 6 and two of width 8; fang draws a different
+        # row for each attacker, LIE crafts one row for all
+        clients = [{"count": 3, "hidden_width": w, "participation_rate": 1.0} for w in (6, 8)]
+        attackers = [0, 1, 3, 4]
         _, submitted, crafted, states = self.spy_round(monkeypatch)
-        sim = Simulation(cfg)
-        sim.warm_up()
-        for _ in range(cfg.rounds):
-            crafted.clear()
-            sim.run_round()
-            assert sorted(crafted) == [0, 2]
-            g = states[-1]
-            for a, row in crafted.items():
-                # the row by hand: every layer's A, then every B, at g's shapes
-                blocks, offset = {}, 0
-                for factor in ("a", "b"):
+        for kind, extra in (("fang_trimmed", {}), ("lie", {"z_override": 1.5})):
+            cfg = tiny_config(rounds=2, clients=clients, attack={
+                "kind": kind, "attacker_ids": attackers, "knowledge": "all", **extra,
+            })
+            sim = Simulation(cfg)
+            sim.warm_up()
+            for _ in range(cfg.rounds):
+                crafted.clear()
+                sim.run_round()
+                assert sorted(crafted) == attackers
+                g = states[-1]
+                for a, row in crafted.items():
+                    # the row by hand: every layer's A, then every B, at g's shapes
+                    blocks, offset = {}, 0
+                    for factor in ("a", "b"):
+                        for lid in LayerId:
+                            rows, cols = getattr(g.layers[lid], factor).shape
+                            block = row[offset : offset + rows * cols].reshape(rows, cols)
+                            blocks[lid, factor] = block
+                            offset += rows * cols
+                    assert offset == row.size
+                    for lid, dims in sim.models[a].layer_dims().items():
+                        pair = submitted[a].layers[lid]
+                        want_a = blocks[lid, "a"][:, : dims.d_in]
+                        want_b = blocks[lid, "b"][: dims.d_out, :]
+                        assert pair.a.shape == want_a.shape and pair.b.shape == want_b.shape
+                        assert pair.a.tobytes() == want_a.tobytes()
+                        assert pair.b.tobytes() == want_b.tobytes()
+                for same_width in ((0, 1), (3, 4)):
+                    first, second = (submitted[a].layers for a in same_width)
                     for lid in LayerId:
-                        rows, cols = getattr(g.layers[lid], factor).shape
-                        block = row[offset : offset + rows * cols].reshape(rows, cols)
-                        blocks[lid, factor] = block
-                        offset += rows * cols
-                assert offset == row.size
-                for lid, dims in sim.models[a].layer_dims().items():
-                    pair = submitted[a].layers[lid]
-                    want_a = blocks[lid, "a"][:, : dims.d_in]
-                    want_b = blocks[lid, "b"][: dims.d_out, :]
-                    assert pair.a.shape == want_a.shape and pair.b.shape == want_b.shape
-                    assert pair.a.tobytes() == want_a.tobytes()
-                    assert pair.b.tobytes() == want_b.tobytes()
+                        if kind == "lie":  # one set of read-only pairs a width
+                            assert first[lid] is second[lid]
+                            for m in (first[lid].a, first[lid].b):
+                                with pytest.raises(ValueError, match="read-only"):
+                                    m[0, 0] = 1.0
+                        else:
+                            assert not np.shares_memory(first[lid].a, second[lid].a)
+                            assert not np.shares_memory(first[lid].b, second[lid].b)
+                assert submitted[0].layers[LayerId.CLASSIFIER].a.shape != (
+                    submitted[3].layers[LayerId.CLASSIFIER].a.shape)
 
     def test_frob_of_a_huge_finite_state_is_finite_and_json_safe(self):
         sim = Simulation(tiny_config(aggregator="fedavg", rounds=1))

@@ -342,6 +342,29 @@ class TestDecomposeMany:
         assert any(flips) and not all(flips)
         assert sum(not m.any() for m in batch) >= 5
 
+    def test_an_array_at_several_positions_is_decomposed_once(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        shared, other = rng.normal(size=(8, 12)), rng.normal(size=(3, 12))
+        zero = np.zeros((3, 12))
+        copy = shared.copy()  # equal content, a distinct object
+        batch = [shared, other, copy, shared, zero, shared, zero, copy]
+        alone = [decompose_many([m])[0] for m in batch]
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        out = decompose_many(batch)
+        assert sum(calls) == len({id(m) for m in batch}) == 4
+        for (s, v), (s_one, v_one) in zip(out, alone):
+            assert s.tobytes() == s_one.tobytes() and v.tobytes() == v_one.tobytes()
+        # the positions of one object share its result
+        assert out[0] is out[3] is out[5] and out[2] is out[7] and out[4] is out[6]
+        assert out[0] is not out[2]
+
     def test_zero_matrix_gets_first_basis_vector(self):
         (s, v), = decompose_many([np.zeros((3, 4))])
         assert s.tobytes() == np.zeros(3).tobytes()

@@ -7,14 +7,17 @@ Prints one JSON line: the best-of-``--repeat`` time in µs per call of
   batches of 256, hidden width 32 and 48;
 * ``local_train`` at the ``crowd`` shape: one epoch over 107 rows (one
   step), hidden width 32, 48 and 64;
+* ``local_train`` at the ``baselines`` shape: one epoch over 320 rows (a
+  batch of 256 and one of 64), hidden width 32, 48 and 64;
 * ``_backprop`` alone on one batch of 256 rows, at each of those widths;
 * ``certify`` at the ``crowd`` shapes: one model's first full float32 pass
   over the 2,000-row global test set at hidden width 32, 48 and 64, and
   the carry of a 75-model group of width 48 (about one width's
   participants) whose shared B factors moved by 1e-3 of their scale;
-* ``decompose_many`` of a round's 4 n adapter factors, and ``krum_select``
-  (f = 2) and ``masked_mean`` of its padded (n, P) matrix, for n = 10, 100
-  and 300 clients whose widths cycle through 32, 48 and 64.
+* ``decompose_many`` of a round's 4 n adapter factors, ``pad_round`` of its
+  n submissions, ``projection_weights`` of their decompositions, and
+  ``krum_select`` (f = 2) and ``masked_mean`` of its padded (n, P) matrix,
+  for n = 10, 100 and 300 clients whose widths cycle through 32, 48 and 64.
 
 Every shape has 64 features, 10 classes and rank-8 adapters. Each
 ``local_train`` call starts from the same pairs and the same RNG state: as
@@ -45,7 +48,8 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from horus import sim
-from horus.aggregation import krum_select, masked_mean
+from horus.aggregation import krum_select, masked_mean, projection_weights
+from horus.detection import decompose_round
 from horus.lora import ClientUpdate, GlobalState, LayerDims, LayerId, LoraPair, pad_round
 from horus.spectral import decompose_many
 
@@ -152,12 +156,19 @@ def time_server_kernels(n: int, repeat: int) -> dict[str, float]:
     updates = _round(n)
     state = GlobalState.zeros({LayerId.FEATURE_FIRST: LayerDims(D, max(WIDTHS)),
                                LayerId.CLASSIFIER: LayerDims(max(WIDTHS), C)}, RANK)
+    rng = np.random.default_rng(n)
+    for layer in state.layers.values():  # tracked directions, as after round 1
+        layer.v_a, layer.v_b = rng.normal(size=layer.a.shape[1]), rng.normal(size=RANK)
     values, masks = pad_round(updates, state)
     factors = [getattr(u.layers[lid], f) for u in updates for lid in LayerId for f in "ab"]
+    decompositions = list(decompose_round(dict(enumerate(updates))).values())
     ones, previous = np.ones((n, 1)), np.zeros(values.shape[1])
     number = max(1, 1000 // n)
     return {
         f"decompose_many n={n}": _best_us(lambda: decompose_many(factors), repeat, number),
+        f"pad_round n={n}": _best_us(lambda: pad_round(updates, state), repeat, 10 * number),
+        f"projection_weights n={n}": _best_us(
+            lambda: projection_weights(decompositions, state), repeat, 10 * number),
         f"krum_select n={n}": _best_us(lambda: krum_select(values, masks, 2), repeat, number),
         f"masked_mean n={n}": _best_us(lambda: masked_mean(values, masks, ones, previous),
                                        repeat, 10 * number),
@@ -173,6 +184,8 @@ def main(argv=None) -> None:
         us[f"local_train reference h={h}"] = time_local_train(h, 2560, 3, args.repeat, 20)
     for h in (32, 48, 64):
         us[f"local_train crowd h={h}"] = time_local_train(h, 107, 1, args.repeat, 500)
+    for h in (32, 48, 64):
+        us[f"local_train baselines h={h}"] = time_local_train(h, 320, 1, args.repeat, 200)
     for h in (32, 48, 64):
         us[f"_backprop n={BATCH} h={h}"] = time_backprop(h, args.repeat, 500)
     test = _global_test()
