@@ -12,7 +12,6 @@ when participation varies across architectures.
 from __future__ import annotations
 
 import logging
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -304,12 +303,15 @@ def krum_select(
 
 
 def masked_median(stack: np.ndarray, masks: np.ndarray, prev: np.ndarray) -> np.ndarray:
-    """Entry-wise median over covering clients; uncovered entries keep prev."""
-    vals = np.where(masks > 0, stack, np.nan)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN slices
-        med = np.nanmedian(vals, axis=0, overwrite_input=True)
-    return np.where(masks.sum(axis=0) > 0, med, prev)
+    """Entry-wise median over covering clients (uncovered entries keep prev),
+    with the bits of ``np.nanmedian``, whose masked sum makes a zero +0.0."""
+    vals = np.full(stack.shape, np.nan)
+    np.copyto(vals, stack, where=masks > 0)
+    vals.sort(axis=0)  # covering values first, ascending
+    counts = masks.sum(axis=0).astype(int)
+    low = np.take_along_axis(vals, (counts - 1)[None] // 2, axis=0)[0]
+    high = np.take_along_axis(vals, counts[None] // 2, axis=0)[0]
+    return np.where(counts > 0, (low + high + 0.0) / 2.0, prev)
 
 
 def masked_trimmed_mean(
@@ -344,21 +346,23 @@ def masked_trimmed_mean(
 
 
 def baseline_aggregate(
-    kind: AggregatorKind, updates: Mapping[int, ClientUpdate], g: GlobalState
+    kind: AggregatorKind, updates: Mapping[int, ClientUpdate], g: GlobalState,
+    *, padded: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> AggregationOutcome:
     """Classical aggregation rules on dimension-aligned updates.
 
     All rules reduce the padded round matrix: fedavg is a masked mean with
     unit weights, krum and multi_krum put unit weights on their winners
     (distances restricted to common support), and median and trimmed_mean act
-    entry-wise over covering clients.
+    entry-wise over covering clients. ``padded`` is that matrix, if the caller
+    holds it: ``pad_round`` of the updates in ascending id order.
     """
     if not updates:
         raise ValueError("baseline_aggregate requires at least one update")
     if kind.name == "horus":
         raise ValueError("use horus_aggregate for the horus pipeline")
     kind.check_feasible(len(updates))
-    values, masks = pad_round([updates[c] for c in sorted(updates)], g)
+    values, masks = padded or pad_round([updates[c] for c in sorted(updates)], g)
     previous = g.flat()
     if kind.name == "median":
         flat = masked_median(values, masks, previous)

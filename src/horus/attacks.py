@@ -16,7 +16,6 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .aggregation import masked_sq_distances
 from .errors import ConfigurationError, SimulationError
 from .spectral import inverse_normal_cdf
 
@@ -172,19 +171,26 @@ def min_max_attack(
     """Push mean + gamma * p as far as possible while staying no farther from
     any benign vector than the benign vectors are from each other.
 
-    The farthest pair comes from :func:`masked_sq_distances` (all-ones masks)
-    and the bound is its exact distance. With c = benign - mean, each search
-    step reads ||mean + gamma p - b_i||^2 = gamma^2 p.p - 2 gamma c_i.p + c_i.c_i.
+    With c = benign - mean, the bound is the largest direct ||b_i - b_j|| over
+    the pairs whose Gram distance ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j could be
+    the largest; each search step reads
+    ||mean + gamma p - b_i||^2 = gamma^2 p.p - 2 gamma c_i.p + c_i.c_i.
     """
     benign, mu, sigma = _cohort_stats(benign)
-    d2 = masked_sq_distances(benign, np.ones_like(benign))
-    i, j = np.unravel_index(np.argmax(d2), d2.shape)
-    bound = float(np.linalg.norm(benign[i] - benign[j]))
+    c = benign - mu
+    c_sq = np.einsum("ij,ij->i", c, c)
+    d2 = c_sq[:, None] + c_sq - 2.0 * (c @ c.T)
+    # Gram and direct squared distances are each within 8 (P + 2) eps max ||c||^2
+    # of the true one, so the farthest direct pair is within 32 (P + 2) eps max
+    # ||c||^2 of the top Gram distance; past float range, every pair is measured
+    limit = d2.max() - 32.0 * (benign.shape[1] + 2) * np.finfo(float).eps * c_sq.max()
+    near = d2 >= limit if np.isfinite(limit) else np.ones(d2.shape, dtype=bool)
+    bound = max(float(np.linalg.norm(benign[i] - benign[j]))
+                for i, j in np.argwhere(np.triu(near, 1)))
     p = _perturbation(mu, sigma, direction)
     if bound == 0.0 or p is None:
         return mu.copy()
-    c = benign - mu
-    c_sq, c_p, p_sq = np.einsum("ij,ij->i", c, c), c @ p, float(p @ p)
+    c_p, p_sq = c @ p, float(p @ p)
 
     def value_fn(gamma: float) -> float:
         d_sq = (gamma * gamma * p_sq - 2.0 * gamma * c_p + c_sq).max()

@@ -1154,10 +1154,12 @@ class Simulation:
 
     def _apply_model_poisoning(
         self, submissions: dict[int, ClientUpdate], participants: list[int]
-    ) -> None:
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Replace each attacker's submission with its crafted update. Returns the
+        new round's ``pad_round`` if the attack read all of it and a baseline runs."""
         attack = self.cfg.attack
         if attack.kind is AttackKind.LABEL_FLIP or not attack.active(self.round_index):
-            return
+            return None
         present = sorted(attack.attacker_ids & set(participants))
         knowledge_ids = present if attack.knowledge == "own" else sorted(participants)
         if not present or len(knowledge_ids) < 2:
@@ -1165,14 +1167,17 @@ class Simulation:
                 "round %d: %d attacker(s) and %d knowledge vector(s); attack skipped",
                 self.round_index, len(present), len(knowledge_ids),
             )
-            return
-        vectors, _ = pad_round([submissions[c] for c in knowledge_ids], self.state)
+            return None
+        vectors, masks = pad_round([submissions[c] for c in knowledge_ids], self.state)
         with np.errstate(over="ignore", invalid="ignore"):
             crafted = atk.craft_malicious_vectors(
                 attack, vectors, len(self.profiles), present, self._attack_rngs,
             )
         log.info("round %d: %s attack active for clients %s",
                  self.round_index, attack.kind.value, present)
+        # a copy: the attack's knowledge stays as it was handed over
+        rows = (vectors.copy() if attack.knowledge == "all"
+                and self.cfg.aggregator.name != "horus" else None)
         # equal rows (LIE, distance attacks) share pairs by shape, as a broadcast does
         by_row: dict[bytes, list[int]] = {}
         for a, vec in crafted.items():
@@ -1185,6 +1190,10 @@ class Simulation:
             poisoned = self.state.with_flat(crafted[ids[0]])
             for a, layers in self._local_states(ids, poisoned).items():
                 submissions[a] = ClientUpdate._trusted(layers)
+            if rows is not None:  # the trimmed row, padded with +0.0
+                at = np.searchsorted(knowledge_ids, ids)
+                rows[at] = np.where(masks[at] > 0, crafted[ids[0]], 0.0)
+        return None if rows is None else (rows, masks)
 
     def _diagnostics(
         self, submissions: dict[int, ClientUpdate], outcome: AggregationOutcome | None
@@ -1238,13 +1247,14 @@ class Simulation:
         if participants:
             self._broadcast(participants)
             submissions = self._train_participants(participants)
-            self._apply_model_poisoning(submissions, participants)
+            padded = self._apply_model_poisoning(submissions, participants)
             payload = sum(payload_bytes(u) for u in submissions.values())
             if self._aggregation_feasible(len(participants)):
                 if cfg.aggregator.name == "horus":
                     outcome = horus_aggregate(submissions, self.state, cfg.detection)
                 else:
-                    outcome = baseline_aggregate(cfg.aggregator, submissions, self.state)
+                    outcome = baseline_aggregate(cfg.aggregator, submissions, self.state,
+                                                 padded=padded)
                 self.state = outcome.state  # a skipped step returns the old state
             self._broadcast(participants)
             if self.diagnostics:

@@ -47,7 +47,7 @@ def decompose_many(ms) -> list[tuple[np.ndarray, np.ndarray]]:
         by_shape.setdefault(m.shape, []).append(m)
     out: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for group in by_shape.values():
-        stack = np.stack(group)
+        stack = np.concatenate(group).reshape((len(group),) + group[0].shape)
         if not np.isfinite(stack).all():
             raise ValueError("matrix contains non-finite entries")
         _, s, vt = np.linalg.svd(stack, full_matrices=False)

@@ -3,10 +3,11 @@ baselines."""
 
 import math
 import statistics
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -762,6 +763,40 @@ def covering(values, masks, j):
     return [float(v) for v, m in zip(values[:, j], masks[:, j]) if m > 0]
 
 
+def nanmedian_formulation(values, masks, previous):
+    """The masked median through ``np.nanmedian`` over NaN-filled gaps."""
+    vals = np.where(masks > 0, values, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # all-NaN columns
+        med = np.nanmedian(vals, axis=0)
+    return np.where(masks.sum(axis=0) > 0, med, previous)
+
+
+@st.composite
+def tied_rounds(draw):
+    """(values, 0/1 masks, previous) whose values repeat and include both
+    signed zeros."""
+    n = draw(st.integers(1, 9))
+    p = draw(st.integers(1, 12))
+    element = st.one_of(st.sampled_from([-0.0, 0.0, -1.5, 1.5, 3.0]),
+                        st.floats(-10.0, 10.0, allow_nan=False))
+    values = draw(arrays(float, (n, p), elements=element))
+    masks = draw(arrays(float, (n, p), elements=st.sampled_from([0.0, 1.0])))
+    return values, masks, draw(arrays(float, (p,), elements=element))
+
+
+class TestMedianBits:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(tied_rounds())
+    @example((np.array([[-0.0]]), np.array([[1.0]]), np.array([5.0])))  # n = 1
+    @example((np.array([[-0.0, 2.0], [-0.0, 1.0]]), np.ones((2, 2)), np.zeros(2)))
+    @example((np.array([[1.0, -0.0], [1.0, 0.0]]), np.zeros((2, 2)), np.array([7.0, -0.0])))
+    def test_matches_nanmedian_bit_for_bit(self, rnd):
+        values, masks, previous = rnd
+        out = masked_median(values, masks, previous)
+        assert out.tobytes() == nanmedian_formulation(values, masks, previous).tobytes()
+
+
 class TestFlatReductionProperties:
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(masked_rounds())
@@ -771,8 +806,7 @@ class TestFlatReductionProperties:
         for j in range(values.shape[1]):
             vals = covering(values, masks, j)
             expected.append(statistics.median(vals) if vals else previous[j])
-        np.testing.assert_allclose(masked_median(values, masks, previous), expected,
-                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(masked_median(values, masks, previous), expected)
 
     @settings(max_examples=50, derandomize=True, deadline=None)
     @given(masked_rounds(), st.sampled_from([0.0, 0.1, 0.2, 0.25, 1 / 3, 0.45]))

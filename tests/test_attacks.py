@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import horus.attacks
 from horus.attacks import (
     _maximize_gamma,
     AttackConfig,
@@ -148,6 +149,48 @@ class TestMinMax:
         mal = min_max_attack(benign)
         bound = max_pairwise(benign)
         assert float(np.linalg.norm(mal - benign, axis=1).max()) <= bound * (1 + 1e-12)
+
+
+def direct_max_pairwise(benign):
+    """The largest ||b_i - b_j||, each computed directly, over pairs i < j."""
+    return max(float(np.linalg.norm(benign[i] - benign[j]))
+               for i in range(len(benign)) for j in range(i + 1, len(benign)))
+
+
+def min_max_bound(benign, monkeypatch):
+    """The distance bound min_max_attack searches against."""
+    bounds = []
+
+    def spy(value_fn, bound):
+        bounds.append(bound)
+        return _maximize_gamma(value_fn, bound)
+
+    monkeypatch.setattr(horus.attacks, "_maximize_gamma", spy)
+    min_max_attack(benign)
+    return bounds[0]
+
+
+class TestMinMaxBound:
+    def test_is_the_largest_direct_distance(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for n, p in ((2, 1), (3, 40), (9, 7), (30, 300)):
+            benign = rng.normal(size=(n, p)) + rng.normal(size=p) * 1e3
+            assert min_max_bound(benign, monkeypatch) == direct_max_pairwise(benign)
+
+    def test_survives_a_near_tie_the_gram_order_gets_wrong(self, monkeypatch):
+        # (a, -a) and (b, -b), b a permutation of a: their distances agree in
+        # exact arithmetic and differ in the last bit as computed
+        rng = np.random.default_rng(13)
+        a = rng.normal(size=40)
+        b = rng.permutation(a)
+        benign = np.stack([a, -a, b, -b])
+        c = benign - benign.mean(axis=0)
+        c_sq = np.einsum("ij,ij->i", c, c)
+        gram = c_sq[:, None] + c_sq - 2.0 * (c @ c.T)
+        i, j = np.unravel_index(np.argmax(gram), gram.shape)
+        exact = direct_max_pairwise(benign)
+        assert float(np.linalg.norm(benign[i] - benign[j])) < exact  # the Gram order errs
+        assert min_max_bound(benign, monkeypatch) == exact
 
 
 class TestMinSum:

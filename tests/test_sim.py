@@ -20,7 +20,9 @@ import horus.attacks
 import horus.sim
 from horus.config import ClientTemplate, config_to_dict, load_config, parse_config
 from horus.errors import ConfigurationError, SimulationError
-from horus.lora import GlobalLayer, GlobalState, LayerDims, LayerId, LoraPair, trim_to_local
+from horus.lora import (
+    GlobalLayer, GlobalState, LayerDims, LayerId, LoraPair, pad_round, trim_to_local,
+)
 from horus.sim import (
     _class_sum,
     Dataset,
@@ -1539,6 +1541,42 @@ class TestSimulation:
                             assert not np.shares_memory(first[lid].b, second[lid].b)
                 assert submitted[0].layers[LayerId.CLASSIFIER].a.shape != (
                     submitted[3].layers[LayerId.CLASSIFIER].a.shape)
+
+    @pytest.mark.parametrize("non_finite", [False, True], ids=["crafted", "non-finite"])
+    def test_a_baseline_reduces_the_round_matrix_of_the_final_submissions(
+        self, monkeypatch, non_finite
+    ):
+        # min-max with knowledge of the whole round: the attack's matrix, its
+        # attacker rows overwritten, is the one the rule reduces
+        clients = [{"count": 3, "hidden_width": w, "participation_rate": 1.0} for w in (6, 8)]
+        reduced = []
+        real_aggregate, real_craft = (horus.sim.baseline_aggregate,
+                                      horus.attacks.craft_malicious_vectors)
+
+        def spying_aggregate(kind, updates, g, **kwargs):
+            reduced.append((dict(updates), g, kwargs.get("padded")))
+            return real_aggregate(kind, updates, g, **kwargs)
+
+        def craft(*args, **kwargs):
+            rows = real_craft(*args, **kwargs)
+            if non_finite:  # attacker 3 keeps its trained update
+                rows[3] = np.full_like(rows[3], np.nan)
+            return rows
+
+        monkeypatch.setattr(horus.sim, "baseline_aggregate", spying_aggregate)
+        monkeypatch.setattr(horus.attacks, "craft_malicious_vectors", craft)
+        cfg = tiny_config(rounds=2, clients=clients, aggregator="median", attack={
+            "kind": "min_max", "attacker_ids": [0, 3, 4], "knowledge": "all",
+        })
+        sim = Simulation(cfg)
+        sim.warm_up()
+        for _ in range(cfg.rounds):
+            sim.run_round()
+        assert len(reduced) == cfg.rounds
+        for updates, g, padded in reduced:
+            assert padded is not None
+            want = pad_round([updates[c] for c in sorted(updates)], g)
+            assert [m.tobytes() for m in padded] == [m.tobytes() for m in want]
 
     def test_frob_of_a_huge_finite_state_is_finite_and_json_safe(self):
         sim = Simulation(tiny_config(aggregator="fedavg", rounds=1))

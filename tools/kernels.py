@@ -16,8 +16,10 @@ Prints one JSON line: the best-of-``--repeat`` time in µs per call of
   participants) whose shared B factors moved by 1e-3 of their scale;
 * ``decompose_many`` of a round's 4 n adapter factors, ``pad_round`` of its
   n submissions, ``projection_weights`` of their decompositions, and
-  ``krum_select`` (f = 2) and ``masked_mean`` of its padded (n, P) matrix,
-  for n = 10, 100 and 300 clients whose widths cycle through 32, 48 and 64.
+  ``krum_select`` (f = 2), ``masked_mean``, ``masked_median``,
+  ``masked_trimmed_mean`` (beta = 0.2) and ``min_max_attack`` (the whole
+  round as its knowledge) of its padded (n, P) matrix, for n = 10, 100 and
+  300 clients whose widths cycle through 32, 48 and 64.
 
 Every shape has 64 features, 10 classes and rank-8 adapters. Each
 ``local_train`` call starts from the same pairs and the same RNG state: as
@@ -48,7 +50,14 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from horus import sim
-from horus.aggregation import krum_select, masked_mean, projection_weights
+from horus.aggregation import (
+    krum_select,
+    masked_mean,
+    masked_median,
+    masked_trimmed_mean,
+    projection_weights,
+)
+from horus.attacks import min_max_attack
 from horus.detection import decompose_round
 from horus.lora import ClientUpdate, GlobalState, LayerDims, LayerId, LoraPair, pad_round
 from horus.spectral import decompose_many
@@ -172,6 +181,11 @@ def time_server_kernels(n: int, repeat: int) -> dict[str, float]:
         f"krum_select n={n}": _best_us(lambda: krum_select(values, masks, 2), repeat, number),
         f"masked_mean n={n}": _best_us(lambda: masked_mean(values, masks, ones, previous),
                                        repeat, 10 * number),
+        f"masked_median n={n}": _best_us(lambda: masked_median(values, masks, previous),
+                                         repeat, number),
+        f"masked_trimmed_mean n={n}": _best_us(
+            lambda: masked_trimmed_mean(values, masks, 0.2, previous), repeat, number),
+        f"min_max_attack n={n}": _best_us(lambda: min_max_attack(values), repeat, number),
     }
 
 
