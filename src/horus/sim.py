@@ -70,9 +70,11 @@ PARTICIPATION_POOL = (1.0, 0.75, 0.5)
 # With B = 0, A's gradient B^T dW and B's dW A^T stay in that rank-(r/2)
 # span, so every benign A keeps exact rank r/2 for the whole run: its tail
 # singular values are ~1e-16 of the first, and criterion 11 compares A and B
-# CoVs of ~3e-16, rounding noise. A full-rank init does not blind detection:
-# under a full-rank geometric (q = 0.5) init, LIE recall stayed 1.0 on three
-# seeds. Replacing this init is ROADMAP item 2.
+# CoVs of ~3e-16, rounding noise. Clients train in float32, but those two
+# products take float64 operands (see adapter_gradients), so the tail stays
+# at float64 rounding; float32 products would leave it at ~1e-7. A full-rank
+# init does not blind detection: under a full-rank geometric (q = 0.5) init,
+# LIE recall stayed 1.0 on three seeds. Replacing this init is ROADMAP item 2.
 LORA_A_INIT_SCALE = 0.1
 
 
@@ -334,6 +336,11 @@ def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y, *, deltas=None, out=None):
 
     ``deltas``, if given, are the products ``(b1 @ a1, b2 @ a2)`` already
     formed; ``out``, if given, holds four arrays that receive the gradients.
+
+    The effective weights are formed in the adapters' float64 and cast to
+    the batch's dtype, in which the forward and backward pass run; dW1 and
+    dW2 come back to float64 for the four adapter products, so a float32
+    batch keeps A and B in the span they start in to float64 rounding.
     """
     if deltas is None:
         w1_eff, w2_eff = b1 @ a1, b2 @ a2
@@ -341,7 +348,9 @@ def adapter_gradients(w1, w2, a1, b1, a2, b2, x, y, *, deltas=None, out=None):
         w2_eff += w2
     else:
         w1_eff, w2_eff = w1 + deltas[0], w2 + deltas[1]
-    dw1, dw2 = _backprop(w1_eff, w2_eff, x, y)
+    dw1, dw2 = _backprop(w1_eff.astype(x.dtype, copy=False),
+                         w2_eff.astype(x.dtype, copy=False), x, y)
+    dw1, dw2 = dw1.astype(np.float64, copy=False), dw2.astype(np.float64, copy=False)
     da1, db1, da2, db2 = (None,) * 4 if out is None else out
     return (np.matmul(b1.T, dw1, out=da1), np.matmul(dw1, a1.T, out=db1),
             np.matmul(b2.T, dw2, out=da2), np.matmul(dw2, a2.T, out=db2))
@@ -409,7 +418,9 @@ def local_train(
     backbone instead of forming B @ A again. Every product keeps the
     operands, layout and order of a loop that builds each step from new
     arrays, so the bits are that loop's; for the same reason ``_backprop``
-    keeps its copy back to row-major.
+    keeps its copy back to row-major. A float32 shard runs the forward and
+    backward pass in float32, and everything else in float64 (see
+    :func:`adapter_gradients`).
     """
     if model.lora is None:
         raise SimulationError(f"client {model.client_id}: warm-up must run first")
@@ -1137,14 +1148,14 @@ class Simulation:
                        and attack.active(self.round_index))
 
         def run_one(cid: int) -> ClientUpdate:
-            shard = self.profiles[cid].train
+            x, y = self.profiles[cid].train
             if flip_active and cid in attack.attacker_ids:
-                shard = Dataset(
-                    shard.x, atk.flip_labels(shard.y, cfg.task.num_classes)
-                )
+                y = atk.flip_labels(y, cfg.task.num_classes)
+            # the step kernel's float32 rows, cast each round: a copy held from
+            # set-up on raised peak RSS by 6-7 MB
             return local_train(
-                self.models[cid], shard, cfg.epochs, cfg.lr, cfg.batch,
-                self._client_rngs[cid],
+                self.models[cid], Dataset(x.astype(np.float32), y), cfg.epochs, cfg.lr,
+                cfg.batch, self._client_rngs[cid],
             )
 
         if cfg.workers > 1 and len(participants) > 1:

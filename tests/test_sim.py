@@ -513,6 +513,47 @@ def oracle_local_train(model, shard, epochs, lr, batch, rng):
     return lora, steps
 
 
+def oracle_local_train_float32(model, shard, epochs, lr, batch, rng):
+    """:func:`oracle_local_train` on float32 arithmetic: the float64
+    effective weights and the batch are cast to float32, the forward and
+    backward pass run in float32, and dW comes back to float64 for the
+    float64 adapter products and steps."""
+    lora = {lid: LoraPair(p.a.copy(), p.b.copy())
+            for lid, p in model.lora.items()}
+    steps = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            perm = rng.permutation(shard.n)
+            for start in range(0, shard.n, batch):
+                idx = perm[start : start + batch]
+                x, y = shard.x[idx].astype(np.float32), shard.y[idx]
+                n = len(y)
+                a1, b1, a2, b2 = lora[FF].a, lora[FF].b, lora[CL].a, lora[CL].b
+                w1_eff = (model.w1 + b1 @ a1).astype(np.float32)
+                w2_eff = (model.w2 + b2 @ a2).astype(np.float32)
+                z1 = x @ w1_eff.T
+                hact = np.maximum(z1, 0.0)
+                logits = hact @ w2_eff.T
+                expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+                dlogits = expz / expz.sum(axis=1, keepdims=True)
+                dlogits[np.arange(n), y] -= 1.0
+                dlogits /= n
+                dw2_eff = (dlogits.T @ hact).astype(np.float64)
+                dw1_eff = (((dlogits @ w2_eff) * (z1 > 0.0)).T @ x).astype(np.float64)
+                stepped = {FF: (a1 - lr * (b1.T @ dw1_eff), b1 - lr * (dw1_eff @ a1.T)),
+                           CL: (a2 - lr * (b2.T @ dw2_eff), b2 - lr * (dw2_eff @ a2.T))}
+                if not all(np.all(np.isfinite(m)) for pair in stepped.values()
+                           for m in pair):
+                    return lora, steps
+                lora = {lid: LoraPair(*stepped[lid]) for lid in lora}
+                steps += 1
+    return lora, steps
+
+
+def float32_rows(shard):
+    return Dataset(shard.x.astype(np.float32), shard.y)
+
+
 class TestTrainingLoopOracle:
     """``local_train`` against the plain-numpy loop, bit for bit."""
 
@@ -531,9 +572,10 @@ class TestTrainingLoopOracle:
         return model, Dataset(rng.normal(size=(n, d)), rng.integers(0, c, size=n))
 
     @staticmethod
-    def _train_as_the_oracle(model, shard, seed, epochs, lr, batch, steps):
+    def _train_as_the_oracle(model, shard, seed, epochs, lr, batch, steps,
+                             oracle=oracle_local_train):
         rng_oracle = np.random.default_rng(seed)
-        expected, taken = oracle_local_train(model, shard, epochs, lr, batch, rng_oracle)
+        expected, taken = oracle(model, shard, epochs, lr, batch, rng_oracle)
         assert taken == steps
         rng = np.random.default_rng(seed)
         update = local_train(model, shard, epochs=epochs, lr=lr, batch=batch, rng=rng)
@@ -562,15 +604,36 @@ class TestTrainingLoopOracle:
         model, shard = self._model_and_shard(4, h, d=64, rank=8, n=n)
         self._train_as_the_oracle(model, shard, 4, epochs, 0.3, 256, steps)
 
-    @pytest.mark.parametrize("h", [5, 9])
-    def test_diverging_client_keeps_last_finite_adapters(self, h, caplog):
+    @pytest.mark.parametrize("h", [32, 48, 64])
+    @pytest.mark.parametrize("n, epochs, steps", [(600, 3, 9), (107, 1, 1)])
+    def test_float32_shards_match_the_float32_oracle(self, h, n, epochs, steps):
+        """A round's float32 rows at the benchmark's shapes: the submission
+        and RNG state are the float32 oracle's, bit for bit."""
+        model, shard = self._model_and_shard(4, h, d=64, rank=8, n=n)
+        self._train_as_the_oracle(model, float32_rows(shard), 4, epochs, 0.3, 256, steps,
+                                  oracle=oracle_local_train_float32)
+
+    @pytest.mark.parametrize("h, float32", [
+        pytest.param(5, False, id="5"),
+        pytest.param(9, False, id="9"),
+        pytest.param(5, True, id="5-float32"),
+        pytest.param(9, True, id="9-float32"),
+    ])
+    def test_diverging_client_keeps_last_finite_adapters(self, h, float32, caplog):
         # adapters near 1e20 make B @ A near 1e40; the logits overflow within
-        # a few steps of the first epoch
+        # a few steps of the first epoch, and its float32 cast at once
         model, shard = self._model_and_shard(3, h, scale=1e20)
-        expected, steps = oracle_local_train(model, shard, 3, 0.1, 8,
-                                             np.random.default_rng(0))
-        # five batches an epoch: the overflow follows a finite step of epoch 1
-        assert 1 <= steps < 5
+        if float32:
+            shard = float32_rows(shard)
+            expected, steps = oracle_local_train_float32(model, shard, 3, 0.1, 8,
+                                                         np.random.default_rng(0))
+            assert steps == 0
+            assert all(m.dtype == np.float64 for p in expected.values() for m in (p.a, p.b))
+        else:
+            expected, steps = oracle_local_train(model, shard, 3, 0.1, 8,
+                                                 np.random.default_rng(0))
+            # five batches an epoch: the overflow follows a finite step of epoch 1
+            assert 1 <= steps < 5
         rng = np.random.default_rng(0)
         with caplog.at_level("WARNING", logger="horus.sim"), warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -593,6 +656,38 @@ class TestTrainingLoopOracle10Classes(TestTrainingLoopOracle):
 
 class TestTrainingLoopOracle17Classes(TestTrainingLoopOracle):
     classes = 17  # two blocks of 8 accumulated, then a tail of 1
+
+
+class TestFloat32TrainingSpan:
+    """From the shipped init (a rank-r/2 A, B = 0), every step keeps A and B
+    in a rank-r/2 span. float32 rows leave that to float64 rounding, because
+    the adapter products dA = B^T dW and dB = dW A^T take float64 operands:
+    float32 products would put float32 rounding, ~1e-7 of the first singular
+    value, in the tail of A's spectrum, which criterion 11 reads."""
+
+    @settings(max_examples=15, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([2, 4, 8]),
+           width=st.integers(8, 24), classes=st.integers(3, 12), calls=st.integers(1, 4))
+    def test_tail_singular_values_stay_at_float64_rounding(self, seed, rank, width,
+                                                           classes, calls):
+        cfg = tiny_config(
+            task={"feature_dim": 16, "num_classes": classes, "samples_per_class": 40,
+                  "class_separation": 4.0, "noise_scale": 0.5, "dirichlet_alpha": 0.5,
+                  "signal_dim": 3, "seed": seed % 1000},
+            clients=[{"count": 1, "hidden_width": width, "participation_rate": 1.0}],
+            rank=rank, warmup_epochs=1, master_seed=seed,
+        )
+        sim = Simulation(cfg)
+        sim.warm_up()  # installs the initial state's pairs
+        model, shard = sim.models[0], float32_rows(sim.profiles[0].train)
+        for i in range(calls):
+            local_train(model, shard, 1, cfg.lr, cfg.batch, np.random.default_rng(i))
+        half = rank // 2
+        for pair in model.lora.values():
+            for m in (pair.a, pair.b):
+                s = np.linalg.svd(m, compute_uv=False)
+                assert s[0] > 0.0
+                assert np.all(s[half:] < 1e-12 * s[0]), s / s[0]
 
 
 class TestSharedBroadcastPair:
@@ -1247,6 +1342,58 @@ class TestSimulation:
         })
         results = Simulation(cfg).run()
         assert len(results) == 4  # smoke: flipped path exercised without error
+
+    def test_clients_train_on_float32_rows_and_exchange_float64_pairs(self, monkeypatch):
+        cfg = tiny_config(rounds=3, attack={
+            "kind": "label_flip", "start_round": 2, "attacker_ids": [1],
+        })
+        warmed, trained, submitted, weights = [], [], [], []
+        real_warmup, real_train = horus.sim.warmup, horus.sim.local_train
+        real_aggregate, real_certify = horus.sim.horus_aggregate, horus.sim.certify
+
+        def spying_warmup(model, shard, *args, **kwargs):
+            warmed.append(shard)
+            return real_warmup(model, shard, *args, **kwargs)
+
+        def spying_train(model, shard, *args, **kwargs):
+            trained.append((sim.round_index, model.client_id, shard))
+            return real_train(model, shard, *args, **kwargs)
+
+        def spying_aggregate(submissions, *args, **kwargs):
+            submitted.extend(submissions.values())
+            return real_aggregate(submissions, *args, **kwargs)
+
+        def spying_certify(w, *args):
+            weights.extend(w)
+            return real_certify(w, *args)
+
+        monkeypatch.setattr(horus.sim, "warmup", spying_warmup)
+        monkeypatch.setattr(horus.sim, "local_train", spying_train)
+        monkeypatch.setattr(horus.sim, "horus_aggregate", spying_aggregate)
+        monkeypatch.setattr(horus.sim, "certify", spying_certify)
+        sim = Simulation(cfg)
+        rows = [(p.train.x.tobytes(), p.train.y.tobytes()) for p in sim.profiles]
+        sim.warm_up()
+        assert [s.x.dtype for s in warmed] == [np.float64] * len(sim.profiles)
+        broadcast = []
+        for _ in range(cfg.rounds):
+            sim.run_round()
+            broadcast.extend(p for m in sim.models for p in m.lora.values())
+        assert {(r, cid) for r, cid, _ in trained} == {
+            (r, cid) for r in (1, 2, 3) for cid in range(len(sim.profiles))}
+        for r, cid, shard in trained:
+            train = sim.profiles[cid].train
+            assert shard.x.dtype == np.float32
+            assert shard.x.tobytes() == train.x.astype(np.float32).tobytes()
+            flipped = cid == 1 and r >= 2
+            want = horus.attacks.flip_labels(train.y, 3) if flipped else train.y
+            assert shard.y.tobytes() == want.tobytes()
+        assert [(p.train.x.tobytes(), p.train.y.tobytes()) for p in sim.profiles] == rows
+        assert all(p.train.x.dtype == np.float64 for p in sim.profiles)
+        pairs = [p for u in submitted for p in u.layers.values()] + broadcast
+        assert len(submitted) == 3 * len(sim.profiles)
+        assert all(m.dtype == np.float64 for p in pairs for m in (p.a, p.b, p.delta))
+        assert weights and all(w.dtype == np.float64 for w in weights)
 
     @pytest.mark.parametrize("layer", ["w1", "w2"])
     def test_frozen_backbone_refuses_writes(self, layer):

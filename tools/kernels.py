@@ -3,12 +3,16 @@ benchmark's shapes.
 
 Prints one JSON line: the best-of-``--repeat`` time in µs per call of
 
-* ``local_train`` at the ``reference`` shape: 3 epochs over 2,560 rows in
-  batches of 256, hidden width 32 and 48;
-* ``local_train`` at the ``crowd`` shape: one epoch over 107 rows (one
-  step), hidden width 32, 48 and 64;
-* ``local_train`` at the ``baselines`` shape: one epoch over 320 rows (a
-  batch of 256 and one of 64), hidden width 32, 48 and 64;
+* ``local_train`` on float64 rows and on float32 rows (the rows a round
+  hands it, cast before the call), side by side, at three shapes:
+
+  * ``reference``: 3 epochs over 2,560 rows in batches of 256, hidden
+    width 32 and 48;
+  * ``crowd``: one epoch over 107 rows (one step), hidden width 32, 48
+    and 64;
+  * ``baselines``: one epoch over 320 rows (a batch of 256 and one of
+    64), hidden width 32, 48 and 64;
+
 * ``_backprop`` alone on one batch of 256 rows, at each of those widths;
 * ``certify`` at the ``crowd`` shapes: one model's first full float32 pass
   over the 2,000-row global test set at hidden width 32, 48 and 64, and
@@ -74,11 +78,12 @@ def _pairs(h: int, rng: np.random.Generator) -> tuple[LoraPair, ...]:
                               0.05 * rng.normal(size=(C, RANK))))
 
 
-def _setup(h: int, rows: int, seed: int = 0):
+def _setup(h: int, rows: int, seed: int = 0, dtype=np.float64):
     rng = np.random.default_rng(seed)
     model = sim.new_model(0, 0, D, C, h, rng)
     pairs = dict(zip(LayerId, _pairs(h, rng)))
-    shard = sim.Dataset(rng.normal(size=(rows, D)), rng.integers(0, C, size=rows))
+    shard = sim.Dataset(rng.normal(size=(rows, D)).astype(dtype),
+                        rng.integers(0, C, size=rows))
     return model, pairs, shard
 
 
@@ -86,8 +91,9 @@ def _best_us(call, repeat: int, number: int) -> float:
     return 1e6 * min(timeit.repeat(call, repeat=repeat, number=number)) / number
 
 
-def time_local_train(h: int, rows: int, epochs: int, repeat: int, number: int) -> float:
-    model, pairs, shard = _setup(h, rows)
+def time_local_train(h: int, rows: int, epochs: int, repeat: int, number: int,
+                     dtype=np.float64) -> float:
+    model, pairs, shard = _setup(h, rows, dtype=dtype)
 
     def call():
         model.lora = dict(pairs)
@@ -194,12 +200,13 @@ def main(argv=None) -> None:
     ap.add_argument("--repeat", type=int, default=7, help="timed repeats (best is kept)")
     args = ap.parse_args(argv)
     us = {}
-    for h in (32, 48):
-        us[f"local_train reference h={h}"] = time_local_train(h, 2560, 3, args.repeat, 20)
-    for h in (32, 48, 64):
-        us[f"local_train crowd h={h}"] = time_local_train(h, 107, 1, args.repeat, 500)
-    for h in (32, 48, 64):
-        us[f"local_train baselines h={h}"] = time_local_train(h, 320, 1, args.repeat, 200)
+    for name, rows, epochs, widths, number in (("reference", 2560, 3, (32, 48), 20),
+                                               ("crowd", 107, 1, WIDTHS, 500),
+                                               ("baselines", 320, 1, WIDTHS, 200)):
+        for h in widths:
+            for dtype in (np.float64, np.float32):
+                us[f"local_train {name} h={h} {np.dtype(dtype)}"] = time_local_train(
+                    h, rows, epochs, args.repeat, number, dtype)
     for h in (32, 48, 64):
         us[f"_backprop n={BATCH} h={h}"] = time_backprop(h, args.repeat, 500)
     test = _global_test()
